@@ -11,8 +11,7 @@ visible relative to AS on identical substrate.
 Timing protocol: all variants of one B-group are measured **interleaved
 round-robin with a rotated starting point, best-of-``repeats``** — this
 box's wall clock drifts ±30 % between windows, so only co-scheduled
-measurements produce meaningful ratios (same protocol as
-``bench_loop_amortization.measure_group``).
+measurements produce meaningful ratios.
 
 Results go to ``BENCH_variant.json`` at the repository root; the schema is
 pinned by ``benchmarks/conftest.py`` (``validate_bench_variant``).

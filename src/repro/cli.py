@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="device-resident amortized loop: report/transfer only every "
+        help="device-resident run loop: report/transfer only every "
         "K-th iteration (bit-identical results; default 1)",
     )
     _add_local_search_flags(solve)
@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="device-resident amortized loop: report/transfer only every "
+        help="device-resident run loop: report/transfer only every "
         "K-th iteration (bit-identical results; default 1)",
     )
     _add_local_search_flags(sweep)
@@ -366,8 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "name",
         nargs="?",
         default=None,
-        help="benchmark name: 'loop' matches bench_loop_amortization.py; any "
-        "unique substring of a bench_*.py filename works",
+        help="benchmark name: 'variant_throughput' matches "
+        "bench_variant_throughput.py; any unique substring of a bench_*.py "
+        "filename works",
     )
     bench.add_argument(
         "--list",

@@ -8,7 +8,7 @@ GPU."  Since the variant redesign, ACS runs on the batched
 pseudo-random-proportional choice policy (greedy with probability ``q0``
 plus per-step local evaporation toward ``tau0``) and the global-best-only
 update policy.  That puts ACS on every fast path the Ant System has —
-replica batching, parameter sweeps, array backends, the amortized
+replica batching, parameter sweeps, array backends, the device-resident
 ``report_every=K`` loop and the micro-batching solve service.
 
 :class:`AntColonySystem` here is the ``B = 1`` view of the engine (exactly
@@ -118,8 +118,8 @@ class AntColonySystem:
     def run(self, iterations: int, report_every: int = 1) -> ACSRunResult:
         """Run several ACS iterations, tracking the best tour.
 
-        ``report_every=K`` runs the engine's amortized device-resident
-        loop — host transfers only at K-boundaries, bit-identical results
+        ``report_every=K`` runs the engine's device-resident loop with
+        host transfers only at K-boundaries, bit-identical results
         for every K.  Ctrl-C raises
         :class:`~repro.errors.RunInterrupted` carrying the best-so-far
         :class:`ACSRunResult` (bare ``KeyboardInterrupt`` when nothing

@@ -113,17 +113,17 @@ class BatchColonyState:
     c_nn: np.ndarray | None = None
     backend: ArrayBackend = field(default_factory=resolve_backend)
     #: scratch arena hoisting kernel buffers across steps and iterations
-    #: (``None`` = allocate per call, the pre-amortisation behaviour)
-    work: WorkBuffers | None = field(default=None, repr=False)
-    #: pregenerate each iteration's RNG draws in bulk (bit-identical to
-    #: per-step draws; ``False`` is the benchmark baseline mode)
-    bulk_rng: bool = True
+    #: (an engine may swap in a shared one, see ``BatchEngine(work=)``)
+    work: WorkBuffers = field(init=False, repr=False)
     choice_info: np.ndarray | None = None  # (B, n, n), refreshed per iter
     tours: np.ndarray | None = None  # (B, m, n + 1) int32 host, last iteration
     lengths: np.ndarray | None = None  # (B, m) int64 host, last iteration
     iteration: int = 0
     best_tours: np.ndarray | None = field(default=None, repr=False)
     best_lengths: np.ndarray | None = None  # (B,) int64 host
+
+    def __post_init__(self) -> None:
+        self.work = WorkBuffers(self.backend)
 
     @classmethod
     def create(
@@ -299,7 +299,7 @@ class BatchRunResult:
       run**: one shared measurement around the vectorized loop.  All
       throughput accounting (:meth:`colonies_per_second`, service stats)
       must derive from this number.
-    * ``results[b].wall_seconds`` is that row's **amortized share**,
+    * ``results[b].wall_seconds`` is that row's **share**,
       ``batch wall / B`` — the per-colony cost figure a solo run of row
       ``b`` effectively paid inside the batch.  Summing row shares merely
       reconstructs the batch wall; summing shares *across different
@@ -420,18 +420,11 @@ class BatchEngine:
         Array backend the batch executes on — a name (``"numpy"``,
         ``"cupy"``), an :class:`~repro.backend.ArrayBackend` instance, or
         ``None`` to resolve ``ACO_BACKEND`` / the numpy default.
-    amortize:
-        Hot-loop amortisation (default on): per-iteration bulk RNG blocks
-        and a per-engine :class:`~repro.backend.WorkBuffers` scratch arena
-        reused across iterations.  Results are bit-identical either way;
-        ``False`` restores the per-step-draw, allocate-per-call behaviour
-        and exists as the measured baseline for
-        ``benchmarks/bench_loop_amortization.py``.
     work:
         An externally owned :class:`~repro.backend.WorkBuffers` arena to
-        reuse instead of allocating a fresh one — the seam that lets a
-        long-lived worker (e.g. one solve-service worker thread) amortise
-        scratch buffers across *engines*, not just iterations.  Must live
+        use instead of the state's own — the seam that lets a long-lived
+        worker (e.g. one solve-service worker thread) reuse scratch
+        buffers across *engines*, not just iterations.  Must live
         on the same backend as the engine; buffer keys are geometry-stamped
         so consecutive engines of different shapes coexist safely, but one
         arena must never be driven by two engines **concurrently**.
@@ -447,7 +440,6 @@ class BatchEngine:
         construction_options: dict | None = None,
         pheromone_options: dict | None = None,
         backend: ArrayBackend | str | None = None,
-        amortize: bool = True,
         work: WorkBuffers | None = None,
         variant: str | VariantStrategy = "as",
         variant_options: dict | None = None,
@@ -521,12 +513,7 @@ class BatchEngine:
         self.state = BatchColonyState.create(
             instances, plist, device, backend=self.backend
         )
-        self.amortize = bool(amortize)
         if work is not None:
-            if not self.amortize:
-                raise ACOConfigError(
-                    "a shared WorkBuffers arena requires amortize=True"
-                )
             if work.backend.name != self.backend.name:
                 raise ACOConfigError(
                     f"shared arena lives on backend {work.backend.name!r} but "
@@ -536,11 +523,8 @@ class BatchEngine:
             # hoisted eta^beta); only the shape-checked scratch pool is safe
             # to carry across engines.
             work.reset_derived()
-            self.work = work
-        else:
-            self.work = WorkBuffers(self.backend) if self.amortize else None
-        self.state.work = self.work
-        self.state.bulk_rng = self.amortize
+            self.state.work = work
+        self.work = self.state.work
         # Variant state (pheromone re-init, trail limits, ACS tau0) installs
         # on the fresh batch state; the RNG layout is the variant's choice
         # policy's to define (AS/MMAS delegate to the construction family).
@@ -666,7 +650,9 @@ class BatchEngine:
         :class:`~repro.core.variant.IterationContext` is what best-so-far
         update policies (ACS global-best, MMAS schedules) consume — the
         records already include the current iteration, exactly as the solo
-        loops see them after ``record_tours``.
+        loops see them after ``record_tours``.  They are fresh arrays: the
+        engine's fold adopts them only once the iteration completes (see
+        :meth:`_step`).
         """
         # lint: hot-region
         bs = self.state
@@ -676,16 +662,14 @@ class BatchEngine:
         ib = xp.argmin(lengths, axis=1)
         vals = lengths[rows, ib]
         improved = vals < self._fold_len
-        imp = xp.nonzero(improved)[0]
-        if imp.size:
-            self._fold_len[imp] = vals[imp]
-            self._fold_tours[imp] = tours[imp, ib[imp]]
         return IterationContext(
             iteration=bs.iteration,
             it_best=ib,
             it_best_lengths=vals,
-            best_lengths=self._fold_len,
-            best_tours=self._fold_tours,
+            best_lengths=xp.where(improved, vals, self._fold_len),
+            best_tours=xp.where(
+                improved[:, None], tours[rows, ib], self._fold_tours
+            ),
             improved=improved,
         )
 
@@ -721,7 +705,7 @@ class BatchEngine:
         ctx = self._fold_best(tours, lengths)
         t2 = perf_counter()
         clock.add("fold", t1, t2)
-        # The local-search seam rides the amortized loop: polish only at
+        # The local-search seam rides the run loop: polish only at
         # report boundaries (collect iterations), before the update seam,
         # so best-so-far deposits spread the improved edges.
         if collect and self.variant.local.enabled:
@@ -747,8 +731,8 @@ class BatchEngine:
     ) -> IterationContext:
         """Boundary-time polish of the selected per-row tours.
 
-        Improvements fold into the backend-resident best-so-far records
-        (strict improvement, like :meth:`_fold_best`); for the
+        Improvements fold into the context's best-so-far records (strict
+        improvement, like :meth:`_fold_best`); for the
         ``iteration-best`` target the polished tours also replace the
         winning ants' rows in place, so iteration-best deposits (AS
         deposit-all, the MMAS schedule) and the boundary reports all see
@@ -758,21 +742,16 @@ class BatchEngine:
         bs = self.state
         xp = self.backend.xp
         policy = self.variant.local
-        assert self._fold_len is not None and self._fold_tours is not None
         it_best_lengths = ctx.it_best_lengths
         if policy.target == "best-so-far":
-            res = policy.improve(bs, self._fold_tours, self._fold_len)
+            res = policy.improve(bs, ctx.best_tours, ctx.best_lengths)
         else:
             rows = xp.arange(bs.B)
             res = policy.improve(bs, tours[rows, ctx.it_best], ctx.it_best_lengths)
             tours[rows, ctx.it_best] = res.tours
             lengths[rows, ctx.it_best] = res.lengths
             it_best_lengths = res.lengths
-        better = res.lengths < self._fold_len
-        imp = xp.nonzero(better)[0]
-        if imp.size:
-            self._fold_len[imp] = res.lengths[imp]
-            self._fold_tours[imp] = res.tours[imp]
+        better = res.lengths < ctx.best_lengths
         ex = self.backend.to_host(res.exchanges)
         gain = self.backend.to_host(res.initial_lengths - res.lengths)
         self._ls_last = (ex, gain)
@@ -783,8 +762,8 @@ class BatchEngine:
             iteration=ctx.iteration,
             it_best=ctx.it_best,
             it_best_lengths=it_best_lengths,
-            best_lengths=self._fold_len,
-            best_tours=self._fold_tours,
+            best_lengths=xp.where(better, res.lengths, ctx.best_lengths),
+            best_tours=xp.where(better[:, None], res.tours, ctx.best_tours),
             improved=ctx.improved | better,
         )
 
@@ -796,22 +775,31 @@ class BatchEngine:
         ex, gain = self._ls_last
         return {"ls_exchanges": int(ex[b]), "ls_gain": int(gain[b])}
 
-    def run_iteration(self) -> list[IterationReport]:
-        """One full variant iteration for every colony; one report per row.
+    def _step(
+        self, boundary: bool, pending: list, bests: list[list[int]]
+    ) -> list[IterationReport] | None:
+        """One iteration of the run loop; a boundary also syncs the host.
 
-        Every stage runs on ``self.backend``; tours and lengths cross to the
-        host exactly once, at the end of the iteration, for bookkeeping and
-        the per-colony reports (a no-copy pass-through on numpy).
+        The iteration counts only once its update has run: then the fold
+        adopts the context's records, its iteration-best lengths join
+        ``pending`` (still on the backend) and ``state.iteration``
+        advances — so an interrupt inside the kernels leaves exactly the
+        completed iterations behind.  At a boundary, tours, lengths, the
+        fold and ``pending`` cross to the host (the latter into ``bests``)
+        and one report per row is returned.
         """
         bs = self.state
-        if self._fold_len is None:
-            self._seed_fold()
-        tours, lengths, _, stages = self._advance(collect=True)
+        tours, lengths, ctx, stages = self._advance(collect=boundary)
+        self._fold_len, self._fold_tours = ctx.best_lengths, ctx.best_tours
+        pending.append(ctx.it_best_lengths)
+        bs.iteration += 1
+        if not boundary:
+            return None
         t0 = perf_counter()
         bs.tours = self.backend.to_host(tours)
         bs.lengths = self.backend.to_host(lengths)
         self._sync_fold_host()
-        bs.iteration += 1
+        self._flush_bests(pending, bests)
         reports = [
             IterationReport(
                 iteration=bs.iteration,
@@ -825,6 +813,27 @@ class BatchEngine:
         self.phase_clock.add("host-sync", t0, perf_counter())
         return reports
 
+    def _flush_bests(self, pending: list, bests: list[list[int]]) -> None:
+        """Move the pending backend-resident iteration-best lengths into
+        the per-row host lists (one transfer for the whole block)."""
+        if not pending:
+            return
+        host_vals = self.backend.to_host(self.backend.xp.stack(pending))
+        pending.clear()
+        for b in range(self.state.B):
+            bests[b].extend(int(v) for v in host_vals[:, b])
+
+    def run_iteration(self) -> list[IterationReport]:
+        """One full variant iteration for every colony; one report per row.
+
+        This is one boundary step of :meth:`run`'s loop: every stage runs
+        on ``self.backend`` and tours and lengths cross to the host once,
+        at the end of the iteration (a no-copy pass-through on numpy).
+        """
+        if self._fold_len is None:
+            self._seed_fold()
+        return self._step(True, [], [[] for _ in range(self.B)])
+
     def run(
         self,
         iterations: int,
@@ -834,15 +843,15 @@ class BatchEngine:
     ) -> BatchRunResult:
         """Run several iterations for every colony, tracking per-row bests.
 
-        ``report_every=K`` keeps the loop device-resident between report
-        boundaries: tours/lengths cross to the host, and
-        :class:`~repro.core.report.IterationReport` rows are materialized,
-        only every K-th iteration (and at the final one), with best-so-far
-        records folded on the backend in between.  The best tour, best
-        length, per-iteration best lengths and the final pheromone stack
-        are bit-identical for every K; only the ``reports`` lists thin out
-        (boundary iterations only).  ``K=1`` (the default) is the classic
-        report-every-iteration loop.
+        One loop serves every ``report_every=K``: iterations run
+        device-resident with best-so-far records folded on the backend,
+        and every K-th iteration (and the final one) is a report boundary
+        — tours/lengths cross to the host and
+        :class:`~repro.core.report.IterationReport` rows are materialized
+        there only.  ``K=1`` (the default) makes every iteration a
+        boundary.  The best tour, best length, per-iteration best lengths
+        and the final pheromone stack are bit-identical for every K; only
+        the ``reports`` lists thin out (boundary iterations only).
 
         ``on_boundary`` is called at every report boundary (so every K-th
         iteration and the last) with a :class:`BoundaryUpdate` snapshot —
@@ -857,8 +866,8 @@ class BatchEngine:
         Ctrl-C during the loop raises
         :class:`~repro.errors.RunInterrupted` carrying a partial
         ``BatchRunResult`` with every row's best-so-far as of the last
-        completed iteration (bare ``KeyboardInterrupt`` propagates when
-        nothing completed).
+        completed iteration, at any K (bare ``KeyboardInterrupt``
+        propagates when nothing completed).
         """
         if iterations < 1:
             raise ACOConfigError(f"iterations must be >= 1, got {iterations}")
@@ -882,27 +891,28 @@ class BatchEngine:
         self._phase_mark = self.phase_clock.mark()
         reports: list[list[IterationReport]] = [[] for _ in range(bs.B)]
         bests: list[list[int]] = [[] for _ in range(bs.B)]
+        pending: list = []  # (B,) iteration-best lengths not yet on the host
         stopped_early = False
         clock = WallClock()
         try:
             with clock:
-                if report_every == 1:
-                    for it in range(iterations):
-                        for b, rep in enumerate(self.run_iteration()):
-                            reports[b].append(rep)
-                            bests[b].append(rep.best_length)
-                        phase_seconds = self.phase_clock.flush_block()
-                        if self._boundary_hook(
-                            on_boundary, targets, phase_seconds
-                        ):
-                            stopped_early = it + 1 < iterations
-                            break
-                else:
-                    stopped_early = self._run_amortized(
-                        iterations, report_every, reports, bests,
-                        on_boundary, targets,
-                    )
+                for it in range(iterations):
+                    boundary = (it + 1) % report_every == 0 or it + 1 == iterations
+                    step_reports = self._step(boundary, pending, bests)
+                    if step_reports is None:
+                        continue
+                    for b, rep in enumerate(step_reports):
+                        reports[b].append(rep)
+                    phase_seconds = self.phase_clock.flush_block()
+                    if self._boundary_hook(on_boundary, targets, phase_seconds):
+                        stopped_early = it + 1 < iterations
+                        break
         except KeyboardInterrupt:
+            if bs.iteration > start_iteration:
+                # Completed iterations since the last boundary are still on
+                # the backend; an interrupted one never reached the fold.
+                self._sync_fold_host()
+                self._flush_bests(pending, bests)
             if bs.best_lengths is None:
                 raise  # nothing completed; keep the plain Ctrl-C semantics
             partial = self._collect_results(
@@ -929,7 +939,7 @@ class BatchEngine:
     ) -> BatchRunResult:
         """Fold the loop's bookkeeping into a :class:`BatchRunResult`.
 
-        Row ``wall_seconds`` is the amortized share ``elapsed / B`` (see
+        Row ``wall_seconds`` is the per-row share ``elapsed / B`` (see
         :class:`BatchRunResult` for the two fields' semantics).
         """
         from repro.core.colony import RunResult
@@ -988,72 +998,3 @@ class BatchEngine:
         if targets is not None and bool(np.all(bs.best_lengths <= targets)):
             stop = True
         return stop
-
-    def _run_amortized(
-        self,
-        iterations: int,
-        report_every: int,
-        reports: list[list[IterationReport]],
-        bests: list[list[int]],
-        on_boundary=None,
-        targets=None,
-    ) -> bool:
-        """The device-resident ``report_every=K`` loop body.
-
-        Best-so-far records are folded on the backend every iteration by
-        :meth:`_fold_best` (the same first-argmin/strict-improvement rule
-        ``record_tours`` applies on the host, so the fold is bit-identical
-        to K=1); host transfer and report materialization happen only at
-        K-boundaries and at the final iteration.  Returns ``True`` when a
-        boundary hook or target stop ended the loop early.  A Ctrl-C
-        mid-block syncs the backend-resident fold to the host before
-        re-raising, so the interrupt path reports bests up to the last
-        *completed* iteration, not the last boundary.
-        """
-        bs = self.state
-        xp = self.backend.xp
-        block_vals: list = []  # per-iteration (B,) iteration-best lengths
-
-        def _sync_fold() -> None:
-            """Host-sync the fold (best records + pending block bests)."""
-            assert self._fold_len is not None
-            if not bool(xp.all(self._fold_len < np.iinfo(np.int64).max)):
-                return  # no iteration completed yet; nothing to salvage
-            self._sync_fold_host()
-            if block_vals:
-                host_vals = self.backend.to_host(xp.stack(block_vals))
-                block_vals.clear()
-                for b in range(bs.B):
-                    bests[b].extend(int(v) for v in host_vals[:, b])
-
-        try:
-            for it in range(iterations):
-                boundary = ((it + 1) % report_every == 0) or (it + 1 == iterations)
-                tours, lengths, ctx, stages = self._advance(collect=boundary)
-                block_vals.append(ctx.it_best_lengths)
-                bs.iteration += 1
-                if boundary:
-                    t0 = perf_counter()
-                    host_tours = self.backend.to_host(tours)
-                    host_lengths = self.backend.to_host(lengths)
-                    bs.tours = host_tours
-                    bs.lengths = host_lengths
-                    _sync_fold()
-                    for b in range(bs.B):
-                        reports[b].append(
-                            IterationReport(
-                                iteration=bs.iteration,
-                                tours=host_tours[b],
-                                lengths=host_lengths[b],
-                                stages=stages[b],
-                                **self._ls_fields(b),
-                            )
-                        )
-                    self.phase_clock.add("host-sync", t0, perf_counter())
-                    phase_seconds = self.phase_clock.flush_block()
-                    if self._boundary_hook(on_boundary, targets, phase_seconds):
-                        return it + 1 < iterations
-        except KeyboardInterrupt:
-            _sync_fold()
-            raise
-        return False

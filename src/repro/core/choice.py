@@ -81,21 +81,6 @@ class ChoiceKernel(Kernel):
 
     def __init__(self, block: int = 256) -> None:
         self.block = int(block)
-        # Reused (B?, n, n) output buffer: choice_info is rebound every
-        # iteration and nothing retains the previous matrix, so recycling
-        # the allocation removes an n² (or B·n²) alloc per iteration.  When
-        # the owning engine carries a WorkBuffers arena the buffer lives
-        # there instead (one amortisation home per engine).
-        self._buf = None
-        self._buf_xp = None
-
-    def _buffer(self, shape: tuple, xp, work=None):
-        if work is not None:
-            return work.get("choice.out", shape, np.float64)
-        if self._buf is None or self._buf.shape != shape or self._buf_xp is not xp:
-            self._buf = xp.empty(shape, dtype=np.float64)
-            self._buf_xp = xp
-        return self._buf
 
     def launch_config(self, device: DeviceSpec, *, n: int) -> LaunchConfig:
         block = min(self.block, device.max_threads_per_block)
@@ -104,7 +89,13 @@ class ChoiceKernel(Kernel):
     # ---------------------------------------------------------------- run
 
     def run(self, state: ColonyState) -> StageReport:
-        """Compute ``state.choice_info`` in place and account the kernel."""
+        """Compute ``state.choice_info`` in place and account the kernel.
+
+        The matrix lives in the state's arena: choice_info is rebound every
+        iteration and nothing retains the previous one, so recycling the
+        allocation removes an n² (or B·n² in :meth:`run_batch`) alloc per
+        iteration.
+        """
         params = state.params
         xp = state.backend.xp
         choice = compute_choice(
@@ -113,7 +104,7 @@ class ChoiceKernel(Kernel):
             params.alpha,
             params.beta,
             xp=xp,
-            out=self._buffer((state.n, state.n), xp, work=state.work),
+            out=state.work.get("choice.out", (state.n, state.n), np.float64),
         )
         diag = xp.arange(state.n)
         choice[diag, diag] = 0.0
@@ -127,13 +118,13 @@ class ChoiceKernel(Kernel):
 
         One elementwise pass with per-row exponents — row ``b`` is
         bit-identical to the solo :meth:`run` on colony ``b``.
-        ``collect=False`` skips report materialization (the amortized
-        ``report_every`` loop) and returns an empty list.
+        ``collect=False`` skips report materialization (iterations between
+        ``report_every`` boundaries) and returns an empty list.
         """
         xp = bstate.backend.xp
         wb = bstate.work
         eta_pow = None
-        if wb is not None and not bool((bstate.beta == 1.0).all()):
+        if not bool((bstate.beta == 1.0).all()):
             eta_pow = wb.cached(
                 f"choice.eta_pow.{bstate.B}x{bstate.n}",
                 lambda: xp.power(bstate.eta, bstate.beta[:, None, None]),
@@ -144,13 +135,10 @@ class ChoiceKernel(Kernel):
             bstate.alpha,
             bstate.beta,
             xp=xp,
-            out=self._buffer((bstate.B, bstate.n, bstate.n), xp, work=wb),
+            out=wb.get("choice.out", (bstate.B, bstate.n, bstate.n), np.float64),
             eta_pow=eta_pow,
         )
-        if wb is not None:
-            diag = wb.cached(f"choice.diag.{bstate.n}", lambda: xp.arange(bstate.n))
-        else:
-            diag = xp.arange(bstate.n)
+        diag = wb.cached(f"choice.diag.{bstate.n}", lambda: xp.arange(bstate.n))
         choice[:, diag, diag] = 0.0
         bstate.choice_info = choice
 

@@ -80,7 +80,7 @@ def run_engine_view(
 class RunResult:
     """Summary of an :meth:`AntSystem.run` call.
 
-    ``wall_seconds`` is this colony's **amortized share** of the run that
+    ``wall_seconds`` is this colony's **share** of the run that
     produced it: for a solo run it is the true wall-clock, but for a row of
     a :class:`~repro.core.batch.BatchEngine` run it is ``batch wall / B``
     (the per-colony cost the row effectively paid inside the batch).
@@ -200,7 +200,7 @@ class AntSystem:
     ) -> RunResult:
         """Run several iterations, tracking the best tour found.
 
-        ``report_every=K`` runs the amortized device-resident loop: host
+        ``report_every=K`` keeps the device-resident loop going: host
         transfers and :class:`~repro.core.report.IterationReport`
         materialization happen only every K-th iteration (and at the last),
         with the best-so-far record folded on the backend in between.  Best

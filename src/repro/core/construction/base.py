@@ -91,7 +91,7 @@ class TourConstruction(Kernel, abc.ABC):
         bit-identical to a solo :meth:`build` on colony ``b`` alone.
 
         ``collect=False`` skips per-colony report materialization (the
-        amortized ``report_every=K`` loop only reports at K-boundaries);
+        ``report_every=K`` run loop only reports at K-boundaries);
         the returned ``reports`` list is then empty.  The tours themselves
         are identical either way.
         """

@@ -42,7 +42,7 @@ from repro.core.construction.base import (
 from repro.core.report import StageReport
 from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
-from repro.rng.streams import DeviceRNG
+from repro.rng.streams import BlockedDraws, DeviceRNG
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import LaunchConfig
@@ -128,17 +128,13 @@ class DataParallelConstruction(TourConstruction):
         gmem = GlobalMemory(device, stats)
         tex = TextureMemory(device, stats)
 
-        from repro.rng.streams import make_draws
-
         ant_idx = xp.arange(m)
         tours = xp.empty((m, n + 1), dtype=np.int32)
         visited = xp.zeros((m, n), dtype=bool)
 
         # One draw vector per step, pregenerated in bulk (bit-identical to
         # per-step uniform() calls; the ledger charge below is unchanged).
-        draws = make_draws(
-            rng, n, bulk=state.bulk_rng, work=state.work, key="dp_solo.rng"
-        )
+        draws = BlockedDraws(rng, n, work=state.work, key="dp_solo.rng")
 
         start = xp.minimum((draws.next()[:m] * n).astype(np.int64), n - 1)
         stats.rng_lcg += m
@@ -208,8 +204,6 @@ class DataParallelConstruction(TourConstruction):
         deterministic for this kernel (``predict_stats`` mirrors ``build``
         exactly), so per-colony reports come from the closed form.
         """
-        from repro.rng.streams import make_draws
-
         B, n, m, device = bstate.B, bstate.n, bstate.m, bstate.device
         xp = bstate.backend.xp
         wb = bstate.work
@@ -223,13 +217,9 @@ class DataParallelConstruction(TourConstruction):
         spans = self._tile_spans(n, theta)
 
         def _buf(key: str, shape, dtype):
-            if wb is None:
-                return xp.empty(shape, dtype=dtype)
             return wb.get("dp." + key, shape, dtype)
 
         def _const(key: str, builder):
-            if wb is None:
-                return builder()
             # Geometry-stamped: see construct_exact_batch's _const.
             return wb.cached(f"dp.{key}.{B}x{m}x{n}", builder)
 
@@ -247,7 +237,7 @@ class DataParallelConstruction(TourConstruction):
         # The iteration's draws, pregenerated in bulk: the first-step vector
         # is a single sliced view off the block row (each colony's leading m
         # streams), with no contiguity copies.
-        draws = make_draws(rng, n, bulk=bstate.bulk_rng, work=wb, key="dp.rng")
+        draws = BlockedDraws(rng, n, work=wb, key="dp.rng")
         u0 = draws.next().reshape(B, -1)[:, :m]
         start = xp.minimum((u0 * n).astype(np.int64), n - 1).reshape(M)
         tours[:, 0] = start
@@ -255,8 +245,8 @@ class DataParallelConstruction(TourConstruction):
 
         # ``live`` mirrors the register tabu as a 1.0/0.0 multiplicand (a
         # float multiply by the flag, exactly the kernel's branchless form);
-        # scratch buffers are reused across steps — and, with an arena,
-        # across iterations — to avoid allocator churn.
+        # scratch buffers are reused across steps and iterations to avoid
+        # allocator churn.
         live = _buf("live", (M, n), np.float64)
         live[:] = 1.0
         live[ant_idx, start] = 0.0
@@ -267,9 +257,8 @@ class DataParallelConstruction(TourConstruction):
 
         # In-range indices by construction: numpy's bounds check is pure
         # overhead, so mode="clip" skips it (CuPy's take has no mode kwarg
-        # and wraps unconditionally).  The skip rides with the hoisted path
-        # so the arena-less mode stays a faithful pre-amortisation baseline.
-        take_kw = {"mode": "clip"} if xp is np and wb is not None else {}
+        # and wraps unconditionally).
+        take_kw = {"mode": "clip"} if xp is np else {}
         # (M,) flat row bases into the (M, n) product matrix, for gathering
         # each ant's winning value without per-step index allocations.
         ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
@@ -282,32 +271,23 @@ class DataParallelConstruction(TourConstruction):
             xp.multiply(w, u, out=w)
             xp.multiply(w, live, out=w)
 
-            # Per-tile winners.  With an arena, block_argmax is inlined
-            # (same argmax + value gather, minus its per-call index scratch;
-            # ties resolve to the lowest lane either way); without one, the
-            # original helper keeps the pre-amortisation baseline faithful.
-            if wb is not None:
-                w_flat = w.reshape(-1)
-                for t, (lo, hi) in enumerate(spans):
-                    idx = xp.argmax(w[:, lo:hi], axis=1)
-                    xp.add(idx, lo, out=win_idx)
-                    tile_city[:, t] = win_idx
-                    xp.add(win_idx, ant_base, out=win_idx)
-                    xp.take(w_flat, win_idx, out=win_val, **take_kw)
-                    tile_val[:, t] = win_val
-            else:
-                for t, (lo, hi) in enumerate(spans):
-                    idx, val = block_argmax(w[:, lo:hi], xp=xp)
-                    tile_city[:, t] = idx + lo
-                    tile_val[:, t] = val
+            # Per-tile winners: block_argmax inlined (same argmax + value
+            # gather, minus its per-call index scratch; ties resolve to the
+            # lowest lane).
+            w_flat = w.reshape(-1)
+            for t, (lo, hi) in enumerate(spans):
+                idx = xp.argmax(w[:, lo:hi], axis=1)
+                xp.add(idx, lo, out=win_idx)
+                tile_city[:, t] = win_idx
+                xp.add(win_idx, ant_base, out=win_idx)
+                xp.take(w_flat, win_idx, out=win_val, **take_kw)
+                tile_val[:, t] = win_val
 
-            if len(spans) == 1 and wb is not None:
+            if len(spans) == 1:
                 # One tile covers every city: its winner IS the next city
-                # (argmax over a single column is identically zero).  Gated
-                # with the arena so the arena-less mode keeps the original
-                # argmax-and-gather, as a faithful pre-amortisation baseline.
+                # (argmax over a single column is identically zero).
                 nxt = tile_city[:, 0]
-            elif self.tile_rule == "product" or len(spans) == 1:
+            elif self.tile_rule == "product":
                 pick = xp.argmax(tile_val, axis=1)
                 nxt = tile_city[ant_idx, pick]
             else:

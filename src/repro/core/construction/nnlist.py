@@ -139,7 +139,6 @@ class NNListConstruction(TourConstruction):
             state.choice_info, state.nn_list, rng, state.m, state.n,
             xp=state.backend.xp,
             work=state.work,
-            bulk_rng=state.bulk_rng,
         )
         stats, launch = self.predict_stats(
             state.n, state.m, state.nn, state.device, fallback_steps=fallbacks
@@ -170,7 +169,6 @@ class NNListConstruction(TourConstruction):
             n,
             xp=bstate.backend.xp,
             work=bstate.work,
-            bulk_rng=bstate.bulk_rng,
         )
         return BatchConstructionResult(
             tours=tours,

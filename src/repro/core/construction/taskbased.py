@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import WorkBuffers
 from repro.core.construction.base import (
     BatchConstructionResult,
     ConstructionResult,
@@ -68,8 +69,8 @@ def construct_exact(
     m: int,
     n: int,
     xp=np,
-    work=None,
-    bulk_rng: bool = True,
+    *,
+    work: WorkBuffers,
 ) -> tuple[np.ndarray, float]:
     """Exact random-proportional construction, vectorised across ants.
 
@@ -89,6 +90,8 @@ def construct_exact(
         Per-ant streams; must have at least ``m`` streams.
     m, n:
         Ants and cities.
+    work:
+        Scratch arena on ``xp``'s backend (see :func:`construct_exact_batch`).
 
     Returns
     -------
@@ -105,7 +108,6 @@ def construct_exact(
         n,
         xp=xp,
         work=work,
-        bulk_rng=bulk_rng,
     )
     return tours[0], float(fallbacks[0])
 
@@ -118,8 +120,8 @@ def construct_exact_batch(
     m: int,
     n: int,
     xp=np,
-    work=None,
-    bulk_rng: bool = True,
+    *,
+    work: WorkBuffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched :func:`construct_exact`: ``B`` colonies in one vectorized pass.
 
@@ -145,25 +147,19 @@ def construct_exact_batch(
     solo code's 2-D shape (rows = ants), which is both the fastest numpy
     layout and trivially equivalent row-for-row.
 
-    ``work`` optionally supplies a per-engine
-    :class:`~repro.backend.WorkBuffers` arena: all per-step scratch (and the
-    loop-invariant index tables) are then hoisted across *iterations* too,
-    so a steady-state build allocates only what escapes (tours, fallback
-    counts).  ``bulk_rng=False`` falls back to per-step ``uniform()`` calls
-    (the pre-amortisation reference; draws are bit-identical either way).
+    ``work`` is the :class:`~repro.backend.WorkBuffers` arena holding all
+    per-step scratch and the loop-invariant index tables across
+    *iterations*, so a steady-state build allocates only what escapes
+    (tours, fallback counts).
     """
-    from repro.rng.streams import MAX_BLOCK_ELEMENTS, make_draws
+    from repro.rng.streams import MAX_BLOCK_ELEMENTS, BlockedDraws
 
     M = B * m
 
     def _buf(key: str, shape, dtype):
-        if work is None:
-            return xp.empty(shape, dtype=dtype)
         return work.get("taskexact." + key, shape, dtype)
 
     def _const(key: str, builder):
-        if work is None:
-            return builder()
         # Geometry-stamped keys: an arena is per-engine (fixed B, m, n), but
         # a stale constant after a geometry change would be silently wrong,
         # unlike get()'s shape-checked buffers.
@@ -172,9 +168,8 @@ def construct_exact_batch(
     # All gather indices below are constructed from valid cities/ants, so
     # numpy's bounds check is pure overhead; mode="clip" skips it (measured
     # ~1.7x faster takes).  Only numpy spells the kwarg (CuPy's take wraps
-    # unconditionally), and the skip rides with the hoisted path so the
-    # arena-less mode stays a faithful pre-amortisation baseline.
-    take_kw = {"mode": "clip"} if xp is np and work is not None else {}
+    # unconditionally).
+    take_kw = {"mode": "clip"} if xp is np else {}
 
     choice_rows = xp.ascontiguousarray(choice).reshape(B * n, n)
     choice_flat = choice_rows.reshape(-1)
@@ -197,13 +192,9 @@ def construct_exact_batch(
     # (1, M) visited offsets, loop-invariant.
     ant_base_t = _const("ant_base_t", lambda: (xp.arange(M) * n)[None, :])
     tours = xp.empty((M, n + 1), dtype=np.int32)  # escapes: never pooled
-    # Hoisted mode keeps the tabu list once, as its 1.0/0.0 float form:
-    # weights are masked by a float multiply (the branchless tabu-flag
-    # form) and the rare fallback path reads visitedness back as
-    # ``live == 0.0``, so no boolean twin is scattered into every step.
-    # The arena-less mode maintains the boolean twin the original kernels
-    # carried, keeping it a faithful pre-amortisation baseline.
-    visited = None if work is not None else xp.zeros((M, n), dtype=bool)
+    # The tabu list lives once, as its 1.0/0.0 float form: weights are
+    # masked by a float multiply (the branchless tabu-flag form) and the
+    # rare fallback path reads visitedness back as ``live == 0.0``.
     live = _buf("live", (M, n), np.float64)
     live[:] = 1.0
     live_flat = live.reshape(-1)
@@ -215,9 +206,9 @@ def construct_exact_batch(
     # code's ``[:m]`` does) — also a view, consumed in the (B, m) shape.
     # Task-based kernels hold few streams, so the whole iteration's draws
     # usually fit one block and per-step consumption collapses to an index;
-    # oversized cases chunk through BlockedDraws, huge ones per-step.
+    # oversized cases chunk through BlockedDraws.
     spc = rng.n_streams // B
-    whole_block = bulk_rng and n * rng.n_streams <= MAX_BLOCK_ELEMENTS
+    whole_block = n * rng.n_streams <= MAX_BLOCK_ELEMENTS
     if whole_block:
         blk = rng.uniform_block(
             n, out=_buf("rngblk", (n, rng.n_streams), np.float64)
@@ -225,7 +216,7 @@ def construct_exact_batch(
         u_steps = blk.reshape(n, B, spc)[:, :, :m]  # (n, B, m) view
         draw = None
     else:
-        draws = make_draws(rng, n, bulk=bulk_rng, work=work, key="taskexact.rng")
+        draws = BlockedDraws(rng, n, work=work, key="taskexact.rng")
         if spc == m:
             def draw():
                 return draws.next().reshape(B, m)
@@ -236,8 +227,6 @@ def construct_exact_batch(
     d0 = u_steps[0] if whole_block else draw()
     start = xp.minimum((d0 * n).astype(np.int64), n - 1).reshape(M)
     tours[:, 0] = start
-    if visited is not None:
-        visited[ant_idx, start] = True
     live[ant_idx, start] = 0.0
     cur = start
     fallbacks = xp.zeros(B, dtype=np.float64)  # escapes: never pooled
@@ -267,10 +256,9 @@ def construct_exact_batch(
             **take_kw,
         )  # (nn, B * n)
 
-    # Per-step scratch, allocated once (and once per *engine* when an arena
-    # is given): every step writes the same buffers in place (``out=``),
-    # which removes the allocator/cache churn that otherwise dominates the
-    # per-step cost of these small arrays.
+    # Per-step scratch, allocated once per arena: every step writes the same
+    # buffers in place (``out=``), which removes the allocator/cache churn
+    # that otherwise dominates the per-step cost of these small arrays.
     idx_buf = _buf("idx", (k, M), np.int64)
     cand_buf = _buf("cand", (k, M), np.int64)
     w_buf = _buf("w", (k, M), np.float64)
@@ -319,14 +307,11 @@ def construct_exact_batch(
                 # Exhausted candidate lists: overwrite those ants with the
                 # best-choice full-row fallback (ACOTSP's choose_best_next).
                 dead = xp.nonzero(sums <= 0.0)[0]
-                tabu = (
-                    visited[dead] if visited is not None else live[dead] == 0.0
+                sub = xp.where(
+                    live[dead] == 0.0, -np.inf, choice_rows[rows_idx[dead]]
                 )
-                sub = xp.where(tabu, -np.inf, choice_rows[rows_idx[dead]])
                 nxt[dead] = xp.argmax(sub, axis=1)
                 fallbacks += xp.bincount(dead // m, minlength=B).astype(np.float64)
-        if visited is not None:
-            visited[ant_idx, nxt] = True
         live[ant_idx, nxt] = 0.0
         tours[:, step] = nxt
         # ``nxt`` may alias ``pick_buf`` (full rule); the next step reads
@@ -409,7 +394,6 @@ class _TaskBasedFull(TourConstruction):
             state.n,
             xp=state.backend.xp,
             work=state.work,
-            bulk_rng=state.bulk_rng,
         )
         stats, launch = self.predict_stats(
             state.n, state.m, state.nn, state.device, fallback_steps=fallbacks
@@ -434,7 +418,6 @@ class _TaskBasedFull(TourConstruction):
             n,
             xp=bstate.backend.xp,
             work=bstate.work,
-            bulk_rng=bstate.bulk_rng,
         )
         return BatchConstructionResult(
             tours=tours,

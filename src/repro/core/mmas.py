@@ -10,7 +10,7 @@ pheromone stage for the trail-limits update policy
 best-so-far schedule, ``[tau_min, tau_max]`` clamping that follows the
 best-so-far length, optimistic initialisation at ``tau_max`` and optional
 branching-factor stagnation reinitialisation.  All of it batched over B
-colonies, backend-resident and amortization-safe.
+colonies, backend-resident and safe inside the device-resident K-loop.
 
 :class:`MaxMinAntSystem` here is the ``B = 1`` view of the engine; the
 pre-redesign solo loop is retained verbatim as
@@ -165,8 +165,9 @@ class MaxMinAntSystem:
         """Run MMAS; optionally reinitialise trails when the branching
         factor falls below ``reinit_branching`` (e.g. 2.05).
 
-        ``report_every=K`` runs the engine's amortized device-resident
-        loop — bit-identical results for every K.  Ctrl-C raises
+        ``report_every=K`` runs the engine's device-resident loop with
+        host transfers only at K-boundaries — bit-identical results for
+        every K.  Ctrl-C raises
         :class:`~repro.errors.RunInterrupted` carrying the best-so-far
         :class:`MMASRunResult` (bare ``KeyboardInterrupt`` when nothing
         completed).

@@ -99,11 +99,10 @@ def deposit_all_batch(
 
     Returns the per-colony *local* flat forward/backward indices (``(B,
     m * n)``, no batch offset) and the deposit values, for the atomic
-    strategies' contention accounting.  When the state carries a
-    :class:`~repro.backend.WorkBuffers` arena, every intermediate (edge
-    endpoints, flat indices, per-edge deposit values) lives in hoisted
-    buffers reused across iterations — the returned arrays are then arena
-    views, valid until the next deposit.
+    strategies' contention accounting.  Every intermediate (edge
+    endpoints, flat indices, per-edge deposit values) lives in the state's
+    :class:`~repro.backend.WorkBuffers` arena, reused across iterations —
+    the returned arrays are arena views, valid until the next deposit.
     """
     # lint: hot-region
     bk = bstate.backend
@@ -111,44 +110,33 @@ def deposit_all_batch(
     n, B = bstate.n, bstate.B
     wb = bstate.work
     m_t = tours.shape[1]
-    if wb is None:
-        frm = tours[:, :, :-1].astype(np.int64)
-        to = tours[:, :, 1:].astype(np.int64)
-        deltas = (1.0 / lengths.astype(np.float64))[:, :, None]
-        values = xp.broadcast_to(deltas, frm.shape).reshape(B, -1)
-        flat_fw = (frm * n + to).reshape(B, -1)
-        flat_bw = (to * n + frm).reshape(B, -1)
-        offsets = (xp.arange(B, dtype=np.int64) * (n * n))[:, None]
+    # One int64 cast of the closed tours; endpoints are views into it.
+    t64 = wb.get("dep.t64", (B, m_t, n + 1), np.int64)
+    t64[...] = tours
+    frm = t64[:, :, :-1]
+    to = t64[:, :, 1:]
+    deltas = wb.get("dep.delta", (B, m_t), np.float64)
+    xp.divide(1.0, lengths, out=deltas)
+    values = wb.get("dep.vals", (B, m_t * n), np.float64)
+    values.reshape(B, m_t, n)[...] = deltas[:, :, None]
+    flat_fw = wb.get("dep.fw", (B, m_t * n), np.int64)
+    fw3 = flat_fw.reshape(B, m_t, n)
+    xp.multiply(frm, n, out=fw3)
+    xp.add(fw3, to, out=fw3)
+    flat_bw = wb.get("dep.bw", (B, m_t * n), np.int64)
+    bw3 = flat_bw.reshape(B, m_t, n)
+    xp.multiply(to, n, out=bw3)
+    xp.add(bw3, frm, out=bw3)
+    offsets = wb.cached(
+        f"dep.offsets.{B}x{n}",
+        lambda: (xp.arange(B, dtype=np.int64) * (n * n))[:, None],
+    )
+    gbuf = wb.get("dep.gidx", (B, m_t * n), np.int64)
 
-        def _global(local):
-            return (local + offsets).ravel()
-    else:
-        # One int64 cast of the closed tours; endpoints are views into it.
-        t64 = wb.get("dep.t64", (B, m_t, n + 1), np.int64)
-        t64[...] = tours
-        frm = t64[:, :, :-1]
-        to = t64[:, :, 1:]
-        deltas = wb.get("dep.delta", (B, m_t), np.float64)
-        xp.divide(1.0, lengths, out=deltas)
-        values = wb.get("dep.vals", (B, m_t * n), np.float64)
-        values.reshape(B, m_t, n)[...] = deltas[:, :, None]
-        flat_fw = wb.get("dep.fw", (B, m_t * n), np.int64)
-        fw3 = flat_fw.reshape(B, m_t, n)
-        xp.multiply(frm, n, out=fw3)
-        xp.add(fw3, to, out=fw3)
-        flat_bw = wb.get("dep.bw", (B, m_t * n), np.int64)
-        bw3 = flat_bw.reshape(B, m_t, n)
-        xp.multiply(to, n, out=bw3)
-        xp.add(bw3, frm, out=bw3)
-        offsets = wb.cached(
-            f"dep.offsets.{B}x{n}",
-            lambda: (xp.arange(B, dtype=np.int64) * (n * n))[:, None],
-        )
-        gbuf = wb.get("dep.gidx", (B, m_t * n), np.int64)
+    def _global(local):
+        xp.add(local, offsets, out=gbuf)
+        return gbuf.reshape(-1)
 
-        def _global(local):
-            xp.add(local, offsets, out=gbuf)
-            return gbuf.reshape(-1)
     flat_tau = bstate.pheromone.reshape(-1)
     if n * n > _BINCOUNT_CELL_LIMIT:
         # Huge instances: scatter_add needs no counter scratch.  This branch
@@ -211,8 +199,8 @@ class PheromoneUpdate(Kernel, abc.ABC):
         The default covers the scatter-to-gather family (versions 3-5),
         whose functional effect is exactly evaporation + deposit and whose
         ledger is closed-form; the atomic strategies override to measure
-        per-colony contention.  ``collect=False`` (the amortized
-        ``report_every`` loop between boundaries) skips report
+        per-colony contention.  ``collect=False`` (iterations between
+        ``report_every`` boundaries) skips report
         materialization and returns an empty list; the pheromone update
         itself is identical either way.
         """

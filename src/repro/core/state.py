@@ -43,17 +43,16 @@ class ColonyState:
     #: array substrate the per-colony arrays live on (numpy by default)
     backend: ArrayBackend = field(default_factory=resolve_backend)
     #: scratch arena hoisting kernel buffers across steps and iterations
-    #: (``None`` = allocate per call, the pre-amortisation behaviour)
-    work: WorkBuffers | None = field(default=None, repr=False)
-    #: pregenerate each iteration's RNG draws in bulk (bit-identical to
-    #: per-step draws; ``False`` is the benchmark baseline mode)
-    bulk_rng: bool = True
+    work: WorkBuffers = field(init=False, repr=False)
     choice_info: np.ndarray | None = None  # (n, n) float64, refreshed per iter
     tours: np.ndarray | None = None  # (m, n + 1) int32, last iteration
     lengths: np.ndarray | None = None  # (m,) int64, last iteration
     iteration: int = 0
     best_tour: np.ndarray | None = field(default=None, repr=False)
     best_length: int | None = None
+
+    def __post_init__(self) -> None:
+        self.work = WorkBuffers(self.backend)
 
     @classmethod
     def create(

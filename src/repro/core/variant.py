@@ -1,7 +1,7 @@
 """Pluggable ACO variant strategies: one batched engine for AS / ACS / MMAS.
 
 The paper's parallelization strategies — data-parallel tour construction,
-vectorized pheromone kernels, device-resident amortized loops — are
+vectorized pheromone kernels, device-resident run loops — are
 variant-agnostic: Ant System, Ant Colony System and MAX-MIN Ant System all
 iterate *construct → evaluate → update*.  What distinguishes them are two
 seams, and this module factors exactly those out of the engine:
@@ -28,9 +28,9 @@ edges.
 
 A :class:`VariantStrategy` composes one policy of each kind and is bound to
 one :class:`~repro.core.batch.BatchEngine`.  Every policy is **batched over
-B colonies** and **backend-resident** (``xp`` arrays, optional
+B colonies** and **backend-resident** (``xp`` arrays, the state's
 :class:`~repro.backend.WorkBuffers` arena, bulk RNG), so ACS and MMAS ride
-the same amortized ``report_every=K`` loop, replica batching, parameter
+the same device-resident ``report_every=K`` loop, replica batching, parameter
 sweeps and micro-batching service the Ant System does.
 
 The defining invariant extends the engine's solo equivalence: batch row
@@ -232,7 +232,7 @@ class PseudoProportionalChoice(ChoicePolicy):
         return max(2 * m, 2)
 
     def build_batch(self, bstate, construction, choice_kernel, rng, collect: bool):
-        from repro.rng.streams import make_draws
+        from repro.rng.streams import BlockedDraws
 
         # The Choice kernel serves ACS too: choice_info is tau^alpha *
         # eta^beta at iteration start (local updates mutate tau but never
@@ -253,13 +253,9 @@ class PseudoProportionalChoice(ChoicePolicy):
         assert self.tau0 is not None
 
         def _buf(key: str, shape, dtype):
-            if wb is None:
-                return xp.empty(shape, dtype=dtype)
             return wb.get("acs." + key, shape, dtype)
 
         def _const(key: str, builder):
-            if wb is None:
-                return builder()
             return wb.cached(f"acs.{key}.{B}x{m}x{n}", builder)
 
         # Flattened mega-colony layout (as in the data-parallel kernels):
@@ -279,14 +275,14 @@ class PseudoProportionalChoice(ChoicePolicy):
         w = _buf("w", (M, n), np.float64)
         cum = _buf("cum", (M, n), np.float64)
         rows_idx = _buf("rows_idx", (M,), np.int64)
-        take_kw = {"mode": "clip"} if xp is np and wb is not None else {}
+        take_kw = {"mode": "clip"} if xp is np else {}
 
         q0, xi = self.acs.q0, self.acs.xi
         nn2 = n * n
 
         # One (B * S,) draw vector per step plus the placement draw — the
         # exact per-step lockstep of the solo loop, pregenerated in bulk.
-        draws = make_draws(rng, n, bulk=bstate.bulk_rng, work=wb, key="acs.rng")
+        draws = BlockedDraws(rng, n, work=wb, key="acs.rng")
         u = draws.next().reshape(B, S)
         start = xp.minimum((u[:, :m] * n).astype(np.int64), n - 1).reshape(M)
         tours[:, 0] = start

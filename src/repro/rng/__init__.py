@@ -16,23 +16,15 @@ thousands of streams in lockstep exactly as the GPU would.
 from __future__ import annotations
 
 from repro.rng.lcg import LCG_IA, LCG_IM, ParkMillerLCG
-from repro.rng.streams import (
-    BlockedDraws,
-    DeviceRNG,
-    StepDraws,
-    make_draws,
-    split_seed,
-)
+from repro.rng.streams import BlockedDraws, DeviceRNG, split_seed
 from repro.rng.xorwow import XorwowRNG
 
 __all__ = [
     "DeviceRNG",
     "BlockedDraws",
-    "StepDraws",
     "ParkMillerLCG",
     "XorwowRNG",
     "split_seed",
-    "make_draws",
     "LCG_IA",
     "LCG_IM",
     "make_rng",

@@ -15,7 +15,7 @@ import abc
 
 import numpy as np
 
-__all__ = ["DeviceRNG", "BlockedDraws", "StepDraws", "make_draws", "split_seed"]
+__all__ = ["DeviceRNG", "BlockedDraws", "split_seed"]
 
 #: cap on elements pregenerated per ``uniform_block`` chunk by
 #: :class:`BlockedDraws` (float64 words; 1 << 19 elements = 4 MiB) — bulk
@@ -286,37 +286,3 @@ class BlockedDraws:
         self._pos += 1
         self.remaining -= 1
         return row
-
-
-class StepDraws:
-    """Per-step :meth:`DeviceRNG.uniform` calls — the unamortised reference.
-
-    Same interface as :class:`BlockedDraws`; used by the pre-amortisation
-    baseline mode (``BatchEngine(amortize=False)``) so benchmarks can measure
-    exactly what bulk generation buys.
-    """
-
-    def __init__(self, rng: DeviceRNG, rounds: int | None = None) -> None:
-        self.rng = rng
-        self.remaining = None if rounds is None else int(rounds)
-
-    def next(self) -> np.ndarray:
-        if self.remaining is not None:
-            if self.remaining <= 0:
-                raise ValueError("StepDraws exhausted: all declared rounds consumed")
-            self.remaining -= 1
-        return self.rng.uniform()
-
-
-def make_draws(
-    rng: DeviceRNG,
-    rounds: int,
-    *,
-    bulk: bool = True,
-    work=None,
-    key: str = "rng.block",
-):
-    """A draw stream for ``rounds`` per-step vectors: blocked or stepwise."""
-    if bulk:
-        return BlockedDraws(rng, rounds, work=work, key=key)
-    return StepDraws(rng, rounds)

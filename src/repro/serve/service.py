@@ -593,7 +593,7 @@ class SolveService:
         When set, every completed batch's final engine state is written
         there as a numbered checkpoint
         (:mod:`repro.core.checkpoint` format) — the warm-start feed.
-    backend / device / amortize:
+    backend / device:
         Engine construction knobs, shared by every batch.
 
     Use as an async context manager (``async with SolveService(...) as s:``)
@@ -617,7 +617,6 @@ class SolveService:
         checkpoint_dir: str | Path | None = None,
         backend=None,
         device: DeviceSpec = TESLA_M2050,
-        amortize: bool = True,
     ) -> None:
         if max_batch < 1:
             raise ACOConfigError(f"max_batch must be >= 1, got {max_batch}")
@@ -658,7 +657,6 @@ class SolveService:
         # so deliberately NOT loop-confined.
         self._batch_seq = itertools.count()
         self.device = device
-        self.amortize = amortize
         self._backend = resolve_backend(backend)
         self.stats = ServiceStats()
         self._buckets: dict[BatchKey, deque[_Pending]] = {}  # guarded-by: loop
@@ -1129,8 +1127,7 @@ class SolveService:
             construction=key.construction,
             pheromone=key.pheromone,
             backend=self._backend,
-            amortize=self.amortize,
-            work=self._worker_arena() if self.amortize else None,
+            work=self._worker_arena(),
             variant=key.variant,
             local_search=key.local_search,
             local_search_options=(

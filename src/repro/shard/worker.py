@@ -54,7 +54,6 @@ class ShardConfig:
     backend: str | None = None
     device: str = "m2050"
     checkpoint_dir: str | None = None
-    amortize: bool = True
     max_line_bytes: int = 1 << 20
 
 
@@ -78,7 +77,6 @@ async def _worker_amain(shard_id: int, config: ShardConfig, conn) -> None:
         checkpoint_dir=config.checkpoint_dir,
         backend=resolve_backend(config.backend),
         device=DEVICES[config.device],
-        amortize=config.amortize,
     )
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

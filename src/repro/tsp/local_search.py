@@ -18,7 +18,7 @@ provides two implementations over the symmetric TSP:
   best-improvement sweeps over ``B`` tours at once, candidates limited to
   each city's ``nn`` nearest neighbours (the ACOTSP candidate-list
   restriction), all gain math in ``(B, n, nn)`` integer tensors through
-  the ``xp`` array-module seam with optional
+  the ``xp`` array-module seam with
   :class:`~repro.backend.WorkBuffers` scratch.  Row ``b`` is
   bit-identical to :func:`two_opt` with the same ``nn_list`` applied to
   that row alone — the parity invariant
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backend import WorkBuffers
 from repro.errors import ACOConfigError, InvalidTourError
 from repro.tsp.tour import tour_length, validate_tour
 
@@ -321,8 +322,9 @@ def two_opt_batch(
     min_gain:
         As in :func:`two_opt`.
     xp / work:
-        Array module and optional :class:`~repro.backend.WorkBuffers`
-        arena (keys namespaced ``ls.*``) — the engine's backend seam.
+        Array module and :class:`~repro.backend.WorkBuffers` scratch arena
+        (keys namespaced ``ls.*``) — the engine's backend seam.  A call
+        without an arena scratches into a private one.
 
     Returns
     -------
@@ -340,13 +342,10 @@ def two_opt_batch(
     # (B, n * n) flat distance rows; a view for both real layouts (full
     # stacks and broadcast replicas merge their contiguous trailing axes).
     dflat = dist.reshape(B, n * n)
+    if work is None:
+        work = WorkBuffers(xp.__name__)  # backend names match their modules
 
-    def _buf(key: str, shape, dtype):
-        if work is None:
-            return xp.empty(shape, dtype=dtype)
-        return work.get("ls." + key, shape, dtype)
-
-    body = _buf("body", (B, n), np.int64)
+    body = work.get("ls.body", (B, n), np.int64)
     body[...] = tours[:, :-1]
     if lengths is None:
         nxt0 = xp.roll(body, -1, axis=1)
@@ -372,14 +371,14 @@ def two_opt_batch(
         K = nn_arr.shape[2]
 
         # city -> position index, maintained across reversals
-        pos = _buf("pos", (B, n), np.int64)
+        pos = work.get("ls.pos", (B, n), np.int64)
         xp.put_along_axis(
             pos,
             body,
             xp.broadcast_to(xp.arange(n, dtype=np.int64), (B, n)),
             axis=1,
         )
-        gain = _buf("gain", (B, n, K), np.int64)
+        gain = work.get("ls.gain", (B, n, K), np.int64)
         ipos = xp.arange(n, dtype=np.int64)[None, :, None]
         to_host = getattr(xp, "asnumpy", np.asarray)
 

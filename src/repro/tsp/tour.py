@@ -76,7 +76,7 @@ def tour_lengths(tours: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 def tour_lengths_batch(
-    tours: np.ndarray, dist: np.ndarray, xp=np, work=None
+    tours: np.ndarray, dist: np.ndarray, xp=np, *, work
 ) -> np.ndarray:
     """Lengths of ``(B, m, n + 1)`` closed tours under ``(B, n, n)`` distances.
 
@@ -87,17 +87,11 @@ def tour_lengths_batch(
     integer addition is exact, so the two gather spellings below cannot
     diverge either).
 
-    ``work`` optionally supplies a :class:`~repro.backend.WorkBuffers`
-    arena: the int64 tour copy and the flat edge-index scratch are then
-    hoisted across iterations instead of reallocated per call.  The returned
-    lengths array is always freshly allocated (it escapes into reports).
+    ``work`` is the :class:`~repro.backend.WorkBuffers` arena holding the
+    int64 tour copy and the flat edge-index scratch across iterations.  The
+    returned lengths array is always freshly allocated (it escapes into
+    reports).
     """
-    if work is None:
-        t = xp.asarray(tours, dtype=np.int64)
-        if t.ndim != 3:
-            raise InvalidTourError(f"tours must be (B, m, n + 1), got shape {t.shape}")
-        b_idx = xp.arange(t.shape[0])[:, None, None]
-        return dist[b_idx, t[:, :, :-1], t[:, :, 1:]].sum(axis=2)
     if tours.ndim != 3:
         raise InvalidTourError(f"tours must be (B, m, n + 1), got shape {tours.shape}")
     B, m, n1 = tours.shape

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend import WorkBuffers
 from repro.core.construction.taskbased import (
     BaselineTaskConstruction,
     ChoiceKernelTaskConstruction,
@@ -29,7 +30,9 @@ def state(small_instance):
 class TestConstructExact:
     def test_full_rule_valid_tours(self, state):
         rng = ParkMillerLCG(n_streams=state.m, seed=1)
-        tours, fb = construct_exact(state.choice_info, None, rng, state.m, state.n)
+        tours, fb = construct_exact(
+            state.choice_info, None, rng, state.m, state.n, work=WorkBuffers()
+        )
         assert fb == 0.0
         for t in tours:
             validate_tour(t, state.n)
@@ -37,7 +40,8 @@ class TestConstructExact:
     def test_nnlist_rule_valid_tours(self, state):
         rng = ParkMillerLCG(n_streams=state.m, seed=1)
         tours, fb = construct_exact(
-            state.choice_info, state.nn_list, rng, state.m, state.n
+            state.choice_info, state.nn_list, rng, state.m, state.n,
+            work=WorkBuffers(),
         )
         assert fb >= 0.0
         for t in tours:
@@ -45,10 +49,12 @@ class TestConstructExact:
 
     def test_deterministic(self, state):
         a, _ = construct_exact(
-            state.choice_info, None, ParkMillerLCG(state.m, 7), state.m, state.n
+            state.choice_info, None, ParkMillerLCG(state.m, 7), state.m, state.n,
+            work=WorkBuffers(),
         )
         b, _ = construct_exact(
-            state.choice_info, None, ParkMillerLCG(state.m, 7), state.m, state.n
+            state.choice_info, None, ParkMillerLCG(state.m, 7), state.m, state.n,
+            work=WorkBuffers(),
         )
         np.testing.assert_array_equal(a, b)
 
@@ -58,7 +64,9 @@ class TestConstructExact:
         np.fill_diagonal(choice, 0.0)
         choice[:, 5] = 1e6  # city 5 overwhelms from everywhere
         rng = ParkMillerLCG(n_streams=state.m, seed=2)
-        tours, _ = construct_exact(choice, None, rng, state.m, state.n)
+        tours, _ = construct_exact(
+            choice, None, rng, state.m, state.n, work=WorkBuffers()
+        )
         # Every ant that does not start at 5 must visit 5 second.
         for t in tours:
             if t[0] != 5:

@@ -3,8 +3,7 @@
 Complements ``tests/property/test_report_every.py`` (which pins the
 numerical invariants across the 8x5 strategy grid) with white-box checks of
 the machinery itself: the per-engine WorkBuffers arena is shared and stable
-across iterations, non-boundary iterations skip report materialization, and
-the baseline mode really strips the amortizations.
+across iterations, and non-boundary iterations skip report materialization.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ def test_engine_owns_one_arena(instance):
     engine = _engine(instance)
     assert isinstance(engine.work, WorkBuffers)
     assert engine.state.work is engine.work
-    assert engine.state.bulk_rng is True
 
 
 def test_arena_buffers_stable_across_iterations(instance):
@@ -45,14 +43,6 @@ def test_arena_buffers_stable_across_iterations(instance):
     engine.run_iteration()
     for key, buf in engine.work._buffers.items():
         assert buffers_after_one.get(key) is buf, f"{key} was reallocated"
-
-
-def test_amortize_false_strips_arena(instance):
-    engine = _engine(instance, amortize=False)
-    assert engine.work is None
-    assert engine.state.work is None
-    assert engine.state.bulk_rng is False
-    engine.run(2)  # still runs fine
 
 
 def test_advance_collect_false_returns_no_stages(instance):

@@ -9,7 +9,7 @@ import pytest
 from repro.backend import WorkBuffers, resolve_backend
 from repro.core import ACOParams, AntSystem, BatchEngine
 from repro.core.batch import BoundaryUpdate
-from repro.errors import ACOConfigError, RunInterrupted
+from repro.errors import RunInterrupted
 from repro.tsp import uniform_instance
 
 ITERATIONS = 6
@@ -155,28 +155,67 @@ class TestInterruptSalvage:
         assert issubclass(RunInterrupted, KeyboardInterrupt)
         assert not issubclass(RunInterrupted, Exception)
 
+    @pytest.mark.parametrize("variant", ["as", "mmas"])
+    @pytest.mark.parametrize("report_every", [1, 2, 3])
+    @pytest.mark.parametrize("interrupted_at", [1, 2, 3])
+    def test_interrupt_in_update_salvages_completed_iterations(
+        self, instance, monkeypatch, variant, report_every, interrupted_at
+    ):
+        """Ctrl-C inside iteration j's pheromone update salvages exactly
+        iterations 1..j-1 at every K: the in-flight iteration's tours never
+        reach the partial result, and j=1 leaves nothing to salvage."""
+        engine = _engine(instance, variant=variant)
+        update = engine.variant.update
+        original = update.update_batch
+        calls = []
+
+        def tripwire(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == interrupted_at:
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(update, "update_batch", tripwire)
+        if interrupted_at == 1:
+            with pytest.raises(KeyboardInterrupt) as err:
+                engine.run(ITERATIONS, report_every=report_every)
+            assert not isinstance(err.value, RunInterrupted)
+            return
+        with pytest.raises(RunInterrupted) as err:
+            engine.run(ITERATIONS, report_every=report_every)
+        partial = err.value.partial
+        reference = _engine(instance, variant=variant).run(interrupted_at - 1)
+        assert partial.iterations_run == interrupted_at - 1
+        assert partial.best_lengths.tolist() == reference.best_lengths.tolist()
+        for got, want in zip(partial.results, reference.results):
+            assert got.iteration_best_lengths == want.iteration_best_lengths
+            np.testing.assert_array_equal(got.best_tour, want.best_tour)
+
     def test_solo_variants_salvage_partials(self, instance, monkeypatch):
         from repro.core import AntColonySystem, MaxMinAntSystem
 
         for cls in (AntColonySystem, MaxMinAntSystem):
             colony = cls(instance, ACOParams(seed=2, nn=7))
-            # The views run through their engine's K=1 loop; trip the
-            # interrupt on the engine's third iteration.
-            original = colony.engine.run_iteration
+            # The views run through their engine's loop; trip the interrupt
+            # in the engine's third pheromone update.
+            update = colony.engine.variant.update
+            original = update.update_batch
             calls = []
 
             def tripwire(*a, _original=original, _calls=calls, **kw):
-                if len(_calls) == 2:
-                    raise KeyboardInterrupt
                 _calls.append(1)
+                if len(_calls) == 3:
+                    raise KeyboardInterrupt
                 return _original(*a, **kw)
 
-            monkeypatch.setattr(colony.engine, "run_iteration", tripwire)
+            monkeypatch.setattr(update, "update_batch", tripwire)
             with pytest.raises(RunInterrupted) as err:
                 colony.run(50)
             partial = err.value.partial
-            assert partial.best_length > 0
-            assert len(partial.iteration_best_lengths) == 2
+            reference = cls(instance, ACOParams(seed=2, nn=7)).run(2)
+            assert partial.iteration_best_lengths == reference.iteration_best_lengths
+            assert partial.best_length == reference.best_length
+            np.testing.assert_array_equal(partial.best_tour, reference.best_tour)
 
 
 class TestVariantEngineComposition:
@@ -276,10 +315,6 @@ class TestSharedWorkArena:
         reused = BatchEngine(small, ACOParams(seed=1, nn=5), work=arena).run(2)
         fresh = BatchEngine(small, ACOParams(seed=1, nn=5)).run(2)
         assert reused.best_lengths.tolist() == fresh.best_lengths.tolist()
-
-    def test_arena_requires_amortize(self, instance):
-        with pytest.raises(ACOConfigError, match="amortize"):
-            BatchEngine(instance, work=WorkBuffers(), amortize=False)
 
     def test_reset_derived_keeps_scratch(self):
         arena = WorkBuffers()

@@ -48,7 +48,8 @@ class TestConstructionInvariants:
         stt = _state(n, seed, nn)
         rng = ParkMillerLCG(n_streams=stt.m, seed=seed + 1)
         tours, fb = construct_exact(
-            stt.choice_info, stt.nn_list if use_nn else None, rng, stt.m, stt.n
+            stt.choice_info, stt.nn_list if use_nn else None, rng, stt.m, stt.n,
+            work=stt.work,
         )
         assert fb >= 0
         for t in tours:
@@ -88,7 +89,9 @@ class TestPheromoneInvariants:
         stt = ColonyState.create(inst, ACOParams(seed=seed, rho=rho), TESLA_M2050)
         ChoiceKernel().run(stt)
         rng = ParkMillerLCG(n_streams=stt.m, seed=seed)
-        tours, _ = construct_exact(stt.choice_info, None, rng, stt.m, stt.n)
+        tours, _ = construct_exact(
+            stt.choice_info, None, rng, stt.m, stt.n, work=stt.work
+        )
         lengths = tour_lengths(tours, stt.dist)
         PHEROMONE_VERSIONS[version]().update(stt, tours, lengths)
         assert np.all(stt.pheromone >= 0)
@@ -104,7 +107,9 @@ class TestPheromoneInvariants:
         stt = ColonyState.create(inst, ACOParams(seed=seed, rho=0.5), TESLA_M2050)
         ChoiceKernel().run(stt)
         rng = ParkMillerLCG(n_streams=stt.m, seed=seed)
-        tours, _ = construct_exact(stt.choice_info, None, rng, stt.m, stt.n)
+        tours, _ = construct_exact(
+            stt.choice_info, None, rng, stt.m, stt.n, work=stt.work
+        )
         lengths = tour_lengths(tours, stt.dist)
         before = stt.pheromone.sum()
         PHEROMONE_VERSIONS[1]().update(stt, tours, lengths)

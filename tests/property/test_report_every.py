@@ -5,9 +5,7 @@ tour, best length, per-iteration best lengths and final pheromone stack as
 ``report_every=1``, for every construction kernel (1-8) x every pheromone
 strategy (1-5).  Between K-boundaries the loop keeps tours, lengths and the
 best-so-far record backend-resident, so this suite is what licenses raising
-K without any numerical caveat.  The pre-amortisation baseline mode
-(``amortize=False``) must match too — bulk RNG and buffer hoisting are pure
-execution strategies.
+K without any numerical caveat.
 """
 
 from __future__ import annotations
@@ -89,21 +87,6 @@ def test_report_every_resumes_across_runs(instance):
     np.testing.assert_array_equal(
         first.results[0].best_tour, second.results[0].best_tour
     )
-
-
-def test_amortize_off_bit_identical(instance):
-    """The pre-amortisation baseline mode reproduces the amortized results."""
-    fast = _engine(instance, 4, 2)
-    slow = _engine(instance, 4, 2, amortize=False)
-    rf = fast.run(4)
-    rs = slow.run(4)
-    assert slow.work is None and slow.state.bulk_rng is False
-    for b in range(len(SEEDS)):
-        assert rf.results[b].best_length == rs.results[b].best_length
-        np.testing.assert_array_equal(
-            rf.results[b].best_tour, rs.results[b].best_tour
-        )
-    np.testing.assert_array_equal(fast.state.pheromone, slow.state.pheromone)
 
 
 def test_antsystem_report_every(instance):

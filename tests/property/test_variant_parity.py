@@ -114,20 +114,6 @@ def test_mmas_stagnation_reinit_matches_reference():
     np.testing.assert_array_equal(view.state.pheromone, ref.state.pheromone)
 
 
-@pytest.mark.parametrize("variant", ["acs", "mmas"])
-def test_pre_amortisation_baseline_matches_reference(variant):
-    """``amortize=False`` (per-step draws, allocate-per-call) is a pure
-    execution-strategy change for the variants too — bit-identical to both
-    the amortized engine and the solo reference."""
-    instance = uniform_instance(15, seed=41)
-    params = ACOParams(seed=6, nn=7)
-    ref = _reference(variant, instance, params).run(5)
-    baseline = BatchEngine(instance, params, variant=variant, amortize=False)
-    got = baseline.run(5)
-    assert got.results[0].iteration_best_lengths == ref.iteration_best_lengths
-    np.testing.assert_array_equal(got.results[0].best_tour, ref.best_tour)
-
-
 def test_heterogeneous_variant_batch_rows_stay_independent():
     """Distinct equal-n instances and per-row params in one ACS/MMAS batch:
     every row still reproduces its solo reference exactly (the packing

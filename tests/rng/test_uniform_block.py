@@ -16,8 +16,6 @@ import pytest
 from repro.rng import (
     BlockedDraws,
     ParkMillerLCG,
-    StepDraws,
-    XorwowRNG,
     make_batched_rng,
     make_rng,
 )
@@ -85,16 +83,6 @@ def test_blocked_draws_chunked_lockstep():
     np.testing.assert_array_equal(got, ref)
     with pytest.raises(ValueError):
         draws.next()  # exhausted: over-consumption must not desync silently
-
-
-def test_step_draws_is_plain_uniform():
-    a = XorwowRNG(n_streams=8, seed=2)
-    b = XorwowRNG(n_streams=8, seed=2)
-    draws = StepDraws(a, rounds=2)
-    np.testing.assert_array_equal(draws.next(), b.uniform())
-    np.testing.assert_array_equal(draws.next(), b.uniform())
-    with pytest.raises(ValueError):
-        draws.next()
 
 
 def test_blocked_draws_zero_rounds():

@@ -195,8 +195,8 @@ class TestBenchCommand:
     def test_bench_list(self, capsys):
         assert cli_main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "bench_loop_amortization.py" in out
-        assert "BENCH_loop.json" in out
+        assert "bench_variant_throughput.py" in out
+        assert "BENCH_variant.json" in out
 
     def test_bench_no_name_lists(self, capsys):
         assert cli_main(["bench"]) == 0
@@ -211,15 +211,18 @@ class TestBenchCommand:
             cli_main(["bench", "bench"])
 
     def test_bench_runs_and_validates(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_loop.json"
-        rc = cli_main(["bench", "loop", "--", "--quick", "--out", str(out)])
+        out = tmp_path / "BENCH_variant.json"
+        rc = cli_main(
+            ["bench", "variant_throughput", "--", "--quick", "--out", str(out)]
+        )
         assert rc == 0
         assert out.is_file()
         captured = capsys.readouterr().out
         assert "validated" in captured
         payload = json.loads(out.read_text())
-        assert payload["results"]
-        assert any(not row["amortized"] for row in payload["results"])
+        assert {row["variant"] for row in payload["results"]} == {
+            "as", "acs", "mmas"
+        }
 
 
 def _bench_conftest():
@@ -466,16 +469,17 @@ class TestObservabilityFlags:
         assert cli_main(["bench", "--json", "--list"]) == 0
         payload = json.loads(capsys.readouterr().out)
         scripts = {row["script"] for row in payload}
-        assert "bench_loop_amortization.py" in scripts
+        assert "bench_variant_throughput.py" in scripts
 
     def test_bench_json_run_validates(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_loop.json"
+        out = tmp_path / "BENCH_variant.json"
         rc = cli_main(
-            ["bench", "--json", "loop", "--", "--quick", "--out", str(out)]
+            ["bench", "--json", "variant_throughput", "--", "--quick",
+             "--out", str(out)]
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["script"] == "bench_loop_amortization.py"
+        assert report["script"] == "bench_variant_throughput.py"
         assert report["validated"] is True
         assert report["returncode"] == 0
         assert report["artefact"]["results"]
