@@ -22,6 +22,7 @@ __all__ = ["ParkMillerLCG", "LCG_IA", "LCG_IM", "lcg_step"]
 
 LCG_IA = 16807
 LCG_IM = 2147483647  # 2**31 - 1
+_INV_IM = 1.0 / LCG_IM  # fl(1/IM): the float row fill's quotient estimate
 
 
 def lcg_step(state: np.ndarray, xp=np) -> np.ndarray:
@@ -88,8 +89,8 @@ class ParkMillerLCG(DeviceRNG):
         self._powers: dict[int, np.ndarray] = {}
         self._iblock: np.ndarray | None = None
         self._ifold: np.ndarray | None = None
-        self._shift: np.ndarray | None = None
-        self._mask: np.ndarray | None = None
+        self._fstate: np.ndarray | None = None
+        self._fquot: np.ndarray | None = None
 
     @classmethod
     def _derive_states(cls, seed: int, n_streams: int) -> np.ndarray:
@@ -101,7 +102,7 @@ class ParkMillerLCG(DeviceRNG):
         self._state = self.backend.from_host(np.concatenate(per_seed_states))
         # The stream count just changed: drop block-fill scratch sized for
         # the old one (powers are per-rounds, stream-count independent).
-        self._iblock = self._ifold = self._shift = self._mask = None
+        self._iblock = self._ifold = self._fstate = self._fquot = None
 
     def _next_raw(self) -> np.ndarray:
         self._state = lcg_step(self._state, xp=self.backend.xp)
@@ -132,9 +133,10 @@ class ParkMillerLCG(DeviceRNG):
         is prime), so no fold can land on the ``IM``-fixed-point.
 
         Wider blocks would push the outer product's int64 scratch out of
-        cache, so they step row by row in-place in the persistent state
-        vector — :func:`lcg_step`'s folding, minus its per-step temporary
-        allocations.
+        cache, so they step row by row in a float64 copy of the state
+        vector (:meth:`_fill_rows_inplace`: an exact float reduction with
+        fewer passes than :func:`lcg_step`'s folding, and no per-step
+        temporaries).
         """
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
@@ -197,23 +199,53 @@ class ParkMillerLCG(DeviceRNG):
         xp.true_divide(x, float(LCG_IM), out=block)
 
     def _fill_rows_inplace(self, rounds: int, block: np.ndarray) -> None:
-        """Row-by-row fill for wide streams, allocation-free (numpy only)."""
+        """Row-by-row fill for wide streams, allocation-free (numpy only).
+
+        The states are copied once into a float64 scratch vector ``f`` and
+        each row is reduced in floating point::
+
+            x = f * IA;  q = floor(x * fl(1/IM));  f = x - q * IM;  u = f / IM
+
+        six float passes in place of :func:`lcg_step`'s seven int64 ones
+        (two of them a masked subtract).  Exactness, step by step:
+
+        * ``f`` is an integer in ``[1, IM - 1]``, so ``x = f * IA <
+          2^46`` is an exact float64 integer (53-bit significand).
+        * Write ``x = k * IM + r``.  ``r != 0`` because ``IM`` is prime
+          and divides neither ``IA`` nor ``f``, so the fractional part of
+          ``x / IM`` is ``r / IM``, which lies in ``[2^-31, 1 - 2^-31]``.
+        * ``fl(1/IM)`` and the product each round once, so ``x *
+          fl(1/IM)`` is ``x / IM`` to a relative error of about ``2^-52``
+          -- an absolute error of at most about ``2^-37``, as ``x / IM <
+          2^15``.  That cannot cross an integer from ``2^-31`` away, so
+          the floor is exactly ``k``: no off-by-one correction pass.
+        * ``q * IM = k * IM < 2^46`` and ``x - q * IM = r`` are exact, so
+          ``f`` holds the same integer state as the int64 recurrence.
+
+        The final divide must stay a divide: ``r * fl(1/IM)`` rounds twice
+        and differs from the correctly rounded ``r / IM`` in the last bit
+        for 9,437,184 of the ``2^31 - 2`` states.  ``f / IM`` is the very
+        operation :meth:`uniform`'s fused cast-and-divide performs, so the
+        samples are bit-identical.  The state goes back to the int64
+        vector at the end of the call (an exact cast below ``2^31``), so
+        :func:`lcg_step`, jump-ahead and checkpoints never see the float
+        copy.  ``tests/rng/exhaustive_lcg_fold.py`` checks the floor over
+        every state.
+        """
         st = self._state
-        if self._shift is None or self._shift.shape != st.shape:
-            self._shift = np.empty(st.shape, dtype=np.int64)
-            self._mask = np.empty(st.shape, dtype=bool)
-        shift, mask = self._shift, self._mask
+        if self._fstate is None or self._fstate.shape != st.shape:
+            self._fstate = np.empty(st.shape, dtype=np.float64)
+            self._fquot = np.empty(st.shape, dtype=np.float64)
+        f, q = self._fstate, self._fquot
+        f[...] = st  # exact: states are below 2^31
         for r in range(rounds):
-            # lcg_step's mask-and-shift folding, in place: the shift is
-            # taken from the full product before the low bits are masked.
-            np.multiply(st, LCG_IA, out=st)
-            np.right_shift(st, 31, out=shift)
-            np.bitwise_and(st, LCG_IM, out=st)
-            np.add(st, shift, out=st)
-            np.greater_equal(st, LCG_IM, out=mask)
-            np.subtract(st, LCG_IM, out=st, where=mask)
-            # Fused cast-and-divide into the row (one pass, bit-identical).
-            np.true_divide(st, float(LCG_IM), out=block[r])
+            np.multiply(f, LCG_IA, out=f)  # x < 2^46, exact
+            np.multiply(f, _INV_IM, out=q)
+            np.floor(q, out=q)  # exactly x // IM (see above)
+            np.multiply(q, LCG_IM, out=q)
+            np.subtract(f, q, out=f)  # x mod IM, exact
+            np.true_divide(f, float(LCG_IM), out=block[r])
+        st[...] = f
 
     @property
     def state(self) -> np.ndarray:

@@ -60,7 +60,7 @@ from repro.serve.protocol import (
     stats_over_tcp,
 )
 from repro.serve.service import BatchKey, SolveRequest
-from repro.shard.shm import InstanceShmCache
+from repro.shard.shm import InstanceShmCache, shared_instance_stub
 from repro.shard.stats import fold_health, fold_stats
 from repro.shard.supervisor import WorkerShard
 from repro.shard.worker import ShardConfig
@@ -111,7 +111,9 @@ class _ClientSession:
 class _Routed:
     """Router book-keeping for one in-flight forwarded request."""
 
-    __slots__ = ("wid", "req_id", "key", "wire", "session", "shard_id", "reroutes")
+    __slots__ = (
+        "wid", "req_id", "key", "wire", "session", "digest", "shard_id", "reroutes",
+    )
 
     def __init__(
         self,
@@ -120,12 +122,15 @@ class _Routed:
         key: BatchKey,
         wire: bytes,
         session: _ClientSession,
+        digest: str | None,
     ) -> None:
         self.wid = wid
         self.req_id = req_id
         self.key = key
         self.wire = wire
         self.session = session
+        #: shared-memory block reference held while in flight (or None)
+        self.digest = digest
         self.shard_id = -1
         self.reroutes = 0
 
@@ -347,10 +352,18 @@ class ShardRouter:
 
     def _instance_wire_form(self, raw_instance: object, request: SolveRequest):
         """Suite stubs pass through; coordinate instances ride shared
-        memory (falling back to inline coords when they can't)."""
+        memory (falling back to inline coords when they can't).  A shared
+        stub holds a block reference that :meth:`_resolve` drops."""
         if isinstance(raw_instance, dict) and "suite" in raw_instance:
             return {"suite": raw_instance["suite"]}
         return self._shm.wire_form(request.instance)
+
+    def _resolve(self, routed: _Routed) -> None:
+        """Take a request out of ``_outstanding`` for good.  Its last
+        in-flight sibling over the same instance unlinks the shared block
+        (re-forwarded orphans stay outstanding and keep it)."""
+        if self._outstanding.pop(routed.wid, None) is not None and routed.digest:
+            self._shm.release(routed.digest)
 
     async def submit(
         self,
@@ -373,17 +386,15 @@ class ShardRouter:
                 f"router at max_routed={self.max_routed} outstanding requests"
             )
         wid = f"x{next(self._wid_seq)}"
-        wire = encode_request(
-            request,
-            wid,
-            instance_obj=self._instance_wire_form(raw_obj.get("instance"), request),
-        )
-        routed = _Routed(wid, req_id, request.bucket_key, wire, session)
+        instance_obj = self._instance_wire_form(raw_obj.get("instance"), request)
+        digest = instance_obj["digest"] if shared_instance_stub(instance_obj) else None
+        wire = encode_request(request, wid, instance_obj=instance_obj)
+        routed = _Routed(wid, req_id, request.bucket_key, wire, session, digest)
         self._outstanding[wid] = routed
         try:
             await self._forward(routed)
         except BaseException:
-            self._outstanding.pop(wid, None)
+            self._resolve(routed)
             raise
         ordinal = self._route_ordinal
         self._route_ordinal += 1
@@ -435,7 +446,7 @@ class ShardRouter:
             return  # resolved elsewhere (e.g. re-routed) or unknown
         obj["id"] = routed.req_id
         if kind in ("result", "error"):
-            del self._outstanding[routed.wid]
+            self._resolve(routed)
             if 0 <= routed.shard_id < len(self.shards):
                 target = self.shards[routed.shard_id]
                 target.outstanding = max(0, target.outstanding - 1)
@@ -461,7 +472,7 @@ class ShardRouter:
             await shard.spawn()
         except ServeError as exc:
             for routed in orphans:
-                self._outstanding.pop(routed.wid, None)
+                self._resolve(routed)
                 await routed.session.send(_encode_error(routed.req_id, exc))
             return
         self._start_reader(shard)
@@ -471,7 +482,7 @@ class ShardRouter:
                 continue  # resolved while we respawned
             routed.reroutes += 1
             if routed.reroutes > self.max_reroutes:
-                del self._outstanding[routed.wid]
+                self._resolve(routed)
                 await routed.session.send(
                     _encode_error(
                         routed.req_id,
@@ -485,7 +496,7 @@ class ShardRouter:
             try:
                 await self._forward(routed)
             except ReproError as exc:
-                del self._outstanding[routed.wid]
+                self._resolve(routed)
                 await routed.session.send(_encode_error(routed.req_id, exc))
 
     # ------------------------------------------------------------- observers

@@ -7,15 +7,21 @@ instead publishes each distinct instance into one
 same :func:`~repro.core.checkpoint.instance_digest` the checkpoint layer
 uses, so "equal instance" means exactly one thing across both systems —
 and forwards requests carrying a tiny ``{"shm": ..., "digest": ...}``
-stub.  Each worker attaches a given block at most once, copies the
+stub.  A worker attaches the block on a cache miss, copies the
 coords out, verifies the digest, and caches the rebuilt
 :class:`~repro.tsp.instance.TSPInstance` by digest for every later
-request (from any shard's traffic mix) that names it.
+request (from any shard's traffic mix) that names it while it stays in
+the worker's cache.
 
 Block layout: the raw little-endian float64 bytes of the ``(n, 2)``
 coordinate array, nothing else — name/digest/edge-weight-type travel in
 the wire stub.  Workers copy out and close immediately; only the router
-holds blocks open (and unlinks them at :meth:`InstanceShmCache.close`).
+holds blocks open.  Each :meth:`InstanceShmCache.wire_form` call takes a
+reference that the router drops with :meth:`InstanceShmCache.release`
+once that request has resolved; the last release unlinks the block, so a
+stream of distinct instances holds only the blocks still in flight.  A
+worker's rebuilt instances sit in a small LRU (:data:`LOCAL_INSTANCE_CAP`
+entries), so neither side grows with the number of distinct instances.
 
 CPython 3.11 subtlety: *attaching* a block calls
 ``resource_tracker.register`` again — infamous for spurious exit-time
@@ -31,33 +37,47 @@ registration (and crash-cleanup coverage) out of that shared set.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.core.checkpoint import instance_digest
 from repro.errors import ServeError
 from repro.tsp.instance import TSPInstance
 
-__all__ = ["InstanceShmCache", "resolve_shared_instance", "shared_instance_stub"]
+__all__ = [
+    "LOCAL_INSTANCE_CAP",
+    "InstanceShmCache",
+    "resolve_shared_instance",
+    "shared_instance_stub",
+]
 
 
 class InstanceShmCache:
     """Router-side owner of one shared-memory block per instance digest.
 
-    Single-threaded (asyncio loop) use; blocks live until :meth:`close`.
+    Single-threaded (asyncio loop) use.  Blocks are reference-counted:
+    each :meth:`wire_form` call takes one reference, :meth:`release` drops
+    one, and the last release unlinks the block; :meth:`close` unlinks
+    whatever is left.
     """
 
     def __init__(self) -> None:
         # digest -> (SharedMemory, wire stub); loop-confined.
         self._blocks: dict[str, tuple] = {}
+        # digest -> outstanding wire_form references; loop-confined.
+        self._refs: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._blocks)
 
     def wire_form(self, instance: TSPInstance) -> dict | None:
         """The ``{"shm": ...}`` stub for ``instance``, publishing its
-        coords on first sight.  ``None`` when the instance has no coords
-        (explicit-matrix instances can't ride shared memory — the caller
-        falls back to the inline wire form)."""
+        coords on first sight and taking one reference on the block (drop
+        it with :meth:`release` once the request has resolved).  ``None``
+        when the instance has no coords (explicit-matrix instances can't
+        ride shared memory — the caller falls back to the inline wire
+        form); no reference is taken then."""
         if instance.coords is None:
             return None
         digest = instance_digest(instance)
@@ -76,22 +96,46 @@ class InstanceShmCache:
                 "edge_weight_type": instance.edge_weight_type,
             }
             entry = self._blocks[digest] = (shm, stub)
+        self._refs[digest] = self._refs.get(digest, 0) + 1
         return dict(entry[1])
+
+    def release(self, digest: str) -> None:
+        """Drop one :meth:`wire_form` reference; the last one unlinks the
+        block.  Unknown digests (already closed) are ignored."""
+        refs = self._refs.get(digest, 0) - 1
+        if refs > 0:
+            self._refs[digest] = refs
+            return
+        self._refs.pop(digest, None)
+        entry = self._blocks.pop(digest, None)
+        if entry is not None:
+            _unlink(entry[0])
 
     def close(self) -> None:
         """Release and unlink every published block (router shutdown)."""
         blocks, self._blocks = self._blocks, {}
+        self._refs.clear()
         for shm, _stub in blocks.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            _unlink(shm)
 
 
-#: Worker-side digest -> TSPInstance cache (per process): each distinct
-#: instance is attached, verified and rebuilt exactly once per worker.
-_LOCAL_INSTANCES: dict[str, TSPInstance] = {}
+def _unlink(shm) -> None:
+    try:
+        shm.close()
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
+
+
+#: Entries kept in a worker's rebuilt-instance cache.  Requests over one
+#: instance arrive in bursts (equal instances share a batch bucket), so a
+#: short LRU keeps every hit while a stream of distinct instances cannot
+#: grow the worker without bound.
+LOCAL_INSTANCE_CAP = 32
+
+#: Worker-side digest -> TSPInstance LRU (per process, most recent last):
+#: an instance is attached, verified and rebuilt once while it stays in it.
+_LOCAL_INSTANCES: OrderedDict[str, TSPInstance] = OrderedDict()
 
 
 def shared_instance_stub(obj: dict) -> bool:
@@ -115,6 +159,7 @@ def resolve_shared_instance(obj: dict) -> TSPInstance:
         raise ServeError(f"malformed shared-memory instance stub: {exc}") from None
     cached = _LOCAL_INSTANCES.get(digest)
     if cached is not None:
+        _LOCAL_INSTANCES.move_to_end(digest)
         return cached
     from multiprocessing import shared_memory
 
@@ -153,4 +198,6 @@ def resolve_shared_instance(obj: dict) -> TSPInstance:
             "(router/worker content mismatch)"
         )
     _LOCAL_INSTANCES[digest] = instance
+    if len(_LOCAL_INSTANCES) > LOCAL_INSTANCE_CAP:
+        _LOCAL_INSTANCES.popitem(last=False)
     return instance

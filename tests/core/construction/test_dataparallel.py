@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.batch import BatchEngine
 from repro.core.choice import ChoiceKernel
 from repro.core.construction.dataparallel import (
     DataParallelConstruction,
@@ -15,6 +18,7 @@ from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
 from repro.rng import ParkMillerLCG
 from repro.simt.device import TESLA_C1060
+from repro.tsp import uniform_instance
 from repro.tsp.tour import validate_tour
 
 
@@ -100,6 +104,77 @@ class TestFunctional:
         for t in res.tours:
             if t[0] != 7:
                 assert t[1] == 7
+
+
+class TestSingleTileFastPath:
+    """``build_batch`` skips the tile bookkeeping when one tile covers every
+    city; under the product rule the tiled path must pick the same cities."""
+
+    @staticmethod
+    def _engines(n, B, seed):
+        params = [ACOParams(seed=seed + b, nn=10) for b in range(B)]
+        inst = uniform_instance(n, seed=n)
+        tiled = BatchEngine(inst, params, construction=8,
+                            construction_options={"tile": 32})
+        single = BatchEngine(inst, params, construction=8)
+        device = single.state.device
+        assert tiled.construction.tile_width(device, n) < n  # really tiled
+        assert single.construction.tile_width(device, n) >= n  # one tile
+        return tiled, single
+
+    @staticmethod
+    def _build(engine):
+        engine.choice_kernel.run_batch(engine.state, collect=False)
+        return engine.construction.build_batch(engine.state, engine.rng, collect=False)
+
+    @pytest.mark.parametrize("seed", [2, 17])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("n", [33, 48, 64])
+    def test_multi_tile_equals_single_tile(self, n, B, seed):
+        tiled, single = self._engines(n, B, seed)
+        for _ in range(3):  # the RNG advances: three different tour sets
+            a, b = self._build(tiled).tours, self._build(single).tours
+            np.testing.assert_array_equal(a, b)
+        for t in b.reshape(-1, n + 1):
+            validate_tour(t, n)
+        # Whole runs, pheromone included.
+        ra, rb = tiled.run(4), single.run(4)
+        for x, y in zip(ra.results, rb.results):
+            assert x.best_length == y.best_length
+            np.testing.assert_array_equal(x.best_tour, y.best_tour)
+        np.testing.assert_array_equal(tiled.state.pheromone, single.state.pheromone)
+
+    def test_zero_choice_ties_resolve_alike(self):
+        """Tied +0.0 products and all-zero rows: both paths take the lowest
+        city (the tours then revisit cities, identically)."""
+        tiled, single = self._engines(48, 2, 5)
+        for engine in (tiled, single):
+            engine.choice_kernel.run_batch(engine.state, collect=False)
+            # Cities 20+ always tie at +0.0; once an ant has visited the
+            # first 20, its whole product row is zero.
+            engine.state.choice_info[:, :, 20:] = 0.0
+        a = tiled.construction.build_batch(tiled.state, tiled.rng, collect=False)
+        b = single.construction.build_batch(single.state, single.rng, collect=False)
+        np.testing.assert_array_equal(a.tours, b.tours)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 0.5, 0.5, 1.0, 3e10]),
+                min_size=8, max_size=8,
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_int_view_argmax_equals_float_argmax(self, rows):
+        """Finite doubles >= +0.0 order like their int64 bit patterns, so
+        the fast path's argmax (ties to the lowest index) is unchanged."""
+        w = np.array(rows, dtype=np.float64)
+        w[0] = 0.0  # always include an all-zero row
+        np.testing.assert_array_equal(
+            np.argmax(w.view(np.int64), axis=1), np.argmax(w, axis=1)
+        )
 
 
 class TestPredictMatchesSimulate:

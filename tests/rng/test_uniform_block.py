@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rng import (
     BlockedDraws,
@@ -19,6 +21,38 @@ from repro.rng import (
     make_batched_rng,
     make_rng,
 )
+from repro.rng.lcg import LCG_IA, LCG_IM, lcg_step
+
+#: states at the edges of the float64 row fill's exactness argument: the
+#: smallest and largest, and the two around IM / IA, where the product
+#: ``state * IA`` crosses IM (its quotient goes from 0 to 1)
+_EDGE_STATES = [1, LCG_IM - 1, LCG_IM // LCG_IA, LCG_IM // LCG_IA + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    edge=st.lists(
+        st.one_of(st.sampled_from(_EDGE_STATES), st.integers(1, LCG_IM - 1)),
+        min_size=1, max_size=64,
+    ),
+    extra=st.integers(1, 2048),
+    rounds=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_row_fill_equals_int64_steps(edge, extra, rounds, seed):
+    """The float64 row fill (every width above the jump-ahead cutoff)
+    reproduces repeated int64 ``lcg_step`` -- samples and final state."""
+    width = ParkMillerLCG.JUMP_AHEAD_MAX_ELEMENTS + extra
+    rng = ParkMillerLCG(n_streams=width, seed=seed)
+    states = rng.state
+    states[: len(edge)] = edge
+    rng.load_state_arrays({"state": states})
+    block = rng.uniform_block(rounds)
+    oracle = states.copy()
+    for r in range(rounds):
+        oracle = lcg_step(oracle)
+        np.testing.assert_array_equal(block[r], oracle / float(LCG_IM))
+    np.testing.assert_array_equal(rng.state, oracle)
 
 
 @pytest.mark.parametrize("kind", ["lcg", "xorwow"])

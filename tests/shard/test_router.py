@@ -11,6 +11,7 @@ counts.  Plain ``asyncio.run`` throughout (no pytest-asyncio here).
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -200,3 +201,70 @@ def test_rolling_restart_keeps_serving():
     # The replacement worker's stats plane starts fresh: only the second
     # request is visible post-restart.
     assert stats["submitted"] == 1
+
+
+def test_distinct_instance_stream_leaves_no_shared_blocks():
+    """Every request carries a new inline instance: each shared block is
+    unlinked once its last request resolves, so a long stream of distinct
+    instances does not pile up blocks (open fds and /dev/shm pages)."""
+    from multiprocessing import shared_memory
+
+    from repro.serve.protocol import encode_request
+
+    count = 300
+    # Sizes 8 and 9 hash to different shards of a 2-fleet at 1 iteration.
+    reqs = [
+        SolveRequest(
+            instance=uniform_instance(8 + i % 2, seed=1000 + i),
+            params=ACOParams(seed=1),
+            iterations=1,
+        )
+        for i in range(count)
+    ]
+    assert {shard_index(r.bucket_key, 2) for r in reqs} == {0, 1}
+
+    async def _go():
+        async with ShardRouter(2, ShardConfig(max_batch=8, max_wait=0.01)) as router:
+            names: list[str] = []
+            publish = router._shm.wire_form
+
+            def _recording_wire_form(instance):
+                stub = publish(instance)
+                names.append(stub["shm"])
+                return stub
+
+            router._shm.wire_form = _recording_wire_form
+            server = await serve_router_tcp(router, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                for i, request in enumerate(reqs):
+                    writer.write(encode_request(request, f"r{i}"))
+                await writer.drain()
+                finals: dict[str, dict] = {}
+                while len(finals) < count:
+                    line = await asyncio.wait_for(reader.readline(), 120)
+                    assert line, "router closed the connection mid-stream"
+                    obj = json.loads(line)
+                    assert obj.get("type") != "error", obj
+                    if obj["type"] == "result":
+                        finals[obj["id"]] = obj
+                writer.close()
+                await writer.wait_closed()
+                # Before drain/stop (which would unlink everything anyway).
+                left = (len(router._shm), dict(router._shm._refs), router.outstanding)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return finals, names, left
+
+    finals, names, left = asyncio.run(_go())
+    assert len(finals) == count
+    assert left == (0, {}, 0)
+    assert len(set(names)) == count  # one block per distinct instance
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+    for i in (0, 1, count - 1):
+        solo = AntSystem(reqs[i].instance, reqs[i].params).run(1)
+        assert finals[f"r{i}"]["best_length"] == solo.best_length

@@ -15,7 +15,11 @@ import pytest
 from repro.core.checkpoint import instance_digest
 from repro.errors import ServeError
 from repro.shard import InstanceShmCache, resolve_shared_instance
-from repro.shard.shm import _LOCAL_INSTANCES, shared_instance_stub
+from repro.shard.shm import (
+    _LOCAL_INSTANCES,
+    LOCAL_INSTANCE_CAP,
+    shared_instance_stub,
+)
 from repro.tsp import uniform_instance
 
 
@@ -71,6 +75,54 @@ def test_resolve_roundtrip_and_worker_cache():
         assert instance_digest(rebuilt) == stub["digest"]
         # Second resolution is served from the per-process cache.
         assert resolve_shared_instance(stub) is rebuilt
+    finally:
+        cache.close()
+
+
+def test_release_unlinks_after_last_reference():
+    from multiprocessing import shared_memory
+
+    cache = InstanceShmCache()
+    try:
+        inst = uniform_instance(12, seed=3)
+        first = cache.wire_form(inst)
+        second = cache.wire_form(uniform_instance(12, seed=3))  # same digest
+        assert second["shm"] == first["shm"]
+        cache.release(first["digest"])
+        assert len(cache) == 1  # the second request still holds the block
+        assert resolve_shared_instance(first).name == inst.name
+        cache.release(first["digest"])
+        assert len(cache) == 0
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=first["shm"])
+        cache.release(first["digest"])  # unknown digest: ignored
+        # Republishing after the unlink makes a fresh block.
+        again = cache.wire_form(inst)
+        assert again["digest"] == first["digest"]
+        assert len(cache) == 1
+    finally:
+        cache.close()
+
+
+def test_worker_cache_is_a_bounded_lru():
+    cache = InstanceShmCache()
+    try:
+        stubs = [
+            cache.wire_form(uniform_instance(6, seed=s))
+            for s in range(LOCAL_INSTANCE_CAP + 10)
+        ]
+        kept = resolve_shared_instance(stubs[0])
+        for stub in stubs[1:LOCAL_INSTANCE_CAP]:
+            resolve_shared_instance(stub)
+        # A hit refreshes the entry: stubs[0] survives the next evictions.
+        assert resolve_shared_instance(stubs[0]) is kept
+        for stub in stubs[LOCAL_INSTANCE_CAP:]:
+            resolve_shared_instance(stub)
+            assert len(_LOCAL_INSTANCES) <= LOCAL_INSTANCE_CAP
+        assert len(_LOCAL_INSTANCES) == LOCAL_INSTANCE_CAP
+        assert stubs[0]["digest"] in _LOCAL_INSTANCES
+        assert stubs[1]["digest"] not in _LOCAL_INSTANCES  # least recent
+        assert stubs[-1]["digest"] in _LOCAL_INSTANCES
     finally:
         cache.close()
 
