@@ -204,16 +204,16 @@ class DataParallelConstruction(TourConstruction):
         deterministic for this kernel (``predict_stats`` mirrors ``build``
         exactly), so per-colony reports come from the closed form.
 
-        When one tile covers every city (``n`` at most the tile width), the
-        step's argmax runs on the products' int64 bit patterns.  This needs
-        every ``choice_info`` entry finite and ``>= 0`` (the choice kernel
-        guarantees it: ``eta = 1 / (d + 0.1)`` and the pheromone are
-        finite and non-negative).  Each product ``choice * u * live``, with
-        ``u`` in ``[0, 1)``, is then a finite double ``>= +0.0``, and for
-        such values the IEEE-754 bit patterns read as int64 order exactly
-        like the values (equal values have equal bits).  So the winner and
-        its lowest-index tie-break match a float argmax, which costs more
-        because it must also look for NaNs.
+        Every argmax over the step's products (the whole row when one tile
+        covers every city, else each tile) runs on their int64 bit
+        patterns.  This needs every ``choice_info`` entry finite and
+        ``>= 0`` (the choice kernel guarantees it: ``eta = 1 / (d + 0.1)``
+        and the pheromone are finite and non-negative).  Each product
+        ``choice * u * live``, with ``u`` in ``[0, 1)``, is then a finite
+        double ``>= +0.0``, and for such values the IEEE-754 bit patterns
+        read as int64 order exactly like the values (equal values have
+        equal bits).  So the winner and its lowest-index tie-break match a
+        float argmax, which costs more because it must also look for NaNs.
         """
         B, n, m, device = bstate.B, bstate.n, bstate.m, bstate.device
         xp = bstate.backend.xp
@@ -272,16 +272,13 @@ class DataParallelConstruction(TourConstruction):
         # each ant's winning value without per-step index allocations.
         ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
         win_idx = _buf("win_idx", (M,), np.int64)
+        nxt = _buf("nxt", (M,), np.int64)
+        # The argmax reads the products' int64 bit patterns (precondition in
+        # the docstring), and the tabu update is one flat scatter.
+        w_bits = rows_buf.view(np.int64)
+        live_flat = live.reshape(-1)
         single_tile = len(spans) == 1
-        if single_tile:
-            # One tile covers every city: its argmax IS the next city, so
-            # the per-tile winner bookkeeping drops out.  The argmax reads
-            # the products' int64 bit patterns (precondition in the
-            # docstring), and the tabu update is one flat scatter.
-            nxt = _buf("nxt", (M,), np.int64)
-            w_bits = rows_buf.view(np.int64)
-            live_flat = live.reshape(-1)
-        else:
+        if not single_tile:
             tile_city = _buf("tile_city", (M, len(spans)), np.int64)
             tile_val = _buf("tile_val", (M, len(spans)), np.float64)
             win_val = _buf("win_val", (M,), np.float64)
@@ -293,16 +290,16 @@ class DataParallelConstruction(TourConstruction):
             xp.multiply(w, live, out=w)
 
             if single_tile:
+                # One tile covers every city: its argmax IS the next city, so
+                # the per-tile winner bookkeeping drops out.
                 xp.argmax(w_bits, axis=1, out=nxt)
-                xp.add(ant_base, nxt, out=win_idx)
-                live_flat[win_idx] = 0.0
             else:
                 # Per-tile winners: block_argmax inlined (same argmax + value
                 # gather, minus its per-call index scratch; ties resolve to the
                 # lowest lane).
                 w_flat = w.reshape(-1)
                 for t, (lo, hi) in enumerate(spans):
-                    idx = xp.argmax(w[:, lo:hi], axis=1)
+                    idx = xp.argmax(w_bits[:, lo:hi], axis=1)
                     xp.add(idx, lo, out=win_idx)
                     tile_city[:, t] = win_idx
                     xp.add(win_idx, ant_base, out=win_idx)
@@ -315,8 +312,9 @@ class DataParallelConstruction(TourConstruction):
                     winner_choice = choice_flat[rows_idx[:, None] * n + tile_city]
                     winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
                     pick = xp.argmax(winner_choice, axis=1)
-                nxt = tile_city[ant_idx, pick]
-                live[ant_idx, nxt] = 0.0
+                nxt[:] = tile_city[ant_idx, pick]
+            xp.add(ant_base, nxt, out=win_idx)
+            live_flat[win_idx] = 0.0
             tours[:, step] = nxt
             cur = nxt
 

@@ -12,8 +12,9 @@ Layers (one module each):
 
 * :mod:`repro.shard.shm` — shared-memory instance cache: inline
   coordinate instances are serialized into ``multiprocessing.shared_memory``
-  once per distinct :func:`~repro.core.checkpoint.instance_digest`, and
-  workers attach by digest instead of re-parsing coords per shard.
+  once per distinct in-flight
+  :func:`~repro.core.checkpoint.instance_digest`, and workers attach by
+  name and verify the digest instead of parsing coords off the wire.
 * :mod:`repro.shard.worker` — the child-process entry point: build a
   ``SolveService`` from a picklable :class:`~repro.shard.worker.ShardConfig`,
   serve the standard wire on an ephemeral port, report the port through a

@@ -388,7 +388,12 @@ class ShardRouter:
         wid = f"x{next(self._wid_seq)}"
         instance_obj = self._instance_wire_form(raw_obj.get("instance"), request)
         digest = instance_obj["digest"] if shared_instance_stub(instance_obj) else None
-        wire = encode_request(request, wid, instance_obj=instance_obj)
+        try:
+            wire = encode_request(request, wid, instance_obj=instance_obj)
+        except BaseException:
+            if digest:
+                self._shm.release(digest)
+            raise
         routed = _Routed(wid, req_id, request.bucket_key, wire, session, digest)
         self._outstanding[wid] = routed
         try:

@@ -268,3 +268,36 @@ def test_distinct_instance_stream_leaves_no_shared_blocks():
     for i in (0, 1, count - 1):
         solo = AntSystem(reqs[i].instance, reqs[i].params).run(1)
         assert finals[f"r{i}"]["best_length"] == solo.best_length
+
+
+def test_failed_submit_releases_shared_block(monkeypatch):
+    """A submit that raises before or while forwarding drops the block
+    reference it took: nothing stays published until router close."""
+    import repro.shard.router as router_mod
+    from repro.errors import ServiceOverloadedError
+
+    request = SolveRequest(
+        instance=uniform_instance(12, seed=5), params=ACOParams(seed=1),
+        iterations=1,
+    )
+    raw = {"instance": {"coords": request.instance.coords.tolist()}}
+    # No shard is spawned: submit gets past the draining check only.
+    router = ShardRouter(1, _config())
+    router._accepting = True
+
+    def _encode_fails(*args, **kwargs):
+        raise ValueError("unencodable request")
+
+    async def _go():
+        with pytest.raises(ServiceOverloadedError):  # no healthy shard
+            await router.submit(raw, "r0", request, None)
+        assert (len(router._shm), router.outstanding) == (0, 0)
+        monkeypatch.setattr(router_mod, "encode_request", _encode_fails)
+        with pytest.raises(ValueError, match="unencodable"):
+            await router.submit(raw, "r1", request, None)
+        assert (len(router._shm), router.outstanding) == (0, 0)
+
+    try:
+        asyncio.run(_go())
+    finally:
+        router._shm.close()

@@ -2,9 +2,9 @@
 
 Everything here runs in one process — ``SharedMemory`` attach-by-name
 works within a process exactly as it does across the router/worker
-boundary, so the digest verification, caching and error paths are
-exercised without spawning workers (the cross-process path is covered by
-the router e2e tests).
+boundary, so the digest verification, reference counting and error
+paths are exercised without spawning workers (the cross-process path is
+covered by the router e2e tests).
 """
 
 from __future__ import annotations
@@ -15,19 +15,8 @@ import pytest
 from repro.core.checkpoint import instance_digest
 from repro.errors import ServeError
 from repro.shard import InstanceShmCache, resolve_shared_instance
-from repro.shard.shm import (
-    _LOCAL_INSTANCES,
-    LOCAL_INSTANCE_CAP,
-    shared_instance_stub,
-)
+from repro.shard.shm import shared_instance_stub
 from repro.tsp import uniform_instance
-
-
-@pytest.fixture(autouse=True)
-def _clean_local_cache():
-    _LOCAL_INSTANCES.clear()
-    yield
-    _LOCAL_INSTANCES.clear()
 
 
 def test_wire_form_publishes_once_per_digest():
@@ -63,7 +52,7 @@ def test_wire_form_matrix_instance_returns_none():
         cache.close()
 
 
-def test_resolve_roundtrip_and_worker_cache():
+def test_resolve_roundtrip():
     cache = InstanceShmCache()
     try:
         inst = uniform_instance(10, seed=7)
@@ -73,8 +62,10 @@ def test_resolve_roundtrip_and_worker_cache():
         assert rebuilt.name == inst.name
         assert rebuilt.edge_weight_type == inst.edge_weight_type
         assert instance_digest(rebuilt) == stub["digest"]
-        # Second resolution is served from the per-process cache.
-        assert resolve_shared_instance(stub) is rebuilt
+        # Workers keep no instance cache: each resolution re-attaches.
+        again = resolve_shared_instance(stub)
+        assert again is not rebuilt
+        np.testing.assert_array_equal(again.coords, inst.coords)
     finally:
         cache.close()
 
@@ -104,29 +95,6 @@ def test_release_unlinks_after_last_reference():
         cache.close()
 
 
-def test_worker_cache_is_a_bounded_lru():
-    cache = InstanceShmCache()
-    try:
-        stubs = [
-            cache.wire_form(uniform_instance(6, seed=s))
-            for s in range(LOCAL_INSTANCE_CAP + 10)
-        ]
-        kept = resolve_shared_instance(stubs[0])
-        for stub in stubs[1:LOCAL_INSTANCE_CAP]:
-            resolve_shared_instance(stub)
-        # A hit refreshes the entry: stubs[0] survives the next evictions.
-        assert resolve_shared_instance(stubs[0]) is kept
-        for stub in stubs[LOCAL_INSTANCE_CAP:]:
-            resolve_shared_instance(stub)
-            assert len(_LOCAL_INSTANCES) <= LOCAL_INSTANCE_CAP
-        assert len(_LOCAL_INSTANCES) == LOCAL_INSTANCE_CAP
-        assert stubs[0]["digest"] in _LOCAL_INSTANCES
-        assert stubs[1]["digest"] not in _LOCAL_INSTANCES  # least recent
-        assert stubs[-1]["digest"] in _LOCAL_INSTANCES
-    finally:
-        cache.close()
-
-
 def test_resolve_after_unlink_is_serve_error():
     cache = InstanceShmCache()
     inst = uniform_instance(10, seed=7)
@@ -143,8 +111,6 @@ def test_resolve_digest_mismatch_is_serve_error():
         forged = dict(stub, digest="0" * len(stub["digest"]))
         with pytest.raises(ServeError, match="digest check"):
             resolve_shared_instance(forged)
-        # The failed resolution must not poison the worker cache.
-        assert forged["digest"] not in _LOCAL_INSTANCES
         assert resolve_shared_instance(stub).name == stub["name"]
     finally:
         cache.close()
