@@ -19,9 +19,14 @@ provides two implementations over the symmetric TSP:
   each city's ``nn`` nearest neighbours (the ACOTSP candidate-list
   restriction), all gain math in ``(B, n, nn)`` integer tensors through
   the ``xp`` array-module seam with
-  :class:`~repro.backend.WorkBuffers` scratch.  Row ``b`` is
-  bit-identical to :func:`two_opt` with the same ``nn_list`` applied to
-  that row alone — the parity invariant
+  :class:`~repro.backend.WorkBuffers` scratch.  The gain tensor is indexed
+  by *city* (row ``c``, column ``k`` pairs ``c`` with ``nn[c, k]``), so
+  the candidate offsets and ``d(c, nn[c, k])`` are built once per call and
+  each pass only gathers what the tour changes.  Ties follow one rule:
+  the applied exchange is the *first* maximum in position-major
+  ``(i, k)`` order — lowest tour position, then lowest candidate rank.
+  Row ``b`` is bit-identical to :func:`two_opt` with the same ``nn_list``
+  applied to that row alone — the parity invariant
   ``tests/property/test_local_search_parity.py`` pins.
 
 For the symmetric TSP every applied exchange strictly decreases the tour
@@ -48,8 +53,9 @@ __all__ = [
     "best_exchange",
 ]
 
-#: "never pick this candidate" gain sentinel (beats -inf: stays integer)
-_NEG_GAIN = np.int64(np.iinfo(np.int64).min // 4)
+#: added-edge length of a self-candidate: its gain lands far below any real
+#: gain without overflowing int64 (beats an inf: stays integer)
+_SELF_DIST = np.int64(np.iinfo(np.int64).max // 4)
 
 
 @dataclass
@@ -281,6 +287,40 @@ def two_opt(
     )
 
 
+def _check_batch_inputs(dist, nn_list, lengths, B: int, n: int) -> None:
+    """Entry guards for :func:`two_opt_batch`.
+
+    The kernel gathers with ``mode="clip"``, which clamps a bad index
+    instead of raising, so shapes and candidate ranges are checked here,
+    once per call.
+    """
+    if tuple(dist.shape) != (B, n, n):
+        raise ACOConfigError(
+            f"dist must be (B, n, n) = {(B, n, n)} for tours of shape "
+            f"{(B, n + 1)}, got {tuple(dist.shape)}"
+        )
+    if not np.issubdtype(dist.dtype, np.integer):
+        raise ACOConfigError(f"dist must hold integers, got dtype {dist.dtype}")
+    if nn_list is not None:
+        if nn_list.ndim != 3 or tuple(nn_list.shape[:2]) != (B, n):
+            raise ACOConfigError(
+                f"nn_list must be (B, n, K) with (B, n) = {(B, n)}, got "
+                f"{tuple(nn_list.shape)}"
+            )
+        if nn_list.shape[2] < 1:
+            raise ACOConfigError("nn_list needs at least one candidate per city")
+        lo, hi = int(nn_list.min()), int(nn_list.max())
+        if lo < 0 or hi >= n:
+            raise ACOConfigError(
+                f"nn_list entries must be cities in [0, {n}), got range "
+                f"[{lo}, {hi}]"
+            )
+    if lengths is not None and tuple(lengths.shape) != (B,):
+        raise ACOConfigError(
+            f"lengths must be (B,) = {(B,)}, got {tuple(lengths.shape)}"
+        )
+
+
 def two_opt_batch(
     tours: np.ndarray,
     dist: np.ndarray,
@@ -295,14 +335,24 @@ def two_opt_batch(
     """Batched nn-restricted best-improvement 2-opt over ``B`` tours.
 
     Per pass, every row evaluates the gain of every candidate exchange —
-    removed edge ``(c_i, succ_i)`` paired with removed edge
-    ``(c_j, succ_j)`` where ``c_j`` ranges over ``c_i``'s candidate list —
+    removed edge ``(c, succ c)`` paired with removed edge
+    ``(c', succ c')`` where ``c'`` ranges over ``c``'s candidate list —
     as one ``(B, n, nn)`` integer tensor (no ``(B, n, n)`` materialisation),
     applies the single best exchange per row, and repeats until no row has
-    a gain ``>= min_gain``.  Rows proceed in lockstep but never couple:
-    row ``b`` is bit-identical to a ``B = 1`` run of that row (integer
-    gains have no float ties, and numpy/CuPy argmax both take the first
-    maximum), which is what makes the batch a pure throughput transform.
+    a gain ``>= min_gain``.
+
+    The gain tensor is indexed by *city*: row ``c``, column ``k`` pairs
+    ``c`` with ``nn[c, k]``, so the candidate offsets and ``d(c, nn[c, k])``
+    are built once per call and a pass only gathers what the tour changes
+    (successors and removed-edge lengths).  Before the argmax the rows are
+    gathered back into tour order.
+
+    **Tie rule.**  Equal integer gains are common, so the winner is the
+    *first* maximum in position-major ``(i, k)`` order: the lowest tour
+    position ``i``, then the lowest candidate rank ``k``.  numpy and CuPy
+    argmax both return the first maximum, so rows proceed in lockstep but
+    never couple — row ``b`` is bit-identical to a ``B = 1`` run of that
+    row, which is what makes the batch a pure throughput transform.
 
     Parameters
     ----------
@@ -311,10 +361,12 @@ def two_opt_batch(
         tours it already evaluated).
     dist:
         ``(B, n, n)`` integer distances — a broadcast view with a length-1
-        batch stride (replicas of one instance) works.
+        batch stride (replicas of one instance) is read through its single
+        matrix, never copied.
     nn_list:
-        ``(B, n, nn)`` candidate lists (broadcast views fine).  ``None``
-        searches the full neighbourhood (each city's ``n - 1`` others).
+        ``(B, n, nn)`` candidate lists with entries in ``[0, n)``
+        (broadcast views fine).  ``None`` searches the full neighbourhood
+        (each city's ``n - 1`` others).
     lengths:
         Optional ``(B,)`` exact initial lengths (skips one gather).
     max_passes:
@@ -331,6 +383,13 @@ def two_opt_batch(
     BatchTwoOptResult
         Freshly allocated ``tours``/``lengths``; ``exchanges`` counts per
         row, ``passes`` counts lockstep rounds (the max over rows).
+
+    Raises
+    ------
+    ACOConfigError
+        On a negative ``max_passes`` or when ``dist``, ``nn_list`` or
+        ``lengths`` do not match the ``(B, n + 1)`` tours (shape, or a
+        candidate outside ``[0, n)``).
     """
     t_start = time.perf_counter()
     if tours.ndim != 2:
@@ -339,17 +398,32 @@ def two_opt_batch(
     n = n1 - 1
     if max_passes is not None and max_passes < 0:
         raise ACOConfigError(f"max_passes must be >= 0, got {max_passes}")
-    # (B, n * n) flat distance rows; a view for both real layouts (full
-    # stacks and broadcast replicas merge their contiguous trailing axes).
-    dflat = dist.reshape(B, n * n)
+    _check_batch_inputs(dist, nn_list, lengths, B, n)
     if work is None:
         work = WorkBuffers(xp.__name__)  # backend names match their modules
+    # In-range indices (guarded above): numpy's bounds check is pure
+    # overhead, so mode="clip" skips it (CuPy's take has no mode kwarg).
+    take_kw = {"mode": "clip"} if xp is np else {}
+
+    # One flat int64 distance table plus a per-row base: stride-0 replicas
+    # all read matrix 0 (no (B, n, n) copy), stacks offset row b by b*n*n.
+    if dist.strides[0] == 0:
+        dflat = dist[0].reshape(-1)
+        doff = xp.zeros(B, dtype=np.int64)
+    else:
+        dflat = dist.reshape(-1)
+        doff = xp.arange(B, dtype=np.int64) * (n * n)
+    dflat = dflat.astype(np.int64, copy=False)
+    # flat base of row b's per-city arrays (succ, rem, pos)
+    row_off = xp.arange(B, dtype=np.int64) * n
 
     body = work.get("ls.body", (B, n), np.int64)
     body[...] = tours[:, :-1]
+    nxt = work.get("ls.nxt", (B, n), np.int64)  # successor by position
+    nxt[:, :-1] = body[:, 1:]
+    nxt[:, -1] = body[:, 0]
     if lengths is None:
-        nxt0 = xp.roll(body, -1, axis=1)
-        initial = xp.take_along_axis(dflat, body * n + nxt0, axis=1).sum(axis=1)
+        initial = xp.take(dflat, body * n + nxt + doff[:, None]).sum(axis=1)
     else:
         initial = lengths.astype(np.int64)
     exchanges = xp.zeros(B, dtype=np.int64)
@@ -370,69 +444,96 @@ def two_opt_batch(
             nn_arr = nn_list
         K = nn_arr.shape[2]
 
+        # Per-call tables — the candidates do not move with the tour:
+        # ``cand`` holds each candidate's flat per-city index b*n + c', and
+        # ``d_cand`` its added edge d(c, c'), with a sentinel that keeps a
+        # self-candidate from ever winning.
+        cities = xp.arange(n, dtype=np.int64)
+        cand = work.get("ls.cand", (B, n, K), np.int64)
+        xp.add(nn_arr, row_off[:, None, None], out=cand)
+        d_cand = work.get("ls.d_cand", (B, n, K), np.int64)
+        xp.take(
+            dflat,
+            nn_arr + (cities * n)[None, :, None] + doff[:, None, None],
+            out=d_cand,
+            **take_kw,
+        )
+        d_cand[nn_arr == cities[None, :, None]] = _SELF_DIST
+        # flat index of d(c, .) rows, for rem[c] = d(c, succ c)
+        rem_base = (cities * n)[None, :] + doff[:, None]
+        cand_flat = cand.reshape(-1)
+
         # city -> position index, maintained across reversals
         pos = work.get("ls.pos", (B, n), np.int64)
-        xp.put_along_axis(
-            pos,
-            body,
-            xp.broadcast_to(xp.arange(n, dtype=np.int64), (B, n)),
-            axis=1,
-        )
+        pos_flat = pos.reshape(-1)
+        body_idx = work.get("ls.body_idx", (B, n), np.int64)  # b*n + body
+        xp.add(body, row_off[:, None], out=body_idx)
+        pos_flat[body_idx.reshape(-1)] = xp.broadcast_to(cities, (B, n)).reshape(-1)
+
+        succ = work.get("ls.succ", (B, n), np.int64)  # successor by city
+        succ_flat = succ.reshape(-1)
+        rem = work.get("ls.rem", (B, n), np.int64)
+        idx = work.get("ls.idx", (B, n), np.int64)
         gain = work.get("ls.gain", (B, n, K), np.int64)
-        ipos = xp.arange(n, dtype=np.int64)[None, :, None]
+        succ_j = work.get("ls.succ_j", (B, n, K), np.int64)
+        # holds d(succ c, succ c') first, then the tour-ordered gains
+        tour_gain = work.get("ls.tour_gain", (B, n, K), np.int64)
+        best = work.get("ls.best", (B,), np.int64)
+        best_off = xp.arange(B, dtype=np.int64) * (n * K)
         to_host = getattr(xp, "asnumpy", np.asarray)
 
         while max_passes is None or passes < max_passes:
-            succ = xp.roll(body, -1, axis=1)
-            removed = xp.take_along_axis(dflat, body * n + succ, axis=1)
-            # candidate partner cities of position i: nn rows of city body[i]
-            cand = xp.take_along_axis(nn_arr, body[:, :, None], axis=1).astype(
-                np.int64
-            )
-            cflat = cand.reshape(B, n * K)
-            jpos = xp.take_along_axis(pos, cflat, axis=1)
-            succ_j = xp.take_along_axis(succ, jpos, axis=1).reshape(B, n, K)
-            removed_j = xp.take_along_axis(removed, jpos, axis=1).reshape(B, n, K)
-            jpos = jpos.reshape(B, n, K)
-            d_new1 = xp.take_along_axis(
-                dflat, (body[:, :, None] * n + cand).reshape(B, n * K), axis=1
-            ).reshape(B, n, K)
-            d_new2 = xp.take_along_axis(
-                dflat, (succ[:, :, None] * n + succ_j).reshape(B, n * K), axis=1
-            ).reshape(B, n, K)
-            # gain = removed_i + removed_j - d(c_i, c_j) - d(succ_i, succ_j);
+            # succ[c] and rem[c] = d(c, succ c): one B*n scatter + gather
+            succ_flat[body_idx.reshape(-1)] = nxt.reshape(-1)
+            xp.add(rem_base, succ, out=idx)
+            xp.take(dflat, idx, out=rem, **take_kw)
+            # gain[c, k] = rem[c] + rem[c'] - d(c, c') - d(succ c, succ c');
             # adjacent pairs and the wrap pair come out exactly 0 on a
             # symmetric matrix, so min_gain=0.5 rejects them without masks.
-            xp.add(removed[:, :, None], removed_j, out=gain)
-            xp.subtract(gain, d_new1, out=gain)
-            xp.subtract(gain, d_new2, out=gain)
-            # a candidate list containing the city itself would fake a gain
-            gain[jpos == ipos] = _NEG_GAIN
-
-            flat = gain.reshape(B, n * K)
-            bidx = xp.argmax(flat, axis=1)
-            bgain = xp.take_along_axis(flat, bidx[:, None], axis=1)[:, 0]
+            xp.take(rem.reshape(-1), cand, out=gain, **take_kw)
+            xp.add(gain, rem[:, :, None], out=gain)
+            xp.subtract(gain, d_cand, out=gain)
+            xp.take(succ_flat, cand, out=succ_j, **take_kw)
+            xp.multiply(succ, n, out=idx)
+            xp.add(idx, doff[:, None], out=idx)
+            xp.add(succ_j, idx[:, :, None], out=succ_j)
+            xp.take(dflat, succ_j, out=tour_gain, **take_kw)
+            xp.subtract(gain, tour_gain, out=gain)
+            # back to tour order: row i of tour_gain is city body[i]'s row,
+            # so the flat argmax is the first maximum in (i, k) order
+            xp.take(
+                gain.reshape(B * n, K),
+                body_idx.reshape(-1),
+                axis=0,
+                out=tour_gain.reshape(B * n, K),
+                **take_kw,
+            )
+            xp.argmax(tour_gain.reshape(B, n * K), axis=1, out=best)
+            bgain = xp.take(tour_gain.reshape(-1), best + best_off)
             apply_rows = bgain >= min_gain
-            if not bool(apply_rows.any()):
+            # winner (i, k) -> partner position j = pos[nn[body[i], k]]
+            i_sel = best // K
+            row_i = xp.take(body_idx.reshape(-1), i_sel + row_off)
+            partner = xp.take(cand_flat, row_i * K + (best - i_sel * K))
+            j_sel = xp.take(pos_flat, partner)
+            # one host sync per pass: i*n + j for improving rows, else -1
+            h_sel = to_host(xp.where(apply_rows, i_sel * n + j_sel, -1))
+            h_rows = np.nonzero(h_sel >= 0)[0]  # lint: ignore[backend-purity]
+            if h_rows.size == 0:
                 break
             passes += 1
-            i_sel = bidx // K
-            j_sel = xp.take_along_axis(
-                jpos.reshape(B, n * K), bidx[:, None], axis=1
-            )[:, 0]
             # Segment reversals are ragged per row — a small host loop over
             # the improving rows (boundary-time code; B is tens, not
             # thousands).  The reversal between sorted positions realises
             # the computed gain exactly (symmetric matrix).
-            h_rows = np.nonzero(to_host(apply_rows))[0]  # lint: ignore[backend-purity]
-            h_i = to_host(i_sel)
-            h_j = to_host(j_sel)
             for b in h_rows:
-                pi, pj = int(h_i[b]), int(h_j[b])
+                pi, pj = divmod(int(h_sel[b]), n)
                 lo, hi = (pi, pj) if pi < pj else (pj, pi)
                 seg = body[b, lo + 1 : hi + 1][::-1].copy()
                 body[b, lo + 1 : hi + 1] = seg
+                body_idx[b, lo + 1 : hi + 1] = seg + b * n
                 pos[b, seg] = xp.arange(lo + 1, hi + 1, dtype=np.int64)
+                nxt[b, lo:hi] = body[b, lo + 1 : hi + 1]
             exchanges += apply_rows
             total_gain += xp.where(apply_rows, bgain, 0)
 

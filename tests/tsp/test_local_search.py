@@ -215,6 +215,56 @@ class TestBatchKernel:
             assert int(res.lengths[b]) <= int(res.initial_lengths[b])
 
 
+class TestBatchGuards:
+    """Shape and range checks at entry: the kernel gathers with
+    ``mode="clip"``, so a bad input must fail here, not clamp silently."""
+
+    def _inputs(self, B=2, n=9):
+        inst = uniform_instance(n, seed=96)
+        rng = np.random.default_rng(14)
+        tours = np.stack([random_tour(n, rng) for _ in range(B)])
+        d = np.broadcast_to(inst.distance_matrix(), (B, n, n))
+        nn = np.broadcast_to(inst.nn_lists(4), (B, n, 4))
+        return tours, d, nn
+
+    def test_dist_shape_rejected(self):
+        from repro.errors import ACOConfigError
+
+        tours, d, nn = self._inputs()
+        with pytest.raises(ACOConfigError, match="dist must be"):
+            two_opt_batch(tours, d[:1], nn_list=nn)
+        with pytest.raises(ACOConfigError, match="dist must be"):
+            two_opt_batch(tours, d[:, :-1], nn_list=nn)
+        with pytest.raises(ACOConfigError, match="integers"):
+            two_opt_batch(tours, d.astype(np.float64), nn_list=nn)
+
+    def test_nn_list_shape_rejected(self):
+        from repro.errors import ACOConfigError
+
+        tours, d, nn = self._inputs()
+        with pytest.raises(ACOConfigError, match="nn_list must be"):
+            two_opt_batch(tours, d, nn_list=nn[0])
+        with pytest.raises(ACOConfigError, match="nn_list must be"):
+            two_opt_batch(tours, d, nn_list=nn[:, :-1])
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_nn_list_out_of_range_rejected(self, bad):
+        from repro.errors import ACOConfigError
+
+        tours, d, nn = self._inputs()
+        nn = nn.copy()
+        nn[1, 3, 2] = bad
+        with pytest.raises(ACOConfigError, match=r"\[0, 9\)"):
+            two_opt_batch(tours, d, nn_list=nn)
+
+    def test_lengths_shape_rejected(self):
+        from repro.errors import ACOConfigError
+
+        tours, d, nn = self._inputs()
+        with pytest.raises(ACOConfigError, match="lengths must be"):
+            two_opt_batch(tours, d, nn_list=nn, lengths=np.zeros(3, np.int64))
+
+
 class TestWithColony:
     def test_polishes_aco_tours(self, small_instance):
         from repro.core import ACOParams, AntSystem
