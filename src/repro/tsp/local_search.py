@@ -388,8 +388,8 @@ def two_opt_batch(
     ------
     ACOConfigError
         On a negative ``max_passes`` or when ``dist``, ``nn_list`` or
-        ``lengths`` do not match the ``(B, n + 1)`` tours (shape, or a
-        candidate outside ``[0, n)``).
+        ``lengths`` do not match the ``(B, n + 1)`` tours (shape, a
+        non-integer ``dist``, or a candidate outside ``[0, n)``).
     """
     t_start = time.perf_counter()
     if tours.ndim != 2:

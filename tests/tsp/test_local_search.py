@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ACOConfigError
 from repro.tsp.generator import uniform_instance
 from repro.tsp.local_search import (
     BatchTwoOptResult,
@@ -228,8 +229,6 @@ class TestBatchGuards:
         return tours, d, nn
 
     def test_dist_shape_rejected(self):
-        from repro.errors import ACOConfigError
-
         tours, d, nn = self._inputs()
         with pytest.raises(ACOConfigError, match="dist must be"):
             two_opt_batch(tours, d[:1], nn_list=nn)
@@ -239,8 +238,6 @@ class TestBatchGuards:
             two_opt_batch(tours, d.astype(np.float64), nn_list=nn)
 
     def test_nn_list_shape_rejected(self):
-        from repro.errors import ACOConfigError
-
         tours, d, nn = self._inputs()
         with pytest.raises(ACOConfigError, match="nn_list must be"):
             two_opt_batch(tours, d, nn_list=nn[0])
@@ -249,8 +246,6 @@ class TestBatchGuards:
 
     @pytest.mark.parametrize("bad", [-1, 9])
     def test_nn_list_out_of_range_rejected(self, bad):
-        from repro.errors import ACOConfigError
-
         tours, d, nn = self._inputs()
         nn = nn.copy()
         nn[1, 3, 2] = bad
@@ -258,8 +253,6 @@ class TestBatchGuards:
             two_opt_batch(tours, d, nn_list=nn)
 
     def test_lengths_shape_rejected(self):
-        from repro.errors import ACOConfigError
-
         tours, d, nn = self._inputs()
         with pytest.raises(ACOConfigError, match="lengths must be"):
             two_opt_batch(tours, d, nn_list=nn, lengths=np.zeros(3, np.int64))
