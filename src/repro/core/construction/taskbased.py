@@ -17,6 +17,15 @@ The three versions differ only in data placement and RNG:
 3. **Without CURAND** — swaps the library generator for the device-function
    LCG (the sequential code's ``ran01``), the paper's reported 10-20 % gain.
 
+All six task-based versions (these three and the candidate-list versions
+4-6 in :mod:`~repro.core.construction.nnlist`) share one functional kernel,
+:func:`construct_exact_batch`.  Its tabu list is the paper's version-5
+"word" layout — one byte per city per ant — and each step masks the
+gathered candidate weights with those bytes, counts the roulette pick on
+the comparison's bytes (``uint8`` counts below 256 candidates, ``uint16``
+from there), and hands an ant whose candidates carry no weight to the
+best-unvisited fallback, which the full rule and the candidate lists share.
+
 Modelling notes (see DESIGN.md): the kernels generate one random number per
 *candidate* (this is what makes the CURAND-vs-LCG gap as large as Table II
 shows; a one-dart-per-step kernel would see a negligible difference), but
@@ -77,13 +86,14 @@ def construct_exact(
     This is the functional semantics shared by all task-based kernels
     (versions 1-6): ants are placed randomly, then each step applies the
     proportional rule over the candidate set — all cities (``nn_list is
-    None``) or the nearest-neighbour list with a best-``choice`` fallback.
+    None``) or the nearest-neighbour list.  Either rule falls back to the
+    best unvisited ``choice`` when its candidates carry no weight.
 
     Parameters
     ----------
     choice:
         ``(n, n)`` proportional weights (``tau^alpha * eta^beta``), zero
-        diagonal, strictly positive elsewhere.
+        diagonal, finite and non-negative elsewhere.
     nn_list:
         ``(n, nn)`` candidate lists or ``None`` for the full rule.
     rng:
@@ -96,8 +106,8 @@ def construct_exact(
     Returns
     -------
     (tours, fallback_steps):
-        ``(m, n + 1)`` closed ``int32`` tours; number of candidate-list
-        exhaustion events (always 0.0 for the full rule).
+        ``(m, n + 1)`` closed ``int32`` tours; number of exhausted-row
+        fallback steps.
     """
     tours, fallbacks = construct_exact_batch(
         choice[None],
@@ -136,8 +146,8 @@ def construct_exact_batch(
     Returns
     -------
     (tours, fallbacks):
-        ``(B, m, n + 1)`` closed ``int32`` tours; ``(B,)`` float fallback
-        counts (all zero for the full rule).
+        ``(B, m, n + 1)`` closed ``int32`` tours; ``(B,)`` float counts of
+        exhausted-row fallback steps.
 
     Notes
     -----
@@ -146,6 +156,26 @@ def construct_exact_batch(
     rows ``b * n + city``.  Every per-step operation then has exactly the
     solo code's 2-D shape (rows = ants), which is both the fastest numpy
     layout and trivially equivalent row-for-row.
+
+    Each step works on ``(k, B * m)`` tables — ``k`` candidates (``nn``, or
+    ``n`` for the full rule) down, ants across — so every pass streams
+    along the ant axis:
+
+    * the tabu list is the paper's version-5 "word" layout, one byte per
+      city per ant (``1`` while unvisited); the candidates' bytes are
+      gathered into a ``uint8`` table and mask the weights by a multiply,
+      ``w * 1`` or ``w * 0``;
+    * the prefix sums run down the candidate axis in sequential order, so
+      an ant's pick never depends on how many ants share the batch;
+    * the pick counts ``cum < dart * sum`` on the comparison's bytes, in
+      ``uint8`` when ``k < 256`` and ``uint16`` otherwise — exact, since
+      the count never exceeds ``k``;
+    * the winner is one flat gather and the tabu commit one flat scatter.
+
+    An ant whose candidates carry no weight (``sum <= 0``: every candidate
+    visited, or every unvisited weight zero) takes the first maximum of its
+    full ``choice`` row over unvisited cities instead (ACOTSP's
+    ``choose_best_next``).  Both rules share this fallback and count it.
 
     ``work`` is the :class:`~repro.backend.WorkBuffers` arena holding all
     per-step scratch and the loop-invariant index tables across
@@ -173,30 +203,16 @@ def construct_exact_batch(
 
     choice_rows = xp.ascontiguousarray(choice).reshape(B * n, n)
     choice_flat = choice_rows.reshape(-1)
-    if nn_list is None:
-        nn_cols = None
-    else:
-        # Candidate lists are engine-constant: the transposed copy (so the
-        # per-step gather lands directly in the (candidates, ants) roulette
-        # layout) is derived once per engine, not once per iteration.
-        nn_cols = _const(
-            "nn_cols",
-            lambda: xp.ascontiguousarray(
-                xp.ascontiguousarray(nn_list).reshape(B * n, -1).T.astype(np.int64)
-            ),
-        )
+    k = n if nn_list is None else nn_list.shape[-1]
     row_off = _const(
         "row_off", lambda: xp.repeat(xp.arange(B, dtype=np.int64) * n, m)
     )  # (M,)
-    ant_idx = _const("ant_idx", lambda: xp.arange(M))
-    # (1, M) visited offsets, loop-invariant.
-    ant_base_t = _const("ant_base_t", lambda: (xp.arange(M) * n)[None, :])
+    ant_idx = _const("ant_idx", lambda: xp.arange(M, dtype=np.int64))
+    ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
+    ant_base_t = ant_base[None, :]  # (1, M) tabu row offsets
     tours = xp.empty((M, n + 1), dtype=np.int32)  # escapes: never pooled
-    # The tabu list lives once, as its 1.0/0.0 float form: weights are
-    # masked by a float multiply (the branchless tabu-flag form) and the
-    # rare fallback path reads visitedness back as ``live == 0.0``.
-    live = _buf("live", (M, n), np.float64)
-    live[:] = 1.0
+    live = _buf("live", (M, n), np.uint8)
+    live[:] = 1
     live_flat = live.reshape(-1)
 
     # One colony-major dart vector per step, pregenerated in bulk: every
@@ -224,18 +240,47 @@ def construct_exact_batch(
             def draw():
                 return draws.next().reshape(B, -1)[:, :m]
 
-    d0 = u_steps[0] if whole_block else draw()
-    start = xp.minimum((d0 * n).astype(np.int64), n - 1).reshape(M)
-    tours[:, 0] = start
-    live[ant_idx, start] = 0.0
-    cur = start
-    fallbacks = xp.zeros(B, dtype=np.float64)  # escapes: never pooled
+    # Per-step scratch, allocated once per arena: every step writes the same
+    # buffers in place (``out=``), which removes the allocator/cache churn
+    # that otherwise dominates the per-step cost of these small arrays.
+    idx_buf = _buf("idx", (k, M), np.int64)
+    w_buf = _buf("w", (k, M), np.float64)
+    live_t = _buf("live_t", (k, M), np.uint8)
+    cmp_buf = _buf("cmp", (k, M), bool)
+    cmp_bytes = cmp_buf.view(np.uint8)
+    count_dtype = np.uint8 if k < 256 else np.uint16
+    count = _buf("count", (M,), count_dtype)
+    rows_idx = _buf("rows_idx", (M,), np.int64)
+    win = _buf("win", (M,), np.int64)
+    nxt = _buf("nxt", (M,), np.int64)
+    r_buf = _buf("r", (M,), np.float64)
+    exhausted = _buf("exhausted", (M,), bool)
+    fb_ant = _buf("fb_ant", (M,), np.int64)
+    fb_ant[:] = 0
+    r2 = r_buf.reshape(B, m)
+    r_row = r_buf[None, :]
+    # Row views for the sequential prefix sum, built once per call.
+    w_rows = list(w_buf)
+    acc_rows = list(zip(w_rows[:-1], w_rows[1:]))
+    sums = w_rows[-1]
+    sums2 = sums.reshape(B, m)
 
-    col_t = _const(
-        "col_t", lambda: xp.arange(n, dtype=np.int64)[:, None]
-    )  # (n, 1) full-rule columns
-    k = n if nn_list is None else nn_cols.shape[0]
-    if nn_list is not None:
+    if nn_list is None:
+        col_t = _const(
+            "col_t", lambda: xp.arange(n, dtype=np.int64)[:, None]
+        )  # (n, 1) full-rule columns
+        row_base = _buf("row_base", (M,), np.int64)
+        row_base_t = row_base[None, :]
+    else:
+        # Candidate lists are engine-constant: the transposed copy (so the
+        # per-step gather lands directly in the (candidates, ants) roulette
+        # layout) is derived once per engine, not once per iteration.
+        nn_cols = _const(
+            "nn_cols",
+            lambda: xp.ascontiguousarray(
+                xp.ascontiguousarray(nn_list).reshape(B * n, -1).T.astype(np.int64)
+            ),
+        )
         # Candidate choice values are static for the whole build: gather the
         # (candidate, row) weight table once instead of once per step.  The
         # gather *indices* are engine-constant; the gathered values track
@@ -255,70 +300,61 @@ def construct_exact_batch(
             out=_buf("cand_choice_t", (k, B * n), np.float64),
             **take_kw,
         )  # (nn, B * n)
+        cand_t = _buf("cand", (k, M), np.int64)
+        cand_flat = cand_t.reshape(-1)
 
-    # Per-step scratch, allocated once per arena: every step writes the same
-    # buffers in place (``out=``), which removes the allocator/cache churn
-    # that otherwise dominates the per-step cost of these small arrays.
-    idx_buf = _buf("idx", (k, M), np.int64)
-    cand_buf = _buf("cand", (k, M), np.int64)
-    w_buf = _buf("w", (k, M), np.float64)
-    live_buf = _buf("live_t", (k, M), np.float64)
-    cmp_buf = _buf("cmp", (k, M), bool)
-    rows_idx = _buf("rows_idx", (M,), np.int64)
-    diag_off = _buf("diag_off", (M,), np.int64)
-    r_buf = _buf("r", (M,), np.float64)
-    pick_buf = _buf("pick", (M,), np.int64)
-    r2 = r_buf.reshape(B, m)
+    d0 = u_steps[0] if whole_block else draw()
+    start = xp.minimum((d0 * n).astype(np.int64), n - 1).reshape(M)
+    tours[:, 0] = start
+    xp.add(ant_base, start, out=win)
+    live_flat[win] = 0
+    cur = start
 
     for step in range(1, n):
         darts = u_steps[step] if whole_block else draw()
         xp.add(row_off, cur, out=rows_idx)
-        # All per-step arrays live in the transposed (candidates, ants)
-        # layout: reductions over the candidate axis then run as ~nn
-        # contiguous M-wide vector operations instead of M short rows —
-        # the difference between per-row overhead and streaming throughput.
         if nn_list is None:
-            cand_t = None
-            xp.add(ant_base_t, col_t, out=idx_buf)
-            xp.take(live_flat, idx_buf, out=live_buf, **take_kw)
-            xp.multiply(rows_idx, n, out=diag_off)
-            xp.subtract(diag_off, ant_base_t[0], out=diag_off)
-            xp.add(idx_buf, diag_off[None, :], out=idx_buf)
+            xp.multiply(rows_idx, n, out=row_base)
+            xp.add(col_t, row_base_t, out=idx_buf)
             xp.take(choice_flat, idx_buf, out=w_buf, **take_kw)
+            xp.copyto(live_t, live.T)
         else:
-            cand_t = xp.take(nn_cols, rows_idx, axis=1, out=cand_buf, **take_kw)
+            xp.take(nn_cols, rows_idx, axis=1, out=cand_t, **take_kw)
             xp.add(ant_base_t, cand_t, out=idx_buf)
-            xp.take(live_flat, idx_buf, out=live_buf, **take_kw)
+            xp.take(live_flat, idx_buf, out=live_t, **take_kw)
             xp.take(cand_choice_t, rows_idx, axis=1, out=w_buf, **take_kw)
-        xp.multiply(w_buf, live_buf, out=w_buf)
-        cum_t = _accumulate_rows(w_buf, xp=xp)
-        sums = cum_t[-1]
+        xp.multiply(w_buf, live_t, out=w_buf)
+        for prev, row in acc_rows:
+            xp.add(prev, row, out=row)
         # darts is a (B, m) view of the pregenerated block row; multiplying
         # in that shape (r2 views r_buf) avoids flattening-copies entirely.
-        xp.multiply(darts, sums.reshape(B, m), out=r2)
-        xp.less(cum_t, r_buf[None, :], out=cmp_buf)
-        xp.sum(cmp_buf, axis=0, out=pick_buf)
-        pick = xp.minimum(pick_buf, k - 1, out=pick_buf)
+        xp.multiply(darts, sums2, out=r2)
+        xp.less(w_buf, r_row, out=cmp_buf)
+        xp.sum(cmp_bytes, axis=0, dtype=count_dtype, out=count)
+        xp.minimum(count, k - 1, out=count)
         if nn_list is None:
-            nxt = pick
+            xp.copyto(nxt, count)
         else:
-            nxt = cand_t[pick, ant_idx]
-            if xp.min(sums) <= 0.0:
-                # Exhausted candidate lists: overwrite those ants with the
-                # best-choice full-row fallback (ACOTSP's choose_best_next).
-                dead = xp.nonzero(sums <= 0.0)[0]
-                sub = xp.where(
-                    live[dead] == 0.0, -np.inf, choice_rows[rows_idx[dead]]
-                )
-                nxt[dead] = xp.argmax(sub, axis=1)
-                fallbacks += xp.bincount(dead // m, minlength=B).astype(np.float64)
-        live[ant_idx, nxt] = 0.0
+            xp.multiply(count, M, out=win, dtype=np.int64)
+            xp.add(win, ant_idx, out=win)
+            xp.take(cand_flat, win, out=nxt, **take_kw)
+        xp.less_equal(sums, 0.0, out=exhausted)
+        dead = xp.flatnonzero(exhausted)
+        if dead.size:
+            # Exhausted rows: the best-choice full-row fallback (ACOTSP's
+            # choose_best_next) overwrites those ants' picks.
+            sub = xp.where(live[dead] == 0, -np.inf, choice_rows[rows_idx[dead]])
+            nxt[dead] = xp.argmax(sub, axis=1)
+            fb_ant[dead] += 1
+        xp.add(ant_base, nxt, out=win)
+        live_flat[win] = 0
         tours[:, step] = nxt
-        # ``nxt`` may alias ``pick_buf`` (full rule); the next step reads
-        # ``cur`` only before ``pick_buf`` is rewritten, so the alias is safe.
+        # ``cur`` aliases ``nxt``; the next step reads it into ``rows_idx``
+        # before anything rewrites ``nxt``.
         cur = nxt
 
     tours[:, n] = tours[:, 0]
+    fallbacks = fb_ant.reshape(B, m).sum(axis=1).astype(np.float64)
     return tours.reshape(B, m, n + 1), fallbacks
 
 
@@ -346,26 +382,6 @@ def _pick_from_cum(
     r = darts * sums
     idx = np.count_nonzero(cum_t < r[None, :], axis=0)
     return np.minimum(idx, cum_t.shape[0] - 1)
-
-
-def _accumulate_rows(w: np.ndarray, xp=np) -> np.ndarray:
-    """In-place cumulative sum down axis 0; returns ``w``.
-
-    Bit-identical to ``np.add.accumulate(w, axis=0)`` (same sequential
-    addition order), but the explicit row loop runs as contiguous
-    ant-axis vector adds, which the ufunc's per-column accumulate does not —
-    a large win once the batch is wide.  Branching on the width is safe for
-    cross-batch equivalence precisely because both forms produce identical
-    bits.  Non-numpy backends always take the explicit row loop (the
-    ``ufunc.accumulate`` method is a numpy-only API).
-    """
-    if w.shape[1] >= 512 or xp is not np:
-        for i in range(1, w.shape[0]):
-            xp.add(w[i - 1], w[i], out=w[i])
-        return w
-    # np-gated on purpose: this branch runs only when xp IS numpy (the
-    # ufunc.accumulate method is a numpy-only API; see the gate above).
-    return np.add.accumulate(w, axis=0, out=w)  # lint: ignore[backend-purity]
 
 
 class _TaskBasedFull(TourConstruction):

@@ -58,6 +58,23 @@ class TestConstructExact:
         )
         np.testing.assert_array_equal(a, b)
 
+    def test_full_rule_falls_back_on_zero_weight_rows(self):
+        """Weights into cities 5-7 are 0: once 0-4 are visited the full rule
+        has no mass and must take the first unvisited city, not city 0."""
+        n = 8
+        choice = np.random.default_rng(1).uniform(0.5, 1.5, (n, n))
+        np.fill_diagonal(choice, 0.0)
+        choice[:, 5:] = 0.0
+        tours, fb = construct_exact(
+            choice, None, ParkMillerLCG(n, 3), n, n, work=WorkBuffers()
+        )
+        tail = [5, 6, 7]
+        for t in tours:
+            validate_tour(t, n)
+            rest = [c for c in tail if c != t[0]]
+            assert list(t[n - len(rest) : n]) == rest
+        assert fb == sum(len([c for c in tail if c != t[0]]) for t in tours)
+
     def test_prefers_high_choice_values(self, state):
         """With an overwhelming weight on one edge, ants at city i choose j."""
         choice = np.full((state.n, state.n), 1e-12)

@@ -1,0 +1,115 @@
+"""Generated inputs: task-based construction against a pure-Python oracle.
+
+:func:`~repro.core.construction.taskbased.construct_exact_batch` must build,
+ant by ant, the tours of the plain per-ant loop below, reading the same
+Park-Miller darts: start at ``min(floor(u * n), n - 1)``; at each step take
+sequential prefix sums of the unvisited weights over the candidates (the
+``nn`` list, or every city for the full rule) and pick candidate
+``min(#{cum < u * sum}, k - 1)``; when the candidates carry no weight, take
+the first maximum of the full ``choice`` row over unvisited cities and
+count a fallback.  The inputs are generated: n 3..30, ants and colonies
+1..3, spare generator streams, ``nn`` None or 1..n-1, heterogeneous or
+broadcast rows, and weights drawn from a few levels (ties everywhere) with
+exact zeros, up to whole rows of them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.backend import WorkBuffers
+from repro.core.construction.taskbased import construct_exact_batch
+from repro.rng import ParkMillerLCG
+from repro.tsp.tour import validate_tour
+
+
+def oracle(choice, cands, u, n):
+    """One ant's closed tour and fallback count, in plain Python.
+
+    ``choice`` is the colony's ``(n, n)`` weights, ``cands`` its per-city
+    candidate lists (``None`` for the full rule) and ``u`` the ant's ``n``
+    darts, one per step.
+    """
+    start = min(int(u[0] * n), n - 1)
+    tour, visited, fallbacks = [start], {start}, 0
+    for step in range(1, n):
+        cur = tour[-1]
+        row = [float(w) for w in choice[cur]]
+        cand = list(range(n)) if cands is None else [int(c) for c in cands[cur]]
+        cum, total = [], 0.0
+        for c in cand:
+            total += 0.0 if c in visited else row[c]
+            cum.append(total)
+        if total <= 0.0:
+            masked = [-np.inf if c in visited else row[c] for c in range(n)]
+            nxt = masked.index(max(masked))
+            fallbacks += 1
+        else:
+            r = u[step] * total
+            nxt = cand[min(sum(1 for s in cum if s < r), len(cand) - 1)]
+        tour.append(nxt)
+        visited.add(nxt)
+    return tour + tour[:1], fallbacks
+
+
+@st.composite
+def colonies(draw):
+    n = draw(st.integers(3, 30))
+    B = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    spare = draw(st.sampled_from([0, 0, 2]))
+    broadcast = draw(st.booleans())
+    nn = draw(st.one_of(st.none(), st.integers(1, n - 1)))
+    levels = draw(st.integers(1, 4))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = 1 if broadcast else B
+    choice = rng.integers(1, levels + 1, size=(rows, n, n)) * 0.5
+    choice[rng.random(choice.shape) < zero_frac] = 0.0
+    choice[:, np.arange(n), np.arange(n)] = 0.0
+    nn_list = None
+    if nn is not None:
+        # Arbitrary distinct candidates: nn of the other n - 1 cities,
+        # shifted past the city itself.
+        others = rng.permuted(np.tile(np.arange(n - 1), (rows, n, 1)), axis=2)
+        nn_list = others[:, :, :nn]
+        nn_list = nn_list + (nn_list >= np.arange(n)[None, :, None])
+    if broadcast:
+        choice = np.broadcast_to(choice, (B, n, n))
+        if nn_list is not None:
+            nn_list = np.broadcast_to(nn_list, (B, n, nn))
+    seeds = [int(s) for s in rng.integers(1, 2**31 - 1, size=B)]
+    return choice, nn_list, B, m, n, m + spare, seeds
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=colonies())
+def test_batch_kernel_matches_python_oracle(case):
+    choice, nn_list, B, m, n, spc, seeds = case
+    tours, fallbacks = construct_exact_batch(
+        choice,
+        nn_list,
+        ParkMillerLCG.from_seeds(spc, seeds),
+        B,
+        m,
+        n,
+        work=WorkBuffers(),
+    )
+    darts = ParkMillerLCG.from_seeds(spc, seeds).uniform_block(n)
+    darts = darts.reshape(n, B, spc)[:, :, :m]
+    for b in range(B):
+        colony_fallbacks = 0
+        for a in range(m):
+            want, fb = oracle(
+                choice[b], None if nn_list is None else nn_list[b], darts[:, b, a], n
+            )
+            np.testing.assert_array_equal(tours[b, a], want)
+            validate_tour(tours[b, a], n)
+            colony_fallbacks += fb
+        assert fallbacks[b] == colony_fallbacks, b
