@@ -41,7 +41,7 @@ class ConstructionResult:
 
     tours: np.ndarray  # (m, n + 1) int32 closed tours
     report: StageReport
-    fallback_steps: float = 0.0  # candidate-list exhaustions (nnlist rules)
+    fallback_steps: float = 0.0  # exhausted-row fallbacks (task-based rules)
 
 
 @dataclass

@@ -248,10 +248,11 @@ def construct_exact_batch(
     live_t = _buf("live_t", (k, M), np.uint8)
     cmp_buf = _buf("cmp", (k, M), bool)
     cmp_bytes = cmp_buf.view(np.uint8)
+    # A pick count never exceeds k, so the narrowest dtype holding k is exact.
     count_dtype = np.uint8 if k < 256 else np.uint16
     count = _buf("count", (M,), count_dtype)
     rows_idx = _buf("rows_idx", (M,), np.int64)
-    win = _buf("win", (M,), np.int64)
+    win = _buf("win", (M,), np.int64)  # flat winner / tabu-commit indices
     nxt = _buf("nxt", (M,), np.int64)
     r_buf = _buf("r", (M,), np.float64)
     exhausted = _buf("exhausted", (M,), bool)
