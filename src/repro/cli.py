@@ -30,9 +30,6 @@ Subcommands
 ``experiments ...``
     Forward to ``python -m repro.experiments`` (tables, figures, report,
     calibrate).
-``bench``
-    Run a ``benchmarks/bench_*.py`` script and validate the JSON artefact
-    it writes against the schema pinned in ``benchmarks/conftest.py``.
 ``lint``
     Repo-invariant static analysis (``repro.lint``): backend purity in
     hot paths, seeded-RNG determinism, no host sync inside K-loop
@@ -61,7 +58,7 @@ table: construct / fold / local-search / update / host-sync) and
 ``--trace PATH`` (a ``chrome://tracing`` JSON timeline of the run); both
 route through the batched engine even at ``--replicas 1``.
 
-Ctrl-C during ``solve``/``sweep``/``bench`` reports the best-so-far result
+Ctrl-C during ``solve``/``sweep`` reports the best-so-far result
 and exits with status 130 instead of dumping a traceback.
 
 Examples
@@ -80,9 +77,6 @@ Examples
     gpu-aco serve --port 8642 --max-batch 8 --max-wait-ms 50
     gpu-aco stats --port 8642 --json
     gpu-aco experiments table2
-    gpu-aco bench loop -- --quick
-    gpu-aco bench --json loop -- --quick
-    gpu-aco bench --list
     gpu-aco lint src benchmarks
     gpu-aco lint --rule lock-discipline --json src
     gpu-aco lint --list-rules
@@ -357,45 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exps = sub.add_parser("experiments", help="reproduce paper tables/figures")
     exps.add_argument("args", nargs=argparse.REMAINDER)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run a benchmarks/bench_*.py script and validate its JSON artefact",
-    )
-    bench.add_argument(
-        "name",
-        nargs="?",
-        default=None,
-        help="benchmark name: 'variant_throughput' matches "
-        "bench_variant_throughput.py; any unique substring of a bench_*.py "
-        "filename works",
-    )
-    bench.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_benchmarks",
-        help="list discoverable benchmark scripts and exit",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="machine-readable mode: capture the script's output and print "
-        "one JSON object (run summary + validated artefact); pass before "
-        "NAME — after it the flag is forwarded to the script",
-    )
-    bench.add_argument(
-        "--benchmarks-dir",
-        default=None,
-        help="directory holding bench_*.py (default: ./benchmarks, or the "
-        "repository checkout next to the installed package)",
-    )
-    bench.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
-        help="extra arguments forwarded to the benchmark script "
-        "(prefix with -- to separate)",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -875,182 +830,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return rc
 
 
-def _find_benchmarks_dir(explicit: str | None):
-    """Locate the benchmarks/ directory (cwd checkout or next to the package)."""
-    import pathlib
-
-    candidates = []
-    if explicit is not None:
-        candidates.append(pathlib.Path(explicit))
-    candidates.append(pathlib.Path.cwd() / "benchmarks")
-    # src layout: src/repro/cli.py -> repo root two levels above the package.
-    candidates.append(pathlib.Path(__file__).resolve().parents[2] / "benchmarks")
-    for cand in candidates:
-        if cand.is_dir() and list(cand.glob("bench_*.py")):
-            return cand.resolve()
-    raise SystemExit(
-        "error: no benchmarks directory with bench_*.py scripts found; "
-        "pass --benchmarks-dir"
-    )
-
-
-def _load_bench_registry(bench_dir):
-    """The artefact registry pinned in benchmarks/conftest.py.
-
-    Maps script filename -> (artefact filename, validator callable); loaded
-    straight from the file so the CLI and the test-suite validate the same
-    contract.
-    """
-    import importlib.util
-
-    conftest = bench_dir / "conftest.py"
-    if not conftest.is_file():
-        return {}
-    spec = importlib.util.spec_from_file_location("_bench_conftest", conftest)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return getattr(module, "BENCH_ARTIFACTS", {})
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import subprocess
-
-    bench_dir = _find_benchmarks_dir(args.benchmarks_dir)
-    scripts = sorted(p.name for p in bench_dir.glob("bench_*.py"))
-    registry = _load_bench_registry(bench_dir)
-
-    if args.list_benchmarks or args.name is None:
-        if args.as_json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "script": name,
-                            "artefact": registry.get(name, (None,))[0],
-                        }
-                        for name in scripts
-                    ]
-                )
-            )
-            return 0
-        t = Table(["script", "artefact"], title=f"benchmarks in {bench_dir}")
-        for name in scripts:
-            artefact = registry.get(name, (None,))[0]
-            t.add_row([name, artefact or "-"])
-        print(t.render())
-        print("run one with: gpu-aco bench NAME [-- extra script args]")
-        return 0
-
-    exact = f"bench_{args.name}.py"
-    if exact in scripts:
-        matches = [exact]
-    else:
-        matches = [s for s in scripts if args.name in s]
-    if not matches:
-        raise SystemExit(
-            f"error: no benchmark matches {args.name!r}; known: {', '.join(scripts)}"
-        )
-    if len(matches) > 1:
-        raise SystemExit(
-            f"error: {args.name!r} is ambiguous: {', '.join(matches)}"
-        )
-    script = bench_dir / matches[0]
-
-    extra = list(args.args)
-    if extra and extra[0] == "--":
-        extra = extra[1:]
-    # The script imports repro; make sure the subprocess resolves the same
-    # package this CLI is running from, installed or from a src checkout.
-    import pathlib
-
-    env = dict(os.environ)
-    pkg_parent = str(pathlib.Path(__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_parent, env.get("PYTHONPATH")) if p
-    )
-    cmd = [sys.executable, str(script), *extra]
-    # --json mode keeps stdout clean for the single JSON object: the
-    # script's own chatter is captured and carried inside that object.
-    report: dict = {"script": matches[0], "validated": False, "artefact": None}
-
-    def _emit_json() -> None:
-        if proc is not None:
-            report["returncode"] = proc.returncode
-            if proc.stdout:
-                report["run_stdout"] = proc.stdout[-4000:]
-        print(json.dumps(report))
-
-    proc = None
-    if not args.as_json:
-        print(f"running: {' '.join(cmd)}")
-    try:
-        proc = subprocess.run(
-            cmd, env=env, capture_output=args.as_json, text=args.as_json
-        )
-    except KeyboardInterrupt:
-        # The child shares our process group, so it received the SIGINT
-        # too; subprocess.run has already reaped it by the time we get here.
-        print("\ninterrupted — benchmark aborted, no artefact validated",
-              file=sys.stderr)
-        return 130
-    if proc.returncode != 0:
-        if args.as_json:
-            report["error"] = f"script exited with {proc.returncode}"
-            if proc.stderr:
-                report["run_stderr"] = proc.stderr[-4000:]
-            _emit_json()
-        else:
-            print(f"error: {matches[0]} exited with {proc.returncode}",
-                  file=sys.stderr)
-        return proc.returncode
-
-    entry = registry.get(matches[0])
-    if entry is None:
-        if args.as_json:
-            report["error"] = "no pinned artefact schema"
-            _emit_json()
-        else:
-            print(f"{matches[0]}: no pinned artefact schema; skipping validation")
-        return 0
-    artefact_name, validator = entry
-    out_path = None
-    for i, arg in enumerate(extra):  # honour a forwarded --out override
-        if arg == "--out" and i + 1 < len(extra):
-            out_path = pathlib.Path(extra[i + 1])
-        elif arg.startswith("--out="):
-            out_path = pathlib.Path(arg.split("=", 1)[1])
-    if out_path is None:
-        out_path = bench_dir.parent / artefact_name
-    report["artefact_path"] = str(out_path)
-    if not out_path.is_file():
-        if args.as_json:
-            report["error"] = "expected artefact was not written"
-            _emit_json()
-        else:
-            print(f"error: expected artefact {out_path} was not written",
-                  file=sys.stderr)
-        return 1
-    payload = json.loads(out_path.read_text(encoding="utf-8"))
-    report["artefact"] = payload
-    try:
-        validator(payload)
-    except AssertionError as exc:
-        if args.as_json:
-            report["error"] = f"schema validation failed: {exc}"
-            _emit_json()
-        else:
-            print(f"error: {out_path.name} failed schema validation: {exc}",
-                  file=sys.stderr)
-        return 1
-    report["validated"] = True
-    if args.as_json:
-        _emit_json()
-    else:
-        print(f"validated {out_path} against the pinned schema")
-    return 0
-
-
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """Run the router tier over N worker-process shards until interrupted.
 
@@ -1390,8 +1169,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_devices()
         if args.command == "backends":
             return _cmd_backends()
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "lint":
             return _cmd_lint(args)
         if args.command == "experiments":

@@ -191,95 +191,6 @@ class TestReportEvery:
             )
 
 
-class TestBenchCommand:
-    def test_bench_list(self, capsys):
-        assert cli_main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "bench_variant_throughput.py" in out
-        assert "BENCH_variant.json" in out
-
-    def test_bench_no_name_lists(self, capsys):
-        assert cli_main(["bench"]) == 0
-        assert "bench_" in capsys.readouterr().out
-
-    def test_bench_unknown_name(self):
-        with pytest.raises(SystemExit, match="no benchmark matches"):
-            cli_main(["bench", "does-not-exist"])
-
-    def test_bench_ambiguous_name(self):
-        with pytest.raises(SystemExit, match="ambiguous"):
-            cli_main(["bench", "bench"])
-
-    def test_bench_runs_and_validates(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_variant.json"
-        rc = cli_main(
-            ["bench", "variant_throughput", "--", "--quick", "--out", str(out)]
-        )
-        assert rc == 0
-        assert out.is_file()
-        captured = capsys.readouterr().out
-        assert "validated" in captured
-        payload = json.loads(out.read_text())
-        assert {row["variant"] for row in payload["results"]} == {
-            "as", "acs", "mmas"
-        }
-
-
-def _bench_conftest():
-    """Load benchmarks/conftest.py the way the CLI and CI job do."""
-    import importlib.util
-    import pathlib
-
-    conftest = (
-        pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "conftest.py"
-    )
-    spec = importlib.util.spec_from_file_location("_bench_conftest", conftest)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchArtifactValidation:
-    def test_checked_in_artifacts_validate(self):
-        # The CI lint-invariants job's exact contract: every BENCH_*.json
-        # at the repo root passes its registered schema.
-        import pathlib
-
-        module = _bench_conftest()
-        root = pathlib.Path(__file__).resolve().parents[1]
-        artefacts = sorted(root.glob("BENCH_*.json"))
-        assert artefacts, "no checked-in BENCH_*.json artefacts found"
-        for path in artefacts:
-            assert module.validate_bench_artifact(path) == path.name
-
-    def test_every_registered_script_has_a_validator(self):
-        module = _bench_conftest()
-        for artefact, validator in module.BENCH_ARTIFACTS.values():
-            assert module.ARTIFACT_VALIDATORS[artefact] is validator
-
-    def test_unknown_artifact_name_rejected(self, tmp_path):
-        module = _bench_conftest()
-        bogus = tmp_path / "BENCH_bogus.json"
-        bogus.write_text("{}")
-        with pytest.raises(ValueError, match="no schema registered"):
-            module.validate_bench_artifact(bogus)
-
-    def test_schema_violation_raises(self, tmp_path):
-        module = _bench_conftest()
-        bad = tmp_path / "BENCH_batch.json"
-        bad.write_text(json.dumps({"instance": "att48", "results": []}))
-        with pytest.raises(AssertionError, match="BENCH_batch missing key"):
-            module.validate_bench_artifact(bad)
-
-    def test_payload_shortcut_skips_the_disk_read(self):
-        module = _bench_conftest()
-        with pytest.raises(AssertionError, match="no result rows"):
-            module.validate_bench_artifact(
-                "BENCH_batch.json",
-                payload={"instance": "x", "pheromone": 1, "results": []},
-            )
-
-
 class TestSolveVariants:
     def test_solve_acs(self, capsys):
         rc = cli_main(
@@ -464,25 +375,6 @@ class TestObservabilityFlags:
         rc = cli_main(["stats", "--port", "1"])  # nothing listens there
         assert rc == 1
         assert "cannot scrape stats" in capsys.readouterr().err
-
-    def test_bench_json_list(self, capsys):
-        assert cli_main(["bench", "--json", "--list"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        scripts = {row["script"] for row in payload}
-        assert "bench_variant_throughput.py" in scripts
-
-    def test_bench_json_run_validates(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_variant.json"
-        rc = cli_main(
-            ["bench", "--json", "variant_throughput", "--", "--quick",
-             "--out", str(out)]
-        )
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["script"] == "bench_variant_throughput.py"
-        assert report["validated"] is True
-        assert report["returncode"] == 0
-        assert report["artefact"]["results"]
 
 
 class TestCheckpointCLI:
