@@ -66,12 +66,22 @@ def test_every_record_is_a_valid_claim(benchmark_spec):
         ("metric", "colony_iters"),
         ("pairs_won", 11),
         ("parent_iqr", -1),
+        ("seeds", [501]),  # one seed for ten pairs
     ],
 )
 def test_bad_record_rejected(benchmark_spec, field, value):
     record = dict(_load("BENCH_perfbench.json")[0], **{field: value})
     with pytest.raises(AssertionError):
         check_record(record, benchmark_spec)
+
+
+def test_record_keys_must_match_exactly(benchmark_spec):
+    record = _load("BENCH_perfbench.json")[0]
+    missing = {k: v for k, v in record.items() if k != "parent_iqr"}
+    with pytest.raises(AssertionError, match="parent_iqr"):
+        check_record(missing, benchmark_spec)
+    with pytest.raises(AssertionError, match="note"):
+        check_record(dict(record, note="hand-timed"), benchmark_spec)
 
 
 def test_lower_is_better_metric_direction(benchmark_spec):

@@ -191,6 +191,15 @@ class TestReportEvery:
             )
 
 
+class TestNoBenchCommand:
+    def test_bench_subcommand_is_gone(self, capsys):
+        # Throughput is measured by perfbench/run.py; the CLI has no wrapper.
+        with pytest.raises(SystemExit) as err:
+            cli_main(["bench", "--list"])
+        assert err.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestSolveVariants:
     def test_solve_acs(self, capsys):
         rc = cli_main(
