@@ -11,8 +11,14 @@ import sys
 
 import pytest
 
-from repro.core import ACOParams, ACSParams, AntColonySystem, AntSystem, MaxMinAntSystem
-from repro.experiments.harness import run_replicas
+from repro.core import (
+    ACOParams,
+    ACSParams,
+    AntColonySystem,
+    AntSystem,
+    BatchEngine,
+    MaxMinAntSystem,
+)
 from repro.tsp import two_opt
 from repro.util.tables import Table
 
@@ -24,8 +30,6 @@ REPLICAS = 8
 
 def test_batched_replica_iteration(benchmark, kroC100):
     """Throughput of one batched iteration advancing REPLICAS colonies."""
-    from repro.core import BatchEngine
-
     engine = BatchEngine.replicas(
         kroC100, ACOParams(seed=55, nn=25), replicas=REPLICAS,
         construction=8, pheromone=1,
@@ -40,14 +44,9 @@ def test_quality_comparison(kroC100):
     # The AS row is REPLICAS seed-replicas dispatched through the batched
     # multi-colony engine (one vectorized batch, not a Python loop); each
     # row is bit-identical to a solo AntSystem run with that seed.
-    as_batch = run_replicas(
-        kroC100,
-        replicas=REPLICAS,
-        iterations=ITERS,
-        params=params,
-        construction=8,
-        pheromone=1,
-    )
+    as_batch = BatchEngine.replicas(
+        kroC100, params, replicas=REPLICAS, construction=8, pheromone=1
+    ).run(ITERS)
     as_lengths = as_batch.best_lengths
     acs_best = AntColonySystem(kroC100, params, ACSParams()).run(ITERS).best_length
     mmas_best = MaxMinAntSystem(kroC100, params).run(ITERS).best_length

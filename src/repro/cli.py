@@ -4,15 +4,17 @@ Subcommands
 -----------
 ``solve``
     Run the simulated GPU colony on a TSP instance and report the best
-    tour, per-stage modeled kernel times and solution quality.  With
-    ``--replicas K`` the run dispatches through the batched multi-colony
-    engine: K seed-replicas advance together in vectorized operations.
-    ``--variant {as,acs,mmas}`` selects the algorithm; every variant runs
-    on the batched engine, so ``--replicas``, ``--backend`` and
-    ``--report-every`` compose freely with all three.  Only genuinely
-    unsupported combinations are rejected (``--construction`` with ``acs``,
-    which owns its pseudo-random-proportional rule, and ``--pheromone``
-    with ``acs``/``mmas``, which own their update schedules).
+    tour, per-stage modeled kernel times and solution quality.  Every
+    solve is one batched multi-colony engine run: ``--replicas K`` (default
+    1) seed-replicas advance together in vectorized operations, and
+    ``--replicas 1`` reproduces the library's ``AntSystem`` /
+    ``AntColonySystem`` / ``MaxMinAntSystem`` result for that seed.
+    ``--variant {as,acs,mmas}`` selects the algorithm; ``--replicas``,
+    ``--backend`` and ``--report-every`` compose freely with all three.
+    Only genuinely unsupported combinations are rejected
+    (``--construction`` with ``acs``, which owns its
+    pseudo-random-proportional rule, and ``--pheromone`` with
+    ``acs``/``mmas``, which own their update schedules).
 ``serve``
     Async micro-batching solve service: a JSON-lines-over-TCP front-end
     that queues solve requests, packs equal-geometry requests into shared
@@ -55,8 +57,7 @@ boundary, and the improvements feed the pheromone update.
 
 ``solve`` further accepts ``--profile`` (paper-style per-phase wall-clock
 table: construct / fold / local-search / update / host-sync) and
-``--trace PATH`` (a ``chrome://tracing`` JSON timeline of the run); both
-route through the batched engine even at ``--replicas 1``.
+``--trace PATH`` (a ``chrome://tracing`` JSON timeline of the run).
 
 Ctrl-C during ``solve``/``sweep`` reports the best-so-far result
 and exits with status 130 instead of dumping a traceback.
@@ -91,7 +92,7 @@ import os
 import sys
 
 from repro.backend import BACKENDS, available_backends, resolve_backend
-from repro.core import ACOParams, AntSystem, BatchEngine
+from repro.core import ACOParams, BatchEngine
 from repro.errors import ACOConfigError, BackendError, RunInterrupted
 from repro.simt.device import DEVICES
 from repro.tsp import load_instance, parse_tsplib
@@ -169,24 +170,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print a paper-style per-phase wall-clock table (construct / "
-        "fold / local-search / update / host-sync); routes through the "
-        "batched engine even at --replicas 1",
+        "fold / local-search / update / host-sync)",
     )
     solve.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
         help="write a chrome://tracing JSON timeline of the run to PATH "
-        "(open in chrome://tracing or Perfetto; implies the engine path "
-        "like --profile)",
+        "(open in chrome://tracing or Perfetto)",
     )
     solve.add_argument(
         "--checkpoint",
         metavar="PATH",
         default=None,
         help="write engine checkpoints to PATH at report boundaries "
-        "(atomic replace; Ctrl-C salvages a final checkpoint; implies "
-        "the engine path like --profile)",
+        "(atomic replace; Ctrl-C salvages a final checkpoint)",
     )
     solve.add_argument(
         "--checkpoint-every",
@@ -489,7 +487,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"error: --report-every must be >= 1, got {args.report_every}"
         )
     _check_variant_flags(args.variant, args.construction, args.pheromone)
-    _check_ls_flags(args)
+    ls_options = _check_ls_flags(args)
     if args.checkpoint_every is not None:
         if args.checkpoint is None:
             raise SystemExit(
@@ -506,168 +504,29 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"be a multiple of --report-every ({args.report_every}); "
                 "checkpoints are written at report boundaries"
             )
+    from repro.obs import MetricsRegistry, TraceRecorder
+
     instance = _load(args.instance)
     device = DEVICES[args.device]
     params = ACOParams(n_ants=args.ants, nn=args.nn, seed=args.seed)
     backend = _resolve_backend_arg(args.backend)
-    construction = 8 if args.construction is None else args.construction
-    pheromone = 1 if args.pheromone is None else args.pheromone
-    # Local search, phase accounting and checkpointing live on the batched
-    # engine, so an ls-enabled, profiled/traced or checkpointed solve runs
-    # through the replica path even at B=1 (any variant).
-    if (
-        args.replicas > 1
-        or args.local_search != "none"
-        or args.profile
-        or args.trace
-        or args.checkpoint
-        or args.resume
-    ):
-        return _solve_replicas(
-            args, instance, device, params, backend, construction, pheromone
-        )
-    if args.variant != "as":
-        return _solve_variant(args, instance, device, params, backend, construction)
-    colony = AntSystem(
-        instance,
-        params=params,
-        device=device,
-        construction=construction,
-        pheromone=pheromone,
-        backend=backend,
-    )
-    print(
-        f"solving {instance.name} (n={instance.n}) on {device.name} "
-        f"[backend {backend.name}] "
-        f"with construction v{colony.construction.version} "
-        f"({colony.construction.label}) + pheromone v{colony.pheromone.version} "
-        f"({colony.pheromone.label})"
-    )
-    try:
-        result = colony.run(args.iterations, report_every=args.report_every)
-    except RunInterrupted as exc:
-        _interrupt_banner()
-        partial = exc.partial.results[0]
-        print(f"best tour length: {partial.best_length} "
-              f"(after {len(partial.iteration_best_lengths)} recorded iterations)")
-        return 130
-    cost = colony.cost_params()
-
-    print(f"best tour length: {result.best_length}")
-    print(f"iteration bests:  first={result.iteration_best_lengths[0]} "
-          f"last={result.iteration_best_lengths[-1]}")
-    t = Table(["stage", "modeled ms/iter"], title="modeled kernel times")
-    for stage in ("choice", "construction", "pheromone"):
-        mean = result.mean_stage_time(stage, cost)
-        if mean > 0.0:
-            t.add_row([stage, format_ms(mean)])
-    t.add_row(["total", format_ms(result.mean_iteration_time(cost))])
-    print(t.render())
-    print(f"wall-clock (functional simulation): {result.wall_seconds:.2f}s "
-          f"for {args.iterations} iterations")
-    return 0
-
-
-def _solve_variant(args, instance, device, params, backend, construction) -> int:
-    """Single-colony ACS/MMAS behind ``solve --variant {acs,mmas}`` — the
-    engine-backed views, with full ``--backend``/``--report-every``
-    support."""
-    from repro.core import AntColonySystem, MaxMinAntSystem
-
-    variant = args.variant
-    rc = 0
-    try:
-        if variant == "acs":
-            colony = AntColonySystem(
-                instance, params, device=device, backend=backend
-            )
-        else:
-            colony = MaxMinAntSystem(
-                instance,
-                params,
-                construction=construction,
-                device=device,
-                backend=backend,
-            )
-        print(
-            f"solving {instance.name} (n={instance.n}) on {device.name} "
-            f"[variant {variant}, backend {backend.name}, batched engine]"
-        )
-        try:
-            result = colony.run(args.iterations, report_every=args.report_every)
-        except RunInterrupted as exc:
-            _interrupt_banner()
-            result = exc.partial
-            rc = 130
-    except ACOConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    print(f"best tour length: {result.best_length}")
-    if result.iteration_best_lengths:
-        print(f"iteration bests:  first={result.iteration_best_lengths[0]} "
-              f"last={result.iteration_best_lengths[-1]}")
-    if variant == "mmas":
-        print(f"trail reinitialisations: {result.trail_reinitialisations}")
-    print(f"wall-clock (functional simulation): {result.wall_seconds:.2f}s")
-    return rc
-
-
-def _profile_table(batch) -> None:
-    """The paper-style per-phase breakdown (its per-stage kernel-time
-    tables), from the engine's always-on phase totals."""
-    from repro.obs import PHASES
-
-    breakdown = batch.phase_breakdown
-    total = sum(breakdown.values())
-    wall = batch.wall_seconds
-    t = Table(
-        ["phase", "seconds", "% of phases", "% of wall"],
-        title="per-phase wall-clock (profile)",
-    )
-    for phase in PHASES:
-        sec = breakdown.get(phase, 0.0)
-        if sec == 0.0 and phase == "local-search":
-            continue  # not installed; don't print a dead row
-        t.add_row(
-            [
-                phase,
-                f"{sec:.4f}",
-                f"{100.0 * sec / total:5.1f}%" if total else "-",
-                f"{100.0 * sec / wall:5.1f}%" if wall else "-",
-            ]
-        )
-    t.add_row(
-        [
-            "total (phases)",
-            f"{total:.4f}",
-            "100.0%",
-            f"{100.0 * total / wall:5.1f}%" if wall else "-",
-        ]
-    )
-    print(t.render())
-
-
-def _solve_replicas(
-    args, instance, device, params, backend, construction, pheromone
-) -> int:
-    from repro.obs import MetricsRegistry, TraceRecorder
-
-    profile = getattr(args, "profile", False)
-    trace_path = getattr(args, "trace", None)
-    ck_path = getattr(args, "checkpoint", None)
-    resume_path = getattr(args, "resume", None)
-    metrics = MetricsRegistry() if profile else None
-    tracer = TraceRecorder() if trace_path else None
+    ck_path = args.checkpoint
+    resume_path = args.resume
+    metrics = MetricsRegistry() if args.profile else None
+    tracer = TraceRecorder() if args.trace else None
+    # One path for every variant and replica count: --replicas 1 is the
+    # B=1 engine run the library views (AntSystem, ...) wrap.
     engine = BatchEngine.replicas(
         instance,
         params,
         replicas=args.replicas,
         device=device,
-        construction=construction,
-        pheromone=pheromone,
+        construction=8 if args.construction is None else args.construction,
+        pheromone=1 if args.pheromone is None else args.pheromone,
         backend=backend,
         variant=args.variant,
         local_search=args.local_search,
-        local_search_options=_check_ls_flags(args),
+        local_search_options=ls_options,
         metrics=metrics,
         tracer=tracer,
     )
@@ -706,7 +565,7 @@ def _solve_replicas(
     )
     on_boundary = None
     if ck_path is not None:
-        ck_every = getattr(args, "checkpoint_every", None) or args.report_every
+        ck_every = args.checkpoint_every or args.report_every
 
         def on_boundary(update) -> None:
             # The final boundary fires even off the K-grid; only write on
@@ -740,6 +599,7 @@ def _solve_replicas(
         t.add_row([b, engine.state.params[b].seed, res.best_length])
     print(t.render())
     print(f"best overall: {batch.best_length} (replica {batch.best_row})")
+    _best_replica_report(engine, batch)
     _ls_stats_line(args, batch)
     iterations_run = batch.iterations_run or iterations
     print(
@@ -747,12 +607,70 @@ def _solve_replicas(
         f"for {args.replicas} x {iterations_run} iterations "
         f"({batch.colonies_per_second(iterations_run):.1f} colony-iterations/s)"
     )
-    if profile:
+    if args.profile:
         _profile_table(batch)
     if tracer is not None:
-        tracer.write(trace_path)
-        print(f"chrome trace written to {trace_path} ({len(tracer)} spans)")
+        tracer.write(args.trace)
+        print(f"chrome trace written to {args.trace} ({len(tracer)} spans)")
     return rc
+
+
+def _profile_table(batch) -> None:
+    """The paper-style per-phase breakdown (its per-stage kernel-time
+    tables), from the engine's always-on phase totals."""
+    from repro.obs import PHASES
+
+    breakdown = batch.phase_breakdown
+    total = sum(breakdown.values())
+    wall = batch.wall_seconds
+    t = Table(
+        ["phase", "seconds", "% of phases", "% of wall"],
+        title="per-phase wall-clock (profile)",
+    )
+    for phase in PHASES:
+        sec = breakdown.get(phase, 0.0)
+        if sec == 0.0 and phase == "local-search":
+            continue  # not installed; don't print a dead row
+        t.add_row(
+            [
+                phase,
+                f"{sec:.4f}",
+                f"{100.0 * sec / total:5.1f}%" if total else "-",
+                f"{100.0 * sec / wall:5.1f}%" if wall else "-",
+            ]
+        )
+    t.add_row(
+        [
+            "total (phases)",
+            f"{total:.4f}",
+            "100.0%",
+            f"{100.0 * total / wall:5.1f}%" if wall else "-",
+        ]
+    )
+    print(t.render())
+
+
+def _best_replica_report(engine, batch) -> None:
+    """The best replica's tour length, iteration bests, modeled kernel
+    times and, under MMAS, trail reinitialisations."""
+    from repro.experiments.calibration import gpu_cost_params
+
+    best = batch.results[batch.best_row]
+    print(f"best tour length: {best.best_length}")
+    if best.iteration_best_lengths:
+        print(f"iteration bests:  first={best.iteration_best_lengths[0]} "
+              f"last={best.iteration_best_lengths[-1]}")
+    cost = gpu_cost_params(engine.device)
+    t = Table(["stage", "modeled ms/iter"], title="modeled kernel times")
+    for stage in ("choice", "construction", "pheromone"):
+        mean = best.mean_stage_time(stage, cost)
+        if mean > 0.0:
+            t.add_row([stage, format_ms(mean)])
+    t.add_row(["total", format_ms(best.mean_iteration_time(cost))])
+    print(t.render())
+    if engine.variant.key == "mmas":
+        reinits = engine.backend.to_host(engine.variant.update.reinit_count)
+        print(f"trail reinitialisations: {int(reinits[batch.best_row])}")
 
 
 def _parse_sweep_params(specs: list[str]) -> dict[str, list[float]]:
@@ -917,22 +835,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_sharded(args)
     backend = _resolve_backend_arg(args.backend)
     device = DEVICES[args.device]
-    try:
-        # Constructed before the loop starts so every config error (bad
-        # max_batch/max_wait/workers/max_pending combination) surfaces as a
-        # clean usage message, not a traceback out of asyncio.run.
-        service = SolveService(
-            max_batch=args.max_batch,
-            max_wait=args.max_wait_ms / 1000.0,
-            workers=args.workers,
-            max_pending=args.max_pending,
-            retry_budget=args.retry_budget,
-            checkpoint_dir=args.checkpoint_dir,
-            backend=backend,
-            device=device,
-        )
-    except ACOConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    # Constructed before the loop starts so every config error (bad
+    # max_batch/max_wait/workers/max_pending combination) surfaces as a
+    # clean usage message from main(), not a traceback out of asyncio.run.
+    service = SolveService(
+        max_batch=args.max_batch,
+        max_wait=args.max_wait_ms / 1000.0,
+        workers=args.workers,
+        max_pending=args.max_pending,
+        retry_budget=args.retry_budget,
+        checkpoint_dir=args.checkpoint_dir,
+        backend=backend,
+        device=device,
+    )
 
     async def _main() -> None:
         stop = asyncio.Event()
@@ -1175,6 +1090,8 @@ def main(argv: list[str] | None = None) -> int:
             from repro.experiments.__main__ import main as exp_main
 
             return exp_main(args.args)
+    except ACOConfigError as exc:
+        raise SystemExit(f"error: {exc}") from None
     except KeyboardInterrupt:
         # Backstop for interrupts the command didn't turn into a best-so-far
         # report (e.g. before the first iteration completed): still exit

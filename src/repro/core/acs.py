@@ -11,9 +11,10 @@ update policy.  That puts ACS on every fast path the Ant System has —
 replica batching, parameter sweeps, array backends, the device-resident
 ``report_every=K`` loop and the micro-batching solve service.
 
-:class:`AntColonySystem` here is the ``B = 1`` view of the engine (exactly
-as :class:`~repro.core.colony.AntSystem` is for AS); the pre-redesign solo
-loop is retained verbatim as
+:class:`AntColonySystem` here is the ``B = 1`` view of the engine, built
+on the same :class:`~repro.core.colony.EngineView` base as
+:class:`~repro.core.colony.AntSystem`; the pre-redesign solo loop is
+retained verbatim as
 :class:`~repro.core.reference.ReferenceAntColonySystem`, the parity oracle
 ``tests/property/test_variant_parity.py`` pins the engine against.
 """
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import BatchEngine
-from repro.core.colony import run_engine_view
+from repro.core.colony import EngineView, RunResult
 from repro.core.params import ACOParams
 from repro.core.variant import ACSParams
 from repro.simt.device import TESLA_M2050, DeviceSpec
@@ -45,7 +45,7 @@ class ACSRunResult:
     wall_seconds: float
 
 
-class AntColonySystem:
+class AntColonySystem(EngineView):
     """GPU-simulated ACS for the symmetric TSP — the engine's B=1 ACS view.
 
     Parameters
@@ -84,36 +84,35 @@ class AntColonySystem:
         device: DeviceSpec = TESLA_M2050,
         backend=None,
     ) -> None:
-        self.params = params or ACOParams()
         self.acs = acs or ACSParams()
-        self.device = device
-        self.engine = BatchEngine(
+        super().__init__(
             instance,
-            self.params,
-            device=device,
-            backend=backend,
+            params,
+            device,
+            backend,
             variant="acs",
             variant_options={"acs": self.acs},
         )
-        self.backend = self.engine.backend
-        self.state = self.engine.state.colony_view(0)
         #: the ACS trail floor ``1 / (n * C_nn)`` (local updates decay
         #: toward it; the pheromone stack starts there)
         self.tau0 = float(
             self.backend.to_host(self.engine.variant.choice.tau0)[0]
         )
 
+    def _wrap(self, row: RunResult, wall_seconds: float) -> ACSRunResult:
+        return ACSRunResult(
+            best_tour=row.best_tour,
+            best_length=row.best_length,
+            iteration_best_lengths=row.iteration_best_lengths,
+            wall_seconds=wall_seconds,
+        )
+
     # ------------------------------------------------------------ iteration
 
     def run_iteration(self) -> tuple[int, list]:
         """One ACS iteration; returns (iteration best length, stage reports)."""
-        report = self.engine.run_iteration()[0]
-        self._sync_view()
+        report = self._step()
         return int(report.lengths.min()), report.stages
-
-    def _sync_view(self) -> None:
-        """Mirror the batch row's outputs into the ``self.state`` view."""
-        self.engine.state.sync_colony_view(self.state)
 
     def run(self, iterations: int, report_every: int = 1) -> ACSRunResult:
         """Run several ACS iterations, tracking the best tour.
@@ -125,18 +124,6 @@ class AntColonySystem:
         :class:`ACSRunResult` (bare ``KeyboardInterrupt`` when nothing
         completed).
         """
-
-        def wrap(row, wall_seconds: float) -> ACSRunResult:
-            return ACSRunResult(
-                best_tour=row.best_tour,
-                best_length=row.best_length,
-                iteration_best_lengths=row.iteration_best_lengths,
-                wall_seconds=wall_seconds,
-            )
-
-        result = run_engine_view(
-            self.engine, iterations, report_every, wrap,
-            "ACS run interrupted", self._sync_view,
-        )
+        result = self._run(iterations, report_every)
         validate_tour(result.best_tour, self.state.n)
         return result

@@ -18,6 +18,9 @@ Execution-wise, ``AntSystem`` is the ``B = 1`` view of the batched
 multi-colony engine (:class:`~repro.core.batch.BatchEngine`): every
 iteration runs through the same vectorized kernels a B-colony batch uses,
 so the solo path and the batched path can never drift apart numerically.
+The view machinery — engine build, state-view sync, one step and the run
+body with its Ctrl-C re-wrap — is :class:`EngineView`, which the ACS and
+MMAS views share; each view adds only its result type.
 
 Examples
 --------
@@ -36,44 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batch import BatchEngine
-from repro.core.construction import TourConstruction, make_construction
+from repro.core.construction import TourConstruction
 from repro.core.params import ACOParams
-from repro.core.pheromone import PheromoneUpdate, make_pheromone
+from repro.core.pheromone import PheromoneUpdate
 from repro.core.report import IterationReport
-from repro.errors import ACOConfigError
+from repro.errors import RunInterrupted
 from repro.simt.device import TESLA_M2050, DeviceSpec
 from repro.simt.timing import CostParams
 from repro.tsp.instance import TSPInstance
 
-__all__ = ["AntSystem", "RunResult", "run_engine_view"]
-
-
-def run_engine_view(
-    engine,
-    iterations: int,
-    report_every: int,
-    wrap,
-    interrupt_message: str,
-    sync,
-):
-    """The shared run body of every B=1 engine view (AS/ACS/MMAS).
-
-    Runs the engine, keeps the view's state mirror coherent (``sync()``
-    runs on both the success and the interrupt path), and re-wraps a
-    :class:`~repro.errors.RunInterrupted` so the partial carried outward
-    is the view's own result type: ``wrap(row, wall_seconds)`` builds the
-    result from the engine row either way.
-    """
-    from repro.errors import RunInterrupted
-
-    try:
-        batch = engine.run(iterations, report_every=report_every)
-    except RunInterrupted as exc:
-        sync()
-        partial = wrap(exc.partial.results[0], exc.partial.wall_seconds)
-        raise RunInterrupted(partial, interrupt_message) from None
-    sync()
-    return wrap(batch.results[0], batch.wall_seconds)
+__all__ = ["AntSystem", "EngineView", "RunResult"]
 
 
 @dataclass
@@ -118,7 +93,77 @@ class RunResult:
         )
 
 
-class AntSystem:
+class EngineView:
+    """The ``B = 1`` view of a :class:`~repro.core.batch.BatchEngine`.
+
+    Owns the engine, the row-0 :attr:`state` view kept in sync with it,
+    one engine step and the one run body every variant view
+    (:class:`AntSystem`, :class:`~repro.core.acs.AntColonySystem`,
+    :class:`~repro.core.mmas.MaxMinAntSystem`) shares.  A view supplies
+    only :meth:`_wrap`, turning the engine's row result into its own
+    result type.
+    """
+
+    #: variant key (``"as"``, ``"acs"``, ``"mmas"``)
+    name: str
+
+    def __init__(
+        self,
+        instance: TSPInstance,
+        params: ACOParams | None,
+        device: DeviceSpec,
+        backend,
+        **engine_options,
+    ) -> None:
+        self.params = params or ACOParams()
+        self.device = device
+        self.engine = BatchEngine(
+            instance, self.params, device=device, backend=backend, **engine_options
+        )
+        self.backend = self.engine.backend
+        self.state = self.engine.state.colony_view(0)
+
+    def _sync_view(self) -> None:
+        """Mirror the batch row's per-iteration outputs into ``self.state``."""
+        self.engine.state.sync_colony_view(self.state)
+
+    def _step(self) -> IterationReport:
+        """One engine iteration; returns the row's report."""
+        report = self.engine.run_iteration()[0]
+        self._sync_view()
+        return report
+
+    def _wrap(self, row: RunResult, wall_seconds: float):
+        """The view's result built from the engine's row-0 result."""
+        raise NotImplementedError
+
+    def _run(
+        self,
+        iterations: int,
+        report_every: int,
+        on_boundary=None,
+        target_length: int | None = None,
+    ):
+        """Run the engine and wrap row 0 into the view's result.
+
+        Ctrl-C raises :class:`~repro.errors.RunInterrupted` carrying the
+        best-so-far result in the view's own type (bare
+        ``KeyboardInterrupt`` when nothing completed).  The state view is
+        synced however the run ends.
+        """
+        try:
+            batch = self.engine.run(iterations, report_every, on_boundary, target_length)
+        except RunInterrupted as exc:
+            partial = self._wrap(exc.partial.results[0], exc.partial.wall_seconds)
+            raise RunInterrupted(
+                partial, f"{self.name.upper()} run interrupted"
+            ) from None
+        finally:
+            self._sync_view()
+        return self._wrap(batch.results[0], batch.wall_seconds)
+
+
+class AntSystem(EngineView):
     """GPU-simulated Ant System for the symmetric TSP.
 
     Parameters
@@ -146,6 +191,8 @@ class AntSystem:
         resolve ``ACO_BACKEND`` / the numpy default.
     """
 
+    name = "as"
+
     def __init__(
         self,
         instance: TSPInstance,
@@ -157,39 +204,30 @@ class AntSystem:
         pheromone_options: dict | None = None,
         backend=None,
     ) -> None:
-        self.params = params or ACOParams()
-        self.device = device
-        self.construction = make_construction(
-            construction, **(construction_options or {})
-        )
-        self.pheromone = make_pheromone(pheromone, **(pheromone_options or {}))
-        # AntSystem is the B = 1 view of the batched engine: every iteration
-        # runs through the same vectorized kernels a B-colony batch uses.
-        self.engine = BatchEngine(
+        super().__init__(
             instance,
-            self.params,
-            device=device,
-            construction=self.construction,
-            pheromone=self.pheromone,
-            backend=backend,
+            params,
+            device,
+            backend,
+            construction=construction,
+            pheromone=pheromone,
+            construction_options=construction_options,
+            pheromone_options=pheromone_options,
         )
-        self.backend = self.engine.backend
+        self.construction = self.engine.construction
+        self.pheromone = self.engine.pheromone
         self.work = self.engine.work
-        self.state = self.engine.state.colony_view(0)
         self.choice_kernel = self.engine.choice_kernel
         self.rng = self.engine.rng
+
+    def _wrap(self, row: RunResult, wall_seconds: float) -> RunResult:
+        return row  # B = 1: the row's wall share is the whole wall
 
     # ------------------------------------------------------------ iteration
 
     def run_iteration(self) -> IterationReport:
         """Execute one full AS iteration on the simulated device."""
-        report = self.engine.run_iteration()[0]
-        self._sync_view()
-        return report
-
-    def _sync_view(self) -> None:
-        """Mirror the batch row's per-iteration outputs into ``self.state``."""
-        self.engine.state.sync_colony_view(self.state)
+        return self._step()
 
     def run(
         self,
@@ -212,22 +250,11 @@ class AntSystem:
         hooks (see :meth:`~repro.core.batch.BatchEngine.run`): the callback
         observes a :class:`~repro.core.batch.BoundaryUpdate` at every
         K-boundary and may return ``True`` to stop; ``target_length`` stops
-        at the first boundary whose best is at or below it.
+        at the first boundary whose best is at or below it.  Ctrl-C raises
+        :class:`~repro.errors.RunInterrupted` carrying the best-so-far
+        :class:`RunResult`.
         """
-        if iterations < 1:
-            raise ACOConfigError(f"iterations must be >= 1, got {iterations}")
-        try:
-            batch = self.engine.run(
-                iterations,
-                report_every=report_every,
-                on_boundary=on_boundary,
-                target_lengths=target_length,
-            )
-        finally:
-            # Keep the view coherent even when the run is interrupted.
-            if self.engine.state.best_lengths is not None:
-                self._sync_view()
-        return batch.results[0]
+        return self._run(iterations, report_every, on_boundary, target_length)
 
     # -------------------------------------------------------------- costing
 

@@ -204,15 +204,17 @@ class DataParallelConstruction(TourConstruction):
         deterministic for this kernel (``predict_stats`` mirrors ``build``
         exactly), so per-colony reports come from the closed form.
 
-        Every argmax over the step's products (the whole row when one tile
-        covers every city, else each tile) runs on their int64 bit
-        patterns.  This needs every ``choice_info`` entry finite and
-        ``>= 0`` (the choice kernel guarantees it: ``eta = 1 / (d + 0.1)``
-        and the pheromone are finite and non-negative).  Each product
-        ``choice * u * live``, with ``u`` in ``[0, 1)``, is then a finite
-        double ``>= +0.0``, and for such values the IEEE-754 bit patterns
-        read as int64 order exactly like the values (equal values have
-        equal bits).  So the winner and its lowest-index tie-break match a
+        Under the default product rule the best tile winner is the row's
+        argmax (lowest index on ties) at any tile count, so each step takes
+        one argmax over the row; only the ``"heuristic"`` rule keeps
+        per-tile winners.  Every argmax over the step's products (the row,
+        or each tile) runs on their int64 bit patterns.  This needs every
+        ``choice_info`` entry finite and ``>= 0`` (the choice kernel
+        guarantees it: ``eta = 1 / (d + 0.1)`` and the pheromone are finite
+        and non-negative).  Each product ``choice * u * live``, with ``u``
+        in ``[0, 1)``, is then a finite double ``>= +0.0``, and for such
+        values the IEEE-754 bit patterns read as int64 order exactly like
+        the values (equal values have equal bits).  So the winner and its lowest-index tie-break match a
         float argmax, which costs more because it must also look for NaNs.
         """
         B, n, m, device = bstate.B, bstate.n, bstate.m, bstate.device
@@ -277,8 +279,8 @@ class DataParallelConstruction(TourConstruction):
         # the docstring), and the tabu update is one flat scatter.
         w_bits = rows_buf.view(np.int64)
         live_flat = live.reshape(-1)
-        single_tile = len(spans) == 1
-        if not single_tile:
+        per_tile = self.tile_rule == "heuristic" and len(spans) > 1
+        if per_tile:
             tile_city = _buf("tile_city", (M, len(spans)), np.int64)
             tile_val = _buf("tile_val", (M, len(spans)), np.float64)
             win_val = _buf("win_val", (M,), np.float64)
@@ -289,9 +291,7 @@ class DataParallelConstruction(TourConstruction):
             xp.multiply(w, u, out=w)
             xp.multiply(w, live, out=w)
 
-            if single_tile:
-                # One tile covers every city: its argmax IS the next city, so
-                # the per-tile winner bookkeeping drops out.
+            if not per_tile:
                 xp.argmax(w_bits, axis=1, out=nxt)
             else:
                 # Per-tile winners: block_argmax inlined (same argmax + value
@@ -306,12 +306,9 @@ class DataParallelConstruction(TourConstruction):
                     xp.take(w_flat, win_idx, out=win_val, **take_kw)
                     tile_val[:, t] = win_val
 
-                if self.tile_rule == "product":
-                    pick = xp.argmax(tile_val, axis=1)
-                else:
-                    winner_choice = choice_flat[rows_idx[:, None] * n + tile_city]
-                    winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
-                    pick = xp.argmax(winner_choice, axis=1)
+                winner_choice = choice_flat[rows_idx[:, None] * n + tile_city]
+                winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
+                pick = xp.argmax(winner_choice, axis=1)
                 nxt[:] = tile_city[ant_idx, pick]
             xp.add(ant_base, nxt, out=win_idx)
             live_flat[win_idx] = 0.0

@@ -12,8 +12,10 @@ best-so-far length, optimistic initialisation at ``tau_max`` and optional
 branching-factor stagnation reinitialisation.  All of it batched over B
 colonies, backend-resident and safe inside the device-resident K-loop.
 
-:class:`MaxMinAntSystem` here is the ``B = 1`` view of the engine; the
-pre-redesign solo loop is retained verbatim as
+:class:`MaxMinAntSystem` here is the ``B = 1`` view of the engine, built
+on the same :class:`~repro.core.colony.EngineView` base as
+:class:`~repro.core.colony.AntSystem`; the pre-redesign solo loop is
+retained verbatim as
 :class:`~repro.core.reference.ReferenceMaxMinAntSystem`, the parity oracle
 ``tests/property/test_variant_parity.py`` pins the engine against.
 """
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import BatchEngine
-from repro.core.colony import run_engine_view
+from repro.core.colony import EngineView, RunResult
 from repro.core.construction import TourConstruction
 from repro.core.params import ACOParams
 from repro.core.variant import MMASParams, TrailLimitsUpdate
@@ -47,7 +48,7 @@ class MMASRunResult:
     trail_reinitialisations: int = 0
 
 
-class MaxMinAntSystem:
+class MaxMinAntSystem(EngineView):
     """GPU-simulated MAX-MIN Ant System — the engine's B=1 MMAS view.
 
     Parameters
@@ -90,21 +91,17 @@ class MaxMinAntSystem:
         device: DeviceSpec = TESLA_M2050,
         backend=None,
     ) -> None:
-        self.params = params or ACOParams()
         self.mmas = mmas or MMASParams()
-        self.device = device
-        self.engine = BatchEngine(
+        super().__init__(
             instance,
-            self.params,
-            device=device,
+            params,
+            device,
+            backend,
             construction=construction,
-            backend=backend,
             variant="mmas",
             variant_options={"mmas": self.mmas},
         )
-        self.backend = self.engine.backend
         self.construction = self.engine.construction
-        self.state = self.engine.state.colony_view(0)
 
     # -------------------------------------------------------------- limits
 
@@ -143,17 +140,21 @@ class MaxMinAntSystem:
         factors = self._policy.branching_factors(self.engine.state, lam)
         return float(self.backend.to_host(factors)[0])
 
+    def _wrap(self, row: RunResult, wall_seconds: float) -> MMASRunResult:
+        return MMASRunResult(
+            best_tour=row.best_tour,
+            best_length=row.best_length,
+            iteration_best_lengths=row.iteration_best_lengths,
+            wall_seconds=wall_seconds,
+            trail_reinitialisations=self.trail_reinitialisations,
+        )
+
     # ------------------------------------------------------------ iteration
 
     def run_iteration(self) -> tuple[int, list]:
         """One MMAS iteration; returns (iteration best, stage reports)."""
-        report = self.engine.run_iteration()[0]
-        self._sync_view()
+        report = self._step()
         return int(report.lengths.min()), report.stages
-
-    def _sync_view(self) -> None:
-        """Mirror the batch row's outputs into the ``self.state`` view."""
-        self.engine.state.sync_colony_view(self.state)
 
     def run(
         self,
@@ -172,25 +173,13 @@ class MaxMinAntSystem:
         :class:`MMASRunResult` (bare ``KeyboardInterrupt`` when nothing
         completed).
         """
-        def wrap(row, wall_seconds: float) -> MMASRunResult:
-            return MMASRunResult(
-                best_tour=row.best_tour,
-                best_length=row.best_length,
-                iteration_best_lengths=row.iteration_best_lengths,
-                wall_seconds=wall_seconds,
-                trail_reinitialisations=self.trail_reinitialisations,
-            )
-
         # Threshold scoped to this call (the reference loop only
         # reinitialises inside run()): restore it afterwards so later
         # manual run_iteration() stepping never silently resets trails.
         previous_reinit = self._policy.reinit_branching
         self._policy.reinit_branching = reinit_branching
         try:
-            result = run_engine_view(
-                self.engine, iterations, report_every, wrap,
-                "MMAS run interrupted", self._sync_view,
-            )
+            result = self._run(iterations, report_every)
         finally:
             self._policy.reinit_branching = previous_reinit
         validate_tour(result.best_tour, self.state.n)

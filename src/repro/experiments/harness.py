@@ -6,10 +6,10 @@ nn) — never the coordinate data — so reproducing Table II's pr2392 column
 takes milliseconds.  The measured counterpart (functional simulation under
 ``pytest-benchmark``) lives in ``benchmarks/``.
 
-The functional half dispatches replicate and parameter-sweep workloads
-through the :class:`~repro.core.batch.BatchEngine`: :func:`run_replicas`
-runs B seed-replicas and :func:`run_sweep` runs a parameter grid ×
-replicas, each as one vectorized batch instead of B sequential Python runs.
+The functional half dispatches parameter-sweep workloads through the
+:class:`~repro.core.batch.BatchEngine`: :func:`run_sweep` runs a parameter
+grid × replicas as one vectorized batch instead of B sequential Python
+runs (plain seed-replicas are ``BatchEngine.replicas(...).run(...)``).
 
 Each model runner returns an :class:`ExperimentResult` bundling the model
 rows, the paper rows, shape metrics and rendered tables.
@@ -50,7 +50,6 @@ __all__ = [
     "construction_model_time",
     "pheromone_model_time",
     "sequential_model_time",
-    "run_replicas",
     "run_sweep",
     "run_service",
     "ServiceLoadResult",
@@ -249,52 +248,6 @@ def sequential_model_time(
 SWEEPABLE_FIELDS = ("alpha", "beta", "rho", "eta_shift", "seed")
 
 
-def run_replicas(
-    instance: TSPInstance,
-    *,
-    replicas: int,
-    iterations: int,
-    params: ACOParams | None = None,
-    device: DeviceSpec = TESLA_M2050,
-    construction: int | str = 8,
-    pheromone: int | str = 1,
-    seed_stride: int = 1,
-    backend=None,
-    report_every: int = 1,
-    variant: str = "as",
-    variant_options: dict | None = None,
-    local_search: str = "none",
-    local_search_options: dict | None = None,
-) -> BatchRunResult:
-    """Run ``replicas`` independent seed-replicas as one vectorized batch.
-
-    Row ``b`` uses seed ``params.seed + b * seed_stride`` and is
-    bit-identical to a solo run with that seed — the whole point is
-    getting B solo runs for roughly the interpreter cost of one.
-    ``backend`` selects the array substrate (name, instance, or ``None``
-    for ``ACO_BACKEND`` / numpy); ``report_every=K`` amortises host
-    transfers and report materialization over K-iteration device-resident
-    blocks (results are bit-identical for every K); ``variant`` selects
-    the ACO algorithm (``"as"``, ``"acs"``, ``"mmas"`` — all batched);
-    ``local_search`` enables boundary-time tour polishing (``"2opt"``).
-    """
-    engine = BatchEngine.replicas(
-        instance,
-        params,
-        replicas=replicas,
-        seed_stride=seed_stride,
-        device=device,
-        construction=construction,
-        pheromone=pheromone,
-        backend=backend,
-        variant=variant,
-        variant_options=variant_options,
-        local_search=local_search,
-        local_search_options=local_search_options,
-    )
-    return engine.run(iterations, report_every=report_every)
-
-
 @dataclass
 class SweepResult:
     """Outcome of a :func:`run_sweep` call.
@@ -463,12 +416,12 @@ def run_service(
     """Fire a burst of :class:`~repro.serve.SolveRequest` jobs at a fresh
     micro-batching service and gather every stream and final.
 
-    The synchronous load-generator counterpart of :func:`run_replicas` /
-    :func:`run_sweep`: all requests are submitted concurrently, the service
-    packs equal-geometry requests into shared engine batches, and the call
-    returns once every request resolved and the service drained.  Useful
-    for packing experiments ("what does max_wait buy at this request
-    mix?") and as the reference driver for the serve test-suite.
+    The synchronous load-generator counterpart of :func:`run_sweep`: all
+    requests are submitted concurrently, the service packs equal-geometry
+    requests into shared engine batches, and the call returns once every
+    request resolved and the service drained.  Useful for packing
+    experiments ("what does max_wait buy at this request mix?") and as the
+    reference driver for the serve test-suite.
     """
     import asyncio
 

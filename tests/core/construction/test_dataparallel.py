@@ -107,55 +107,49 @@ class TestFunctional:
 
 
 class TestSingleTileFastPath:
-    """``build_batch`` skips the tile bookkeeping when one tile covers every
-    city; under the product rule the tiled path must pick the same cities."""
+    """Under the product rule ``build_batch`` takes one argmax over the
+    whole row at any tile count; it must pick the same cities as the solo
+    tiled ``build``, which still elects per-tile winners (block_argmax)."""
 
     @staticmethod
-    def _engines(n, B, seed):
-        params = [ACOParams(seed=seed + b, nn=10) for b in range(B)]
-        inst = uniform_instance(n, seed=n)
-        tiled = BatchEngine(inst, params, construction=8,
-                            construction_options={"tile": 32})
-        single = BatchEngine(inst, params, construction=8)
-        device = single.state.device
-        assert tiled.construction.tile_width(device, n) < n  # really tiled
-        assert single.construction.tile_width(device, n) >= n  # one tile
-        return tiled, single
+    def _pair(n, seed):
+        """A B=1 engine at tile=32 and its row as a solo state + RNG."""
+        from repro.rng import make_rng
 
-    @staticmethod
-    def _build(engine):
+        engine = BatchEngine(
+            uniform_instance(n, seed=n), ACOParams(seed=seed, nn=10),
+            construction=8, construction_options={"tile": 32},
+        )
+        kernel = engine.construction
+        assert kernel.tile_width(engine.state.device, n) < n  # really tiled
         engine.choice_kernel.run_batch(engine.state, collect=False)
-        return engine.construction.build_batch(engine.state, engine.rng, collect=False)
+        solo = engine.state.colony_view(0)
+        engine.state.sync_colony_view(solo)  # choice_info: a view of row 0
+        rng = make_rng(kernel.rng_kind, kernel.rng_streams(n, solo.m), seed)
+        return engine, solo, rng
 
     @pytest.mark.parametrize("seed", [2, 17])
-    @pytest.mark.parametrize("B", [1, 3])
-    @pytest.mark.parametrize("n", [33, 48, 64])
-    def test_multi_tile_equals_single_tile(self, n, B, seed):
-        tiled, single = self._engines(n, B, seed)
+    @pytest.mark.parametrize("n", [33, 48, 64, 300])
+    def test_row_argmax_equals_solo_tiled_build(self, n, seed):
+        engine, solo, rng = self._pair(n, seed)
+        kernel = engine.construction
         for _ in range(3):  # the RNG advances: three different tour sets
-            a, b = self._build(tiled).tours, self._build(single).tours
-            np.testing.assert_array_equal(a, b)
-        for t in b.reshape(-1, n + 1):
+            batch = kernel.build_batch(engine.state, engine.rng, collect=False)
+            tiled = kernel.build(solo, rng).tours
+            np.testing.assert_array_equal(batch.tours[0], tiled)
+        for t in tiled:
             validate_tour(t, n)
-        # Whole runs, pheromone included.
-        ra, rb = tiled.run(4), single.run(4)
-        for x, y in zip(ra.results, rb.results):
-            assert x.best_length == y.best_length
-            np.testing.assert_array_equal(x.best_tour, y.best_tour)
-        np.testing.assert_array_equal(tiled.state.pheromone, single.state.pheromone)
 
     def test_zero_choice_ties_resolve_alike(self):
         """Tied +0.0 products and all-zero rows: both paths take the lowest
         city (the tours then revisit cities, identically)."""
-        tiled, single = self._engines(48, 2, 5)
-        for engine in (tiled, single):
-            engine.choice_kernel.run_batch(engine.state, collect=False)
-            # Cities 20+ always tie at +0.0; once an ant has visited the
-            # first 20, its whole product row is zero.
-            engine.state.choice_info[:, :, 20:] = 0.0
-        a = tiled.construction.build_batch(tiled.state, tiled.rng, collect=False)
-        b = single.construction.build_batch(single.state, single.rng, collect=False)
-        np.testing.assert_array_equal(a.tours, b.tours)
+        engine, solo, rng = self._pair(48, 5)
+        # Cities 20+ always tie at +0.0; once an ant has visited the first
+        # 20, its whole product row is zero.
+        engine.state.choice_info[:, :, 20:] = 0.0
+        batch = engine.construction.build_batch(engine.state, engine.rng, collect=False)
+        tiled = engine.construction.build(solo, rng).tours
+        np.testing.assert_array_equal(batch.tours[0], tiled)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -161,12 +161,10 @@ class TestAntSystemIsBatchView:
 
 class TestHarnessDispatch:
     def test_run_replicas(self):
-        from repro.experiments.harness import run_replicas
-
         inst = uniform_instance(14, seed=7)
-        batch = run_replicas(
-            inst, replicas=3, iterations=2, params=ACOParams(seed=4, nn=6)
-        )
+        batch = BatchEngine.replicas(
+            inst, ACOParams(seed=4, nn=6), replicas=3
+        ).run(2)
         assert batch.B == 3
         # replica b must equal a solo run with seed 4 + b
         solo = AntSystem(inst, ACOParams(seed=5, nn=6)).run(2)

@@ -194,7 +194,9 @@ class TestInterruptSalvage:
     def test_solo_variants_salvage_partials(self, instance, monkeypatch):
         from repro.core import AntColonySystem, MaxMinAntSystem
 
-        for cls in (AntColonySystem, MaxMinAntSystem):
+        # One Ctrl-C contract for every B=1 view: the partial is the view's
+        # own result type, equal to an uninterrupted 2-iteration run.
+        for cls in (AntSystem, AntColonySystem, MaxMinAntSystem):
             colony = cls(instance, ACOParams(seed=2, nn=7))
             # The views run through their engine's loop; trip the interrupt
             # in the engine's third pheromone update.

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core import ACOParams
 from repro.experiments.__main__ import main as exp_main
 
 
@@ -323,6 +324,53 @@ class TestSolveVariants:
         assert rc == 0
         out = capsys.readouterr().out
         assert "construction v8" in out and "pheromone v1" in out
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "att48", "--iterations", "0"], "iterations must be >= 1"),
+            (["solve", "att48", "--ants", "0"], "n_ants must be >= 1"),
+            (["solve", "att48", "--nn", "0"], "nn must be >= 1"),
+            (["sweep", "att48", "--param", "rho=0.5", "--iterations", "0"],
+             "iterations must be >= 1"),
+            (["sweep", "att48", "--param", "rho=0.5", "--ants", "0"],
+             "n_ants must be >= 1"),
+        ],
+    )
+    def test_bad_flag_value_is_an_error_line(self, argv, message):
+        # A bad value is a one-line usage error, not an ACOConfigError
+        # traceback.
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert str(err.value.code).startswith("error: ")
+        assert message in str(err.value.code)
+
+
+class TestOneSolvePath:
+    @pytest.mark.parametrize("variant", ["as", "acs", "mmas"])
+    def test_replicas_1_reproduces_library_view(self, variant, capsys):
+        from repro.core import AntColonySystem, AntSystem, MaxMinAntSystem
+        from repro.tsp import load_instance
+
+        view_cls = {
+            "as": AntSystem, "acs": AntColonySystem, "mmas": MaxMinAntSystem
+        }[variant]
+        view = view_cls(load_instance("att48"), ACOParams(seed=4)).run(3)
+        rc = cli_main(
+            ["solve", "att48", "--iterations", "3", "--seed", "4",
+             "--variant", variant]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"best tour length: {view.best_length}" in lines
+        assert "modeled kernel times" in lines
+        if variant == "mmas":
+            assert (
+                f"trail reinitialisations: {view.trail_reinitialisations}"
+                in lines
+            )
 
 
 class TestObservabilityFlags:
