@@ -114,8 +114,6 @@ class TestSingleTileFastPath:
     @staticmethod
     def _pair(n, seed):
         """A B=1 engine at tile=32 and its row as a solo state + RNG."""
-        from repro.rng import make_rng
-
         engine = BatchEngine(
             uniform_instance(n, seed=n), ACOParams(seed=seed, nn=10),
             construction=8, construction_options={"tile": 32},
@@ -125,7 +123,7 @@ class TestSingleTileFastPath:
         engine.choice_kernel.run_batch(engine.state, collect=False)
         solo = engine.state.colony_view(0)
         engine.state.sync_colony_view(solo)  # choice_info: a view of row 0
-        rng = make_rng(kernel.rng_kind, kernel.rng_streams(n, solo.m), seed)
+        rng = ParkMillerLCG(n_streams=kernel.rng_streams(n, solo.m), seed=seed)
         return engine, solo, rng
 
     @pytest.mark.parametrize("seed", [2, 17])
