@@ -75,7 +75,7 @@ Examples
     gpu-aco sweep att48 --param rho=0.25,0.5,0.75 --param beta=2,4 --replicas 3
     gpu-aco solve /path/to/berlin52.tsp --device c1060
     gpu-aco solve att48 --replicas 2 --profile --trace trace.json
-    gpu-aco serve --port 8642 --max-batch 8 --max-wait-ms 50
+    gpu-aco serve --port 8642 --max-batch 8
     gpu-aco stats --port 8642 --json
     gpu-aco experiments table2
     gpu-aco lint src benchmarks
@@ -279,15 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=8,
-        help="largest engine batch one run may hold (B); a size bucket "
-        "launches as soon as it fills",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=50.0,
-        help="max milliseconds a queued request may age before its bucket "
-        "is flushed as a partial batch",
+        help="largest engine batch one run may hold (B); an idle worker "
+        "launches a size bucket at once",
     )
     serve.add_argument(
         "--workers", type=int, default=1, help="engine worker threads"
@@ -767,7 +760,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     config = ShardConfig(
         host=args.host,
         max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1000.0,
         workers=args.workers,
         max_pending=args.max_pending,
         retry_budget=args.retry_budget,
@@ -790,8 +782,8 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
             print(
                 f"routing on {host}:{port} over {args.shards} worker "
                 f"shard(s) [backend {backend.name}, max_batch "
-                f"{args.max_batch}, max_wait {args.max_wait_ms:.0f} ms, "
-                f"{args.workers} thread(s)/shard] — Ctrl-C drains gracefully",
+                f"{args.max_batch}, {args.workers} thread(s)/shard] — "
+                "Ctrl-C drains gracefully",
                 flush=True,
             )
             try:
@@ -836,11 +828,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     backend = _resolve_backend_arg(args.backend)
     device = DEVICES[args.device]
     # Constructed before the loop starts so every config error (bad
-    # max_batch/max_wait/workers/max_pending combination) surfaces as a
+    # max_batch/workers/max_pending combination) surfaces as a
     # clean usage message from main(), not a traceback out of asyncio.run.
     service = SolveService(
         max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1000.0,
         workers=args.workers,
         max_pending=args.max_pending,
         retry_budget=args.retry_budget,
@@ -862,8 +853,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host, port = server.sockets[0].getsockname()[:2]
             print(
                 f"serving on {host}:{port} [backend {backend.name}, "
-                f"max_batch {args.max_batch}, max_wait "
-                f"{args.max_wait_ms:.0f} ms, {args.workers} worker(s)] — "
+                f"max_batch {args.max_batch}, {args.workers} worker(s)] — "
                 "Ctrl-C drains gracefully",
                 flush=True,
             )

@@ -407,7 +407,6 @@ def run_service(
     requests: Sequence,
     *,
     max_batch: int = 8,
-    max_wait: float = 0.05,
     workers: int = 1,
     max_pending: int | None = None,
     backend=None,
@@ -420,7 +419,7 @@ def run_service(
     requests are submitted concurrently, the service packs equal-geometry
     requests into shared engine batches, and the call returns once every
     request resolved and the service drained.  Useful for packing
-    experiments ("what does max_wait buy at this request mix?") and as the
+    experiments ("how full do batches get at this request mix?") and as the
     reference driver for the serve test-suite.
     """
     import asyncio
@@ -434,7 +433,6 @@ def run_service(
     async def _drive():
         service = SolveService(
             max_batch=max_batch,
-            max_wait=max_wait,
             workers=workers,
             max_pending=max_pending or max(len(requests), max_batch),
             backend=backend,

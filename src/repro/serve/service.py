@@ -9,12 +9,12 @@ queueing front-end **manufactures batches** out of concurrent requests.
 Requests are bucketed by everything a :class:`~repro.core.batch.BatchEngine`
 requires rows to share — instance size ``n``, colony size ``m``, candidate
 width ``nn``, iteration budget, ``report_every`` and the kernel pair — and
-packed, up to ``max_batch`` per batch with a ``max_wait`` age bound, into
-single vectorized engine runs on worker threads.  Per-row params (seed,
-alpha, beta, rho, eta_shift) and per-row *instances* may differ freely: the
-engine's solo-equivalence invariant guarantees each packed row is
-bit-identical to a solo run of that request, so packing is a pure
-throughput transform with no numerical caveat.
+packed, up to ``max_batch`` per batch, into single vectorized engine runs
+on worker threads as soon as one is idle (see :class:`SolveService`).
+Per-row params (seed, alpha, beta, rho, eta_shift) and per-row *instances*
+may differ freely: the engine's solo-equivalence invariant guarantees each
+packed row is bit-identical to a solo run of that request, so packing is a
+pure throughput transform with no numerical caveat.
 
 Streaming rides the engine's ``on_boundary`` hook: at every ``report_every``
 boundary each caller receives a :class:`SolveUpdate` with its row's
@@ -303,9 +303,9 @@ class SolveHandle:
 #: hard wall-clock timeout, or a load-shed eviction
 REQUEST_OUTCOMES = ("completed", "target", "deadline", "failed", "timeout", "shed")
 
-#: why a bucket launched: filled to ``max_batch``, aged past ``max_wait``,
-#: or flushed by the drain path
-FLUSH_CAUSES = ("full", "max_wait", "drain")
+#: why a bucket launched: filled to ``max_batch``, partial at once on an idle
+#: worker, partial when its key's reply window ran out, or by the drain path
+FLUSH_CAUSES = ("full", "idle", "max_wait", "drain")
 
 
 @dataclass
@@ -559,14 +559,15 @@ class SolveService:
     Parameters
     ----------
     max_batch:
-        Largest batch one engine run may hold (``B``).  A bucket launches
-        immediately when it fills to ``max_batch``.
-    max_wait:
-        Seconds a queued request may age before its bucket is flushed as a
-        partial batch — the latency/packing trade-off knob.
+        Largest batch one engine run may hold (``B``).
     workers:
         Engine worker threads; each owns a private
         :class:`~repro.backend.WorkBuffers` arena reused across batches.
+        While fewer than ``workers`` packs execute, an idle worker takes up
+        to ``max_batch`` rows from the ready bucket whose head is oldest:
+        full, or with no open reply window for its key, or holding the rows
+        its key's last pack returned plus those queued when it completed
+        (the window lasts that pack's batch wall from its completion).
     max_pending:
         Backpressure bound on requests in flight (queued + running).
         :meth:`submit` suspends the caller while the service is at the
@@ -607,7 +608,6 @@ class SolveService:
         self,
         *,
         max_batch: int = 8,
-        max_wait: float = 0.05,
         workers: int = 1,
         max_pending: int = 256,
         retry_budget: int = 3,
@@ -620,8 +620,6 @@ class SolveService:
     ) -> None:
         if max_batch < 1:
             raise ACOConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0.0:
-            raise ACOConfigError(f"max_wait must be >= 0, got {max_wait}")
         if workers < 1:
             raise ACOConfigError(f"workers must be >= 1, got {workers}")
         if max_pending < max_batch:
@@ -637,7 +635,6 @@ class SolveService:
                 f"retry_backoff must be >= 0, got {retry_backoff}"
             )
         self.max_batch = max_batch
-        self.max_wait = max_wait
         self.workers = workers
         self.max_pending = max_pending
         self.retry_budget = retry_budget
@@ -660,6 +657,8 @@ class SolveService:
         self._backend = resolve_backend(backend)
         self.stats = ServiceStats()
         self._buckets: dict[BatchKey, deque[_Pending]] = {}  # guarded-by: loop
+        # key -> reply window (closes_at, rows) — guarded-by: loop
+        self._windows: dict[BatchKey, tuple[float, int]] = {}
         self._inflight: set[asyncio.Task] = set()  # guarded-by: loop
         self._accepting = False  # guarded-by: loop
         self._closed = False  # guarded-by: loop
@@ -668,6 +667,8 @@ class SolveService:
         self._wake: asyncio.Event | None = None
         self._slots: asyncio.Semaphore | None = None
         self._slots_taken = 0  # loop-thread mirror of acquired slots — guarded-by: loop
+        self._idle_workers: asyncio.Semaphore | None = None
+        self._busy = 0  # packs executing on a worker — guarded-by: loop
         self._executor: ThreadPoolExecutor | None = None
         self._last_batch_at: float | None = None  # guarded-by: loop
         self._tls = threading.local()
@@ -683,6 +684,7 @@ class SolveService:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._slots = asyncio.Semaphore(self.max_pending)
+        self._idle_workers = asyncio.Semaphore(self.workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="aco-serve"
         )
@@ -701,23 +703,26 @@ class SolveService:
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish everything accepted.
 
-        Queued requests are flushed immediately as final (possibly
-        undersized) batches, in-flight engine runs complete, every stream
-        is terminated, then the worker pool shuts down.  Idempotent.
+        Queued requests launch as final (possibly undersized) batches as
+        workers go idle, in-flight engine runs complete, every stream is
+        terminated, then the worker pool shuts down.  Idempotent.
         """
         if self._closed:
             return
         self._accepting = False
         if self._loop is not None:
-            self._flush_all()
-            while self._inflight:
-                await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            # Every queued bucket is now ready (cause "drain").
+            while self._buckets or self._inflight:
+                await self._launch_ready()
+                if self._inflight:
+                    await asyncio.wait(
+                        self._inflight, return_when=asyncio.FIRST_COMPLETED
+                    )
             if self._dispatcher is not None:
-                self._dispatcher.cancel()
-                try:
-                    await self._dispatcher
-                except asyncio.CancelledError:
-                    pass
+                # Woken, it sees ``_accepting`` off and returns.  Cancelling
+                # it instead can be lost inside ``wait_for`` (Python 3.11).
+                self._wake.set()
+                await self._dispatcher
                 self._dispatcher = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -777,28 +782,16 @@ class SolveService:
     # --------------------------------------------------------------- submission
 
     def _make_pending(self, request: SolveRequest) -> SolveHandle:
-        assert self._loop is not None
+        assert self._loop is not None and self._wake is not None
         handle = SolveHandle(request, self._loop)
         pending = _Pending(
             request, handle, time.monotonic(), retry_budget=self.retry_budget
         )
-        key = request.bucket_key
-        bucket = self._buckets.setdefault(key, deque())
-        bucket.append(pending)
+        self._buckets.setdefault(request.bucket_key, deque()).append(pending)
         self.stats.observe_submitted()
-        if len(bucket) >= self.max_batch:
-            # Launch-on-full keeps packing deterministic and latency minimal:
-            # the request that fills a bucket dispatches it synchronously.
-            self._launch(
-                key,
-                [bucket.popleft() for _ in range(self.max_batch)],
-                cause="full",
-            )
-            if not bucket:
-                del self._buckets[key]
-        else:
-            assert self._wake is not None
-            self._wake.set()  # dispatcher recomputes its flush timeout
+        # The dispatcher runs one loop tick later, so requests submitted
+        # in the same tick pack together.
+        self._wake.set()
         return handle
 
     async def submit(self, request: SolveRequest) -> SolveHandle:
@@ -901,50 +894,56 @@ class SolveService:
     # --------------------------------------------------------------- dispatcher
 
     async def _dispatch_loop(self) -> None:
-        """Flush buckets whose oldest request has aged past ``max_wait``."""
+        """Run the launch rule on each submit, pack completion and window close."""
         assert self._wake is not None
-        while True:
+        while self._accepting:
             self._wake.clear()
-            next_due = self._flush_due()
-            timeout = None
-            if next_due is not None:
-                timeout = max(next_due - time.monotonic(), 0.0)
+            timeout = await self._launch_ready()
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout)
             except asyncio.TimeoutError:
                 pass
 
-    def _flush_due(self) -> float | None:
-        """Launch every overdue bucket; return the next flush deadline."""
-        now = time.monotonic()
-        next_due: float | None = None
-        # Emptied buckets are deleted (not kept as dead deques): under
-        # diverse traffic the dict would otherwise grow with every BatchKey
-        # ever seen and each pass here would scan all of them.
-        for key, bucket in list(self._buckets.items()):
-            while bucket and bucket[0].submitted_at + self.max_wait <= now:
-                pack = [
-                    bucket.popleft()
-                    for _ in range(min(len(bucket), self.max_batch))
-                ]
-                self._launch(key, pack, cause="max_wait")
-            if bucket:
-                due = bucket[0].submitted_at + self.max_wait
-                next_due = due if next_due is None else min(next_due, due)
-            else:
-                del self._buckets[key]
-        return next_due
+    def _launch_cause(self, key: BatchKey, bucket: deque, now: float) -> str | None:
+        """Why ``bucket`` may launch now, or ``None`` while it waits for
+        more of its key's replies."""
+        if not self._accepting:
+            return "drain"
+        if len(bucket) >= self.max_batch:
+            return "full"
+        closes_at, rows = self._windows.get(key, (0.0, 0))
+        if len(bucket) >= rows or bucket[0].submitted_at >= closes_at:
+            return "idle"
+        return "max_wait" if closes_at <= now else None
 
-    def _flush_all(self) -> None:
-        """Launch every queued request immediately (the drain path)."""
-        for key, bucket in list(self._buckets.items()):
-            while bucket:
-                pack = [
-                    bucket.popleft()
-                    for _ in range(min(len(bucket), self.max_batch))
-                ]
-                self._launch(key, pack, cause="drain")
-            del self._buckets[key]
+    async def _launch_ready(self) -> float | None:
+        """Put ready buckets on idle workers, oldest head first; return the
+        seconds until a reply window that a queued bucket waits on closes."""
+        assert self._idle_workers is not None
+        now = time.monotonic()
+        while self._buckets and not self._idle_workers.locked():
+            causes = {
+                key: cause
+                for key, bucket in self._buckets.items()
+                if (cause := self._launch_cause(key, bucket, now))
+            }
+            if not causes:
+                break
+            key = min(causes, key=lambda k: self._buckets[k][0].submitted_at)
+            bucket = self._buckets[key]
+            pack = [
+                bucket.popleft() for _ in range(min(len(bucket), self.max_batch))
+            ]
+            # Emptied buckets are deleted (not kept as dead deques): under
+            # diverse traffic the dict would otherwise grow with every
+            # BatchKey ever seen and each pass here would scan all of them.
+            if not bucket:
+                del self._buckets[key]
+            await self._idle_workers.acquire()  # unlocked: never suspends
+            self._busy += 1
+            self._launch(key, pack, cause=causes[key])
+        closes = [self._windows.get(key, (0.0, 0))[0] for key in self._buckets]
+        return min((c - now for c in closes if c > now), default=None)
 
     def _launch(
         self, key: BatchKey, pack: list[_Pending], *, cause: str
@@ -971,11 +970,10 @@ class SolveService:
         try:
             await self._execute_pack(key, pack, attempt=0)
         finally:
-            assert self._slots is not None and self._wake is not None
+            assert self._slots is not None
             for _ in pack:
                 self._slots.release()
             self._slots_taken -= len(pack)
-            self._wake.set()
 
     def _reject_pending(
         self, p: _Pending, exc: ServeError, outcome: str, now: float
@@ -1012,7 +1010,8 @@ class SolveService:
     async def _execute_pack(
         self, key: BatchKey, pack: list[_Pending], attempt: int
     ) -> None:
-        """Run a pack; on failure, quarantine-and-retry by bisection.
+        """Run a pack on a worker (a retry waits for one; the dispatcher took
+        one for attempt 0); on failure, quarantine-and-retry by bisection.
 
         A failed batch rejects nobody outright (beyond exhausted retry
         budgets): its live rows are re-run in halves, recursively, so a
@@ -1023,27 +1022,42 @@ class SolveService:
         strictly decrease per wave, so recursion terminates.
         """
         assert self._loop is not None and self._executor is not None
-        runnable = self._drop_timed_out(pack)
-        if not runnable:
-            return
+        assert self._idle_workers is not None and self._wake is not None
+        if attempt:
+            await self._idle_workers.acquire()
+            self._busy += 1
+        failure: BaseException | None = None
         try:
-            batch = await self._loop.run_in_executor(
-                self._executor, self._run_batch_sync, key, runnable
-            )
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # incl. worker death: never hang riders
-            await self._quarantine_and_retry(key, runnable, attempt, exc)
-        else:
-            self.stats.observe_batch(key, batch)
-            now = self._last_batch_at = time.monotonic()
-            for p, row in zip(runnable, batch.results):
-                if not p.resolved:
-                    p.resolved = True
-                    self.stats.observe_resolution(
-                        "completed", now - p.submitted_at
-                    )
-                    p.handle._resolve(row)
+            runnable = self._drop_timed_out(pack)
+            if not runnable:
+                return
+            try:
+                batch = await self._loop.run_in_executor(
+                    self._executor, self._run_batch_sync, key, runnable
+                )
+            except asyncio.CancelledError:
+                raise
+            except BaseException as exc:  # incl. worker death: never hang riders
+                failure = exc
+        finally:
+            # The worker is idle as soon as the run ends: a retry's backoff
+            # sleep must not hold it.
+            self._busy -= 1
+            self._idle_workers.release()
+            self._wake.set()
+        if failure is not None:
+            await self._quarantine_and_retry(key, runnable, attempt, failure)
+            return
+        self.stats.observe_batch(key, batch)
+        now = self._last_batch_at = time.monotonic()
+        # Rent-or-buy; counting queued rows stops two half packs alternating.
+        queued = len(self._buckets.get(key, ()))
+        self._windows[key] = (now + batch.wall_seconds, queued + batch.B)
+        for p, row in zip(runnable, batch.results):
+            if not p.resolved:
+                p.resolved = True
+                self.stats.observe_resolution("completed", now - p.submitted_at)
+                p.handle._resolve(row)
 
     async def _quarantine_and_retry(
         self,
@@ -1054,10 +1068,9 @@ class SolveService:
     ) -> None:
         """One failure wave: charge budgets, reject the exhausted, re-run
         the rest in halves after a jittered exponential backoff."""
-        self._last_batch_at = time.monotonic()
+        now = self._last_batch_at = time.monotonic()
         wrapped = ServeError(f"batch execution failed: {exc!r}")
         wrapped.__cause__ = exc
-        now = time.monotonic()
         retryable: list[_Pending] = []
         for p in pack:
             # Early-resolved riders already hold their snapshot result and

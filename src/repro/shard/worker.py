@@ -45,7 +45,6 @@ class ShardConfig:
 
     host: str = "127.0.0.1"
     max_batch: int = 8
-    max_wait: float = 0.05
     workers: int = 1
     max_pending: int = 256
     retry_budget: int = 3
@@ -68,7 +67,6 @@ async def _worker_amain(shard_id: int, config: ShardConfig, conn) -> None:
 
     service = SolveService(
         max_batch=config.max_batch,
-        max_wait=config.max_wait,
         workers=config.workers,
         max_pending=config.max_pending,
         retry_budget=config.retry_budget,

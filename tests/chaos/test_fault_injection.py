@@ -38,7 +38,6 @@ def _request(instance, seed: int, **kwargs) -> SolveRequest:
 
 def _service(**kwargs) -> SolveService:
     kwargs.setdefault("max_batch", 4)
-    kwargs.setdefault("max_wait", 0.02)
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("retry_backoff", 0.0)
     return SolveService(**kwargs)
@@ -52,7 +51,7 @@ async def _submit_all(service, requests):
 
 
 async def _solo(request) -> "RunResult":
-    async with SolveService(max_batch=1, max_wait=0.0, workers=1) as solo:
+    async with SolveService(max_batch=1, workers=1) as solo:
         handle = await solo.submit(request)
         return await handle.result()
 

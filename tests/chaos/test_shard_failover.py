@@ -49,7 +49,7 @@ def test_kill_one_shard_mid_burst_every_request_resolves_bit_identical():
 
     async def _go():
         async with ShardRouter(
-            3, ShardConfig(max_batch=4, max_wait=0.02), faults=plan
+            3, ShardConfig(max_batch=4), faults=plan
         ) as router:
             server = await serve_router_tcp(router, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

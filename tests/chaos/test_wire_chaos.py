@@ -43,7 +43,7 @@ def _request(seed: int, **kwargs) -> SolveRequest:
 
 async def _with_server(fn, **serve_kwargs):
     serve_kwargs.setdefault("max_line_bytes", MAX_LINE)
-    async with SolveService(max_batch=2, max_wait=0.01, workers=1) as service:
+    async with SolveService(max_batch=2, workers=1) as service:
         server = await serve_tcp(service, port=0, **serve_kwargs)
         port = server.sockets[0].getsockname()[1]
         try:

@@ -84,7 +84,7 @@ class TestRunService:
             )
             for i, inst in enumerate(instances)
         ]
-        load = run_service(requests, max_batch=2, max_wait=5.0, workers=2)
+        load = run_service(requests, max_batch=2, workers=2)
         assert load.stats.batches == 2
         assert load.stats.completed == 4
         assert load.wall_seconds > 0.0

@@ -34,7 +34,7 @@ def _spawn_server(port: int) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--port", str(port), "--max-batch", "2", "--max-wait-ms", "20",
+            "--port", str(port), "--max-batch", "2",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

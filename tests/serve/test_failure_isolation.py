@@ -60,7 +60,7 @@ class TestHardTimeout:
 
         async def main():
             async with SolveService(
-                max_batch=4, max_wait=0.2, workers=1
+                max_batch=4, workers=1
             ) as service:
                 handle = await service.submit(_request(1, timeout=1e-6))
                 with pytest.raises(ServeTimeoutError):
@@ -74,7 +74,7 @@ class TestHardTimeout:
     def test_timeout_does_not_sink_co_batched_riders(self):
         async def main():
             async with SolveService(
-                max_batch=2, max_wait=0.05, workers=1
+                max_batch=2, workers=1
             ) as service:
                 doomed = await service.submit(_request(1, timeout=1e-6))
                 rider = await service.submit(_request(2))
@@ -91,7 +91,7 @@ class TestHardTimeout:
 
         async def main():
             async with SolveService(
-                max_batch=1, max_wait=0.0, workers=1
+                max_batch=1, workers=1
             ) as service:
                 handle = await service.submit(
                     _request(3, iterations=400, report_every=2, deadline=0.05)
@@ -105,18 +105,30 @@ class TestHardTimeout:
 class TestLoadShedding:
     @staticmethod
     def _full_service() -> SolveService:
-        # max_wait is huge so queued requests stay queued (sheddable);
-        # max_pending == max_batch == 2 makes capacity trivial to fill.
+        # A blocker request (batch 0, slowed) holds the only worker, so
+        # later requests stay queued (sheddable); the blocker plus two
+        # queued requests fill max_pending.
         return SolveService(
-            max_batch=2, max_wait=60.0, workers=1, max_pending=2
+            max_batch=2,
+            workers=1,
+            max_pending=3,
+            faults=FaultPlan(slow_batches={0: 0.3}),
         )
+
+    @staticmethod
+    async def _hold_worker(service: SolveService) -> None:
+        service.submit_nowait(_request(0, iterations=2))
+        for _ in range(100):
+            if not service.pending:
+                break
+            await asyncio.sleep(0)
+        assert service.pending == 0  # the blocker is running
 
     def test_sheds_lowest_priority_for_a_higher_one(self):
         async def main():
             async with self._full_service() as service:
+                await self._hold_worker(service)
                 low = service.submit_nowait(_request(1, priority=0))
-                # Capacity is now 2/2 queued (bucket below max_batch of 2?
-                # no — 2 fills the bucket; use distinct shapes instead).
                 high = service.submit_nowait(
                     _request(2, iterations=6, priority=5)
                 )
@@ -136,6 +148,7 @@ class TestLoadShedding:
     def test_refuses_when_nothing_outranked_is_queued(self):
         async def main():
             async with self._full_service() as service:
+                await self._hold_worker(service)
                 service.submit_nowait(_request(1, iterations=4, priority=5))
                 service.submit_nowait(_request(2, iterations=6, priority=5))
                 with pytest.raises(ServiceOverloadedError):
@@ -148,6 +161,7 @@ class TestLoadShedding:
     def test_sheds_youngest_among_equal_priority(self):
         async def main():
             async with self._full_service() as service:
+                await self._hold_worker(service)
                 older = service.submit_nowait(_request(1, iterations=4))
                 await asyncio.sleep(0.01)
                 younger = service.submit_nowait(_request(2, iterations=6))
@@ -179,7 +193,6 @@ class TestRetryPolicy:
             plan = FaultPlan(fail_batches=(0,))
             async with SolveService(
                 max_batch=2,
-                max_wait=0.01,
                 workers=1,
                 retry_budget=0,
                 retry_backoff=0.0,
@@ -212,7 +225,7 @@ class TestHealthProbe:
 
     def test_health_reflects_completed_work_and_drain(self):
         async def main():
-            service = SolveService(max_batch=1, max_wait=0.0, workers=1)
+            service = SolveService(max_batch=1, workers=1)
             async with service:
                 handle = await service.submit(_request(1))
                 await handle.result()

@@ -141,7 +141,7 @@ class TestServiceStats:
             for ls in ("none", "2opt")
             for i in range(2)
         ]
-        load = run_service(requests, max_batch=2, max_wait=5.0)
+        load = run_service(requests, max_batch=2)
         assert load.stats.batches == 2, load.stats.snapshot()
         assert load.stats.ls_batches == 1
         assert load.stats.snapshot()["ls_batches"] == 1

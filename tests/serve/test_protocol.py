@@ -106,7 +106,7 @@ class TestTcpServer:
         )
 
         async def drive():
-            async with SolveService(max_batch=2, max_wait=0.02) as service:
+            async with SolveService(max_batch=2) as service:
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -131,7 +131,7 @@ class TestTcpServer:
         inst_b = uniform_instance(16, seed=23)
 
         async def drive():
-            async with SolveService(max_batch=2, max_wait=1.0) as service:
+            async with SolveService(max_batch=2) as service:
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -171,7 +171,7 @@ class TestTcpServer:
 
     def test_malformed_request_gets_error_response(self):
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -206,7 +206,7 @@ class TestTcpServer:
 
     def test_error_after_drain_refuses_request(self):
         async def drive():
-            service = SolveService(max_batch=1, max_wait=0.01)
+            service = SolveService(max_batch=1)
             await service.start()
             server = await serve_tcp(service, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

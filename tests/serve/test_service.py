@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from repro.errors import (
 )
 from repro.serve import (
     AsyncSolveClient,
+    FaultPlan,
     SolveRequest,
     SolveService,
 )
+from repro.serve.service import FLUSH_CAUSES
 from repro.tsp import uniform_instance
 
 ITERATIONS = 6
@@ -85,8 +88,6 @@ class TestRequestValidation:
         with pytest.raises(ACOConfigError):
             SolveService(max_batch=0)
         with pytest.raises(ACOConfigError):
-            SolveService(max_wait=-1.0)
-        with pytest.raises(ACOConfigError):
             SolveService(workers=0)
         with pytest.raises(ACOConfigError):
             SolveService(max_batch=8, max_pending=4)
@@ -107,7 +108,7 @@ class TestEndToEndPacking:
 
         async def drive():
             async with SolveService(
-                max_batch=max_batch, max_wait=5.0, workers=2
+                max_batch=max_batch, workers=2
             ) as service:
                 handles = [await service.submit(r) for r in requests]
 
@@ -169,7 +170,7 @@ class TestEndToEndPacking:
         ]
 
         async def drive():
-            async with SolveService(max_batch=3, max_wait=5.0) as service:
+            async with SolveService(max_batch=3) as service:
                 handles = [await service.submit(r) for r in requests]
                 results = await asyncio.gather(*(h.result() for h in handles))
                 return results, service.stats
@@ -182,20 +183,163 @@ class TestEndToEndPacking:
             np.testing.assert_array_equal(result.best_tour, solo.best_tour)
 
 
-class TestTimeoutFlush:
-    def test_partial_bucket_flushes_after_max_wait(self):
+async def _ticks(n: int = 8) -> None:
+    """Yield ``n`` loop ticks: enough for the dispatcher to run its launch
+    rule, far shorter than any engine batch."""
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
+def _assert_causes(stats, **expected) -> None:
+    assert stats.flush_causes == {**dict.fromkeys(FLUSH_CAUSES, 0), **expected}
+    assert sum(stats.flush_causes.values()) == stats.batches
+
+
+class TestLaunchRule:
+    """Work-conserving launch: an idle worker takes a bucket at once, and
+    a bucket waits only while its key's reply window is open."""
+
+    def test_lone_request_launches_at_once_as_idle(self):
         inst = uniform_instance(14, seed=2)
 
         async def drive():
-            async with SolveService(max_batch=8, max_wait=0.05) as service:
+            async with SolveService(max_batch=8) as service:
                 handle = await service.submit(_request(inst, 7))
+                await _ticks()
+                assert service.pending == 0  # launched, not queued
                 result = await asyncio.wait_for(handle.result(), timeout=30)
                 return result, service.stats
 
         result, stats = run_async(drive())
         assert stats.batches == 1 and stats.rows_packed == 1
+        _assert_causes(stats, idle=1)
         solo = AntSystem(inst, _params(7)).run(ITERATIONS)
         assert result.best_length == solo.best_length
+
+    @staticmethod
+    async def _replies_after_full_pack(service, inst, replies):
+        """Run one ``max_batch`` pack, then submit ``replies`` requests of
+        its key one at a time, letting the dispatcher run between them."""
+        first = [
+            await service.submit(_request(inst, s))
+            for s in range(service.max_batch)
+        ]
+        await asyncio.gather(*(h.result() for h in first))
+        handles = []
+        for i in range(replies):
+            handles.append(await service.submit(_request(inst, 100 + i)))
+            await _ticks()
+            if i < service.max_batch - 1:
+                # The reply window is open: the bucket waits for more rows
+                # even though the only worker is idle.
+                assert service.pending == i + 1
+        return await asyncio.gather(*(h.result() for h in handles))
+
+    def test_replies_within_window_launch_as_one_full_pack(self):
+        inst = uniform_instance(40, seed=3)
+
+        async def drive():
+            async with SolveService(max_batch=4) as service:
+                await self._replies_after_full_pack(service, inst, 4)
+                return service.stats
+
+        stats = run_async(drive())
+        assert stats.batches == 2 and stats.rows_packed == 8
+        _assert_causes(stats, full=2)
+
+    def test_fewer_replies_launch_as_max_wait_when_window_closes(self):
+        inst = uniform_instance(40, seed=3)
+
+        async def drive():
+            async with SolveService(max_batch=4) as service:
+                results = await self._replies_after_full_pack(service, inst, 2)
+                return results, service.stats
+
+        results, stats = run_async(drive())
+        assert stats.batches == 2 and stats.rows_packed == 6
+        _assert_causes(stats, full=1, max_wait=1)
+        solo = AntSystem(inst, _params(101)).run(ITERATIONS)
+        assert results[1].best_length == solo.best_length
+
+    def test_arrivals_accumulate_while_the_only_worker_is_busy(self):
+        inst = uniform_instance(14, seed=2)
+
+        async def drive():
+            async with SolveService(
+                max_batch=8, faults=FaultPlan(slow_batches={0: 0.3})
+            ) as service:
+                handles = [await service.submit(_request(inst, 0))]
+                await _ticks()
+                assert service.pending == 0  # the blocker holds the worker
+                for s in range(1, 4):
+                    handles.append(await service.submit(_request(inst, s)))
+                    await _ticks()
+                assert service.pending == 3
+                await asyncio.gather(*(h.result() for h in handles))
+                return service.stats
+
+        stats = run_async(drive())
+        assert stats.batches == 2 and stats.rows_packed == 4
+        assert stats.batch_rows.max == 3.0  # the three arrivals, one pack
+        # Queued behind the blocker, they also waited out its reply window.
+        _assert_causes(stats, idle=1, max_wait=1)
+
+    def test_half_packs_of_one_key_merge(self):
+        """Rows queued behind a completing pack wait for its replies too,
+        so two half packs of one key do not keep launching each other."""
+        inst = uniform_instance(40, seed=3)
+
+        async def drive():
+            async with SolveService(
+                max_batch=4, faults=FaultPlan(slow_batches={0: 0.3})
+            ) as service:
+                first = [await service.submit(_request(inst, s)) for s in (0, 1)]
+                await _ticks()
+                queued = []
+                for s in (2, 3):
+                    queued.append(await service.submit(_request(inst, s)))
+                    await _ticks()
+                await asyncio.gather(*(h.result() for h in first))
+                await _ticks()
+                assert service.pending == 2  # waiting for the replies
+                replies = []
+                for s in (4, 5):
+                    replies.append(await service.submit(_request(inst, s)))
+                    await _ticks()
+                await asyncio.gather(*(h.result() for h in queued + replies))
+                return service.stats
+
+        stats = run_async(drive())
+        assert stats.batches == 2 and stats.rows_packed == 6
+        _assert_causes(stats, idle=1, full=1)
+
+    def test_retry_backoff_does_not_hold_the_worker(self):
+        inst = uniform_instance(14, seed=2)
+
+        async def drive():
+            async with SolveService(
+                max_batch=8,
+                retry_backoff=0.5,
+                faults=FaultPlan(fail_batches=(0,)),
+            ) as service:
+                failed_once = await service.submit(_request(inst, 0))
+                await _ticks()
+                for _ in range(30_000):
+                    if service.stats.requests_retried:
+                        break
+                    await asyncio.sleep(0.001)
+                assert service.stats.requests_retried == 1
+                # Batch 0 failed; its row sleeps out a >= 0.5 s backoff
+                # while another key's request takes the idle worker.
+                other = await service.submit(_request(inst, 1, iterations=3))
+                await asyncio.wait_for(other.result(), timeout=30)
+                assert not failed_once.done
+                return await failed_once.result()
+
+        result = run_async(drive())
+        assert result.best_length == AntSystem(inst, _params(0)).run(
+            ITERATIONS
+        ).best_length
 
 
 class TestEarlyResolution:
@@ -205,7 +349,7 @@ class TestEarlyResolution:
         request = _request(inst, 5, iterations=40, target_length=10**9)
 
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 handle = await service.submit(request)
                 ups = [u async for u in handle]
                 result = await handle.result()
@@ -226,7 +370,7 @@ class TestEarlyResolution:
         request = _request(inst, 6, iterations=40, deadline=1e-6)
 
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 handle = await service.submit(request)
                 result = await handle.result()
                 return result, service.stats
@@ -243,7 +387,7 @@ class TestEarlyResolution:
         patient = _request(inst_b, 12, iterations=9)
 
         async def drive():
-            async with SolveService(max_batch=2, max_wait=5.0) as service:
+            async with SolveService(max_batch=2) as service:
                 h1 = await service.submit(hurried)
                 h2 = await service.submit(patient)
                 r1 = await h1.result()
@@ -263,14 +407,13 @@ class TestBackpressureAndDrain:
         inst = uniform_instance(14, seed=9)
 
         async def drive():
-            # max_wait large: requests sit queued, holding their slots.
             async with SolveService(
-                max_batch=4, max_wait=30.0, max_pending=4
+                max_batch=4, max_pending=4
             ) as service:
                 for i in range(3):
                     service.submit_nowait(_request(inst, 20 + i))
-                # Slot 4 fills the bucket -> launches; slots stay held until
-                # the batch resolves, so a 5th immediate submit overflows.
+                # Queued or running, a request holds its slot until it
+                # resolves, so a 5th immediate submit overflows.
                 service.submit_nowait(_request(inst, 23))
                 with pytest.raises(ServiceOverloadedError):
                     service.submit_nowait(_request(inst, 24))
@@ -282,7 +425,7 @@ class TestBackpressureAndDrain:
 
         async def drive():
             async with SolveService(
-                max_batch=2, max_wait=0.01, max_pending=2
+                max_batch=2, max_pending=2
             ) as service:
                 h1 = await service.submit(_request(inst, 30))
                 h2 = await service.submit(_request(inst, 31))
@@ -302,11 +445,11 @@ class TestBackpressureAndDrain:
         inst = uniform_instance(14, seed=11)
 
         async def drive():
-            service = SolveService(max_batch=8, max_wait=30.0)
+            service = SolveService(max_batch=8)
             await service.start()
             handle = await service.submit(_request(inst, 40))
-            # Undersized bucket, far from its max_wait flush: drain must
-            # run it anyway.
+            # Drain in the submitting tick, before the dispatcher runs:
+            # drain itself must launch the queued request.
             await service.drain()
             assert handle.done
             result = await handle.result()
@@ -319,6 +462,25 @@ class TestBackpressureAndDrain:
         result, stats = run_async(drive())
         assert stats.batches == 1
         solo = AntSystem(inst, _params(40)).run(ITERATIONS)
+        assert result.best_length == solo.best_length
+
+    def test_drain_while_a_bucket_waits_on_a_reply_window(self):
+        inst = uniform_instance(40, seed=3)
+
+        async def drive():
+            async with SolveService(max_batch=4) as service:
+                first = [await service.submit(_request(inst, s)) for s in range(4)]
+                await asyncio.gather(*(h.result() for h in first))
+                handle = await service.submit(_request(inst, 100))
+                await _ticks()
+                assert service.pending == 1  # waiting on the reply window
+            return await handle.result(), service.stats
+
+        start = time.monotonic()
+        result, stats = run_async(asyncio.wait_for(drive(), timeout=30))
+        assert time.monotonic() - start < 10  # drain did not hang
+        _assert_causes(stats, full=1, drain=1)
+        solo = AntSystem(inst, _params(100)).run(ITERATIONS)
         assert result.best_length == solo.best_length
 
     def test_drain_is_idempotent_and_restart_refused(self):
@@ -343,7 +505,7 @@ class TestStatsSemantics:
         ]
 
         async def drive():
-            async with SolveService(max_batch=2, max_wait=5.0) as service:
+            async with SolveService(max_batch=2) as service:
                 handles = [await service.submit(r) for r in requests]
                 results = await asyncio.gather(*(h.result() for h in handles))
                 return results, service.stats
@@ -366,7 +528,7 @@ class TestStatsSemantics:
         inst = uniform_instance(14, seed=12)
 
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 def boom(key, pack):
                     raise RuntimeError("engine exploded")
 
@@ -388,7 +550,7 @@ class TestAsyncClient:
         inst = uniform_instance(16, seed=13)
 
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 client = AsyncSolveClient(service)
                 handle = await client.solve(
                     inst, _params(8), iterations=ITERATIONS, report_every=K

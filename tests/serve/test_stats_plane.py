@@ -47,7 +47,9 @@ class TestServiceStats:
         key = _request().bucket_key
         stats.observe_flush(key, "full", [0.01, 0.02])
         stats.observe_flush(key, "max_wait", [0.03])
-        assert stats.flush_causes == {"full": 1, "max_wait": 1, "drain": 0}
+        assert stats.flush_causes == {
+            "full": 1, "idle": 0, "max_wait": 1, "drain": 0
+        }
         assert stats.rows_per_bucket[key] == 3
         assert stats.queue_wait.count == 3
         assert stats.batch_rows.count == 2
@@ -122,7 +124,7 @@ class TestServiceStats:
 class TestLifecycleDistributions:
     def test_latency_histograms_cover_every_request(self):
         async def drive():
-            async with SolveService(max_batch=2, max_wait=0.01) as service:
+            async with SolveService(max_batch=2) as service:
                 for _ in range(4):
                     handle = await service.submit(_request())
                     await handle.result()
@@ -144,31 +146,35 @@ class TestLifecycleDistributions:
 
     def test_flush_cause_full_when_bucket_fills(self):
         async def drive():
-            async with SolveService(max_batch=2, max_wait=30.0) as service:
+            async with SolveService(max_batch=2) as service:
                 handles = [await service.submit(_request()) for _ in range(2)]
                 for h in handles:
                     await h.result()
                 return service.stats
 
         stats = run_async(drive())
-        # max_wait is far away: only the bucket filling can have launched.
-        assert stats.flush_causes["full"] == 1
-        assert stats.flush_causes["max_wait"] == 0
+        # The dispatcher runs a tick after the submits, so both pack.
+        assert stats.flush_causes == {
+            "full": 1, "idle": 0, "max_wait": 0, "drain": 0
+        }
+        assert sum(stats.flush_causes.values()) == stats.batches
 
-    def test_flush_cause_max_wait_for_partial_bucket(self):
+    def test_flush_cause_idle_for_partial_bucket(self):
         async def drive():
-            async with SolveService(max_batch=8, max_wait=0.01) as service:
+            async with SolveService(max_batch=8) as service:
                 handle = await service.submit(_request())
                 await handle.result()
                 return service.stats
 
         stats = run_async(drive())
-        assert stats.flush_causes["max_wait"] == 1
-        assert stats.flush_causes["full"] == 0
+        assert stats.flush_causes == {
+            "full": 0, "idle": 1, "max_wait": 0, "drain": 0
+        }
+        assert sum(stats.flush_causes.values()) == stats.batches
 
     def test_flush_cause_drain_on_shutdown(self):
         async def drive():
-            service = SolveService(max_batch=8, max_wait=30.0)
+            service = SolveService(max_batch=8)
             await service.start()
             handle = await service.submit(_request())
             await service.drain()  # flushes the waiting partial bucket
@@ -176,14 +182,16 @@ class TestLifecycleDistributions:
             return service.stats
 
         stats = run_async(drive())
-        assert stats.flush_causes["drain"] == 1
-        assert stats.flush_causes["max_wait"] == 0
+        assert stats.flush_causes == {
+            "full": 0, "idle": 0, "max_wait": 0, "drain": 1
+        }
+        assert sum(stats.flush_causes.values()) == stats.batches
 
 
 class TestStatsWire:
     def test_stats_op_roundtrip(self):
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -203,7 +211,7 @@ class TestStatsWire:
 
     def test_stats_op_echoes_id_and_interleaves_with_solves(self):
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -238,7 +246,7 @@ class TestStatsWire:
 
     def test_unknown_op_gets_error_line(self):
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -290,7 +298,7 @@ class TestInProcessClient:
         from repro.serve import AsyncSolveClient
 
         async def drive():
-            async with SolveService(max_batch=1, max_wait=0.01) as service:
+            async with SolveService(max_batch=1) as service:
                 client = AsyncSolveClient(service)
                 await client.solve_and_wait(
                     uniform_instance(16, seed=21),

@@ -82,7 +82,7 @@ class TestVariantBucketing:
             for variant in ("as", "acs", "mmas")
             for i in range(2)
         ]
-        load = run_service(requests, max_batch=2, max_wait=5.0)
+        load = run_service(requests, max_batch=2)
         assert load.stats.batches == 3, load.stats.snapshot()
         assert load.stats.batches_per_variant == {"as": 1, "acs": 1, "mmas": 1}
         keys = {key.variant for key in load.stats.batches_per_bucket}
@@ -102,7 +102,7 @@ class TestVariantBucketing:
             )
             for s in (1, 2, 3)
         ]
-        load = run_service(requests, max_batch=3, max_wait=5.0)
+        load = run_service(requests, max_batch=3)
         for updates in load.updates:
             bests = [u.best_length for u in updates]
             assert bests and all(a >= b for a, b in zip(bests, bests[1:]))

@@ -40,7 +40,7 @@ def _spawn_router(port: int, shards: int) -> subprocess.Popen:
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--shards", str(shards), "--port", str(port),
-            "--max-batch", "4", "--max-wait-ms", "20",
+            "--max-batch", "4",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -131,7 +131,7 @@ def test_single_process_stats_json_stamps_service_source():
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--port", str(port), "--max-batch", "2", "--max-wait-ms", "20",
+            "--port", str(port), "--max-batch", "2",
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=_env(), start_new_session=True,

@@ -41,7 +41,7 @@ def _requests() -> list[SolveRequest]:
 
 
 def _config() -> ShardConfig:
-    return ShardConfig(max_batch=4, max_wait=0.02)
+    return ShardConfig(max_batch=4)
 
 
 # --------------------------------------------------------------- unit layer
@@ -224,7 +224,7 @@ def test_distinct_instance_stream_leaves_no_shared_blocks():
     assert {shard_index(r.bucket_key, 2) for r in reqs} == {0, 1}
 
     async def _go():
-        async with ShardRouter(2, ShardConfig(max_batch=8, max_wait=0.01)) as router:
+        async with ShardRouter(2, ShardConfig(max_batch=8)) as router:
             names: list[str] = []
             publish = router._shm.wire_form
 

@@ -201,6 +201,16 @@ class TestNoBenchCommand:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+class TestNoMaxWaitFlag:
+    @pytest.mark.parametrize("shards", ["0", "2"])
+    def test_max_wait_ms_is_rejected(self, capsys, shards):
+        # Launch is work-conserving; there is no batching timer to set.
+        with pytest.raises(SystemExit) as err:
+            cli_main(["serve", "--shards", shards, "--max-wait-ms", "20"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --max-wait-ms" in capsys.readouterr().err
+
+
 class TestSolveVariants:
     def test_solve_acs(self, capsys):
         rc = cli_main(
