@@ -19,8 +19,11 @@ Subcommands
     Async micro-batching solve service: a JSON-lines-over-TCP front-end
     that queues solve requests, packs equal-geometry requests into shared
     batched-engine runs, and streams per-boundary best-so-far updates back
-    to each caller.  Ctrl-C drains gracefully (stop accepting, finish
-    in-flight batches, flush streams).
+    to each caller.  ``--shards N`` puts the same front over a router and
+    N worker processes; ``--shards 0`` (default) solves in process.  A
+    client's EOF still gets every accepted request streamed to its end.
+    Ctrl-C drains gracefully (stop accepting, finish accepted work, flush
+    streams).
 ``stats``
     Scrape the live stats plane of a running ``serve`` process (the
     ``{"op": "stats"}`` admin line): batch/flush counters plus queue-wait,
@@ -76,6 +79,7 @@ Examples
     gpu-aco solve /path/to/berlin52.tsp --device c1060
     gpu-aco solve att48 --replicas 2 --profile --trace trace.json
     gpu-aco serve --port 8642 --max-batch 8
+    gpu-aco serve --port 8642 --shards 2
     gpu-aco stats --port 8642 --json
     gpu-aco experiments table2
     gpu-aco lint src benchmarks
@@ -741,21 +745,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return rc
 
 
-def _cmd_serve_sharded(args: argparse.Namespace) -> int:
-    """Run the router tier over N worker-process shards until interrupted.
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve the JSON-lines front until interrupted.
 
-    Each worker is a full ``SolveService`` built from the same flags the
-    in-process path uses; the router hashes ``BatchKey`` to shards,
-    spills overflow to the least-loaded healthy shard, and respawns dead
-    workers.  SIGINT/SIGTERM drain gracefully: the front listener
-    closes, workers finish accepted work, then the fleet exits.
+    ``--shards 0`` solves in process on one ``SolveService``; ``--shards
+    N`` runs the router tier over N worker processes, each a full
+    ``SolveService`` built from the same ``ShardConfig``.  Both sit behind
+    the same ``serve_tcp`` front.  SIGINT/SIGTERM drain gracefully: the
+    listener closes (no new requests), accepted work finishes and every
+    stream is terminated before the process exits.
     """
     import asyncio
     import signal
 
     from repro.errors import ServeError
-    from repro.shard import ShardConfig, ShardRouter, serve_router_tcp
+    from repro.serve import serve_tcp
+    from repro.shard import ShardConfig, ShardRouter
 
+    if args.shards < 0:
+        raise SystemExit(f"error: --shards must be >= 0, got {args.shards}")
     backend = _resolve_backend_arg(args.backend)
     config = ShardConfig(
         host=args.host,
@@ -767,6 +775,20 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         device=args.device,
         checkpoint_dir=args.checkpoint_dir,
     )
+    # Built before the loop starts, on both paths, so every config error
+    # (bad max_batch/workers/max_pending combination) surfaces as a clean
+    # usage message from main(), not a traceback out of asyncio.run or a
+    # worker process.
+    front = config.build_service()
+    knobs = f"backend {backend.name}, max_batch {args.max_batch}, {args.workers}"
+    if args.shards:
+        front, what = ShardRouter(args.shards, config), "fleet"
+        banner = (
+            f"routing on {{addr}} over {args.shards} worker shard(s) "
+            f"[{knobs} thread(s)/shard]"
+        )
+    else:
+        what, banner = "service", f"serving on {{addr}} [{knobs} worker(s)]"
 
     async def _main() -> None:
         stop = asyncio.Event()
@@ -776,24 +798,27 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(sig, stop.set)
             except (NotImplementedError, RuntimeError):  # non-unix loops
                 pass
-        async with ShardRouter(args.shards, config) as router:
-            server = await serve_router_tcp(router, args.host, args.port)
+        async with front:
+            server = await serve_tcp(
+                front, args.host, args.port, max_line_bytes=config.max_line_bytes
+            )
             host, port = server.sockets[0].getsockname()[:2]
             print(
-                f"routing on {host}:{port} over {args.shards} worker "
-                f"shard(s) [backend {backend.name}, max_batch "
-                f"{args.max_batch}, {args.workers} thread(s)/shard] — "
-                "Ctrl-C drains gracefully",
+                banner.format(addr=f"{host}:{port}"),
+                "— Ctrl-C drains gracefully",
                 flush=True,
             )
             try:
                 await stop.wait()
             finally:
-                print("\ndraining: no new requests; shards finishing "
-                      "accepted work ...", flush=True)
+                print("\ndraining: no new requests; finishing accepted "
+                      "work ...", flush=True)
                 server.close()
                 await server.wait_closed()
-        print("drained; fleet stopped.")
+        if args.shards:
+            print("drained; fleet stopped.")
+        else:
+            print(f"drained. stats: {front.stats.snapshot()}")
 
     try:
         asyncio.run(_main())
@@ -801,77 +826,9 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        print("\ninterrupted — fleet stopped", file=sys.stderr)
-        return 130
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the async micro-batching solve service until interrupted.
-
-    SIGINT/SIGTERM trigger the graceful-drain path: the TCP listener
-    closes (no new requests), queued requests flush as final batches,
-    in-flight engine runs complete and every stream is terminated before
-    the process exits.  ``--shards N`` (N >= 1) switches to the
-    multi-process router tier; ``--shards 0`` is this unchanged
-    single-process path.
-    """
-    import asyncio
-    import signal
-
-    from repro.serve import SolveService, serve_tcp
-
-    if args.shards < 0:
-        raise SystemExit(f"error: --shards must be >= 0, got {args.shards}")
-    if args.shards > 0:
-        return _cmd_serve_sharded(args)
-    backend = _resolve_backend_arg(args.backend)
-    device = DEVICES[args.device]
-    # Constructed before the loop starts so every config error (bad
-    # max_batch/workers/max_pending combination) surfaces as a
-    # clean usage message from main(), not a traceback out of asyncio.run.
-    service = SolveService(
-        max_batch=args.max_batch,
-        workers=args.workers,
-        max_pending=args.max_pending,
-        retry_budget=args.retry_budget,
-        checkpoint_dir=args.checkpoint_dir,
-        backend=backend,
-        device=device,
-    )
-
-    async def _main() -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):  # non-unix loops
-                pass
-        async with service:
-            server = await serve_tcp(service, args.host, args.port)
-            host, port = server.sockets[0].getsockname()[:2]
-            print(
-                f"serving on {host}:{port} [backend {backend.name}, "
-                f"max_batch {args.max_batch}, {args.workers} worker(s)] — "
-                "Ctrl-C drains gracefully",
-                flush=True,
-            )
-            try:
-                await stop.wait()
-            finally:
-                print("\ndraining: no new requests; finishing in-flight "
-                      "batches and flushing streams ...", flush=True)
-                server.close()
-                await server.wait_closed()
-        print(f"drained. stats: {service.stats.snapshot()}")
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
         # Signal handler installation failed (non-unix): the interrupt
-        # aborted the loop; the service still drained via __aexit__.
-        print("\ninterrupted — service stopped", file=sys.stderr)
+        # aborted the loop; the front still drained via __aexit__.
+        print(f"\ninterrupted — {what} stopped", file=sys.stderr)
         return 130
     return 0
 

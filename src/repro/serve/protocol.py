@@ -32,7 +32,9 @@ Responses (server -> client), all tagged with the request ``id``::
 
 A connection may pipeline any number of requests; responses for different
 requests interleave (match on ``id``).  Closing the connection does not
-cancel accepted work.
+cancel accepted work.  EOF from the client (a half-close, as ``nc -N``
+sends) ends only the request side: every accepted request still streams
+to its last line, then the server closes the connection.
 
 Admin lines carry an ``op`` instead of an ``instance`` — the live stats
 and health planes::
@@ -59,6 +61,11 @@ line and the connection **survives** — oversized input is discarded in
 bounded chunks, never buffered whole.  The client helpers take connect /
 read timeouts and bounded, jittered reconnect-retries for transient
 connection errors.
+
+This module is the only JSON-lines front: :func:`serve_tcp` serves an
+in-process :class:`~repro.serve.service.SolveService` and a
+:class:`~repro.shard.router.ShardRouter` through the same connection
+handler, so the wire contract above holds on both tiers.
 """
 
 from __future__ import annotations
@@ -72,12 +79,14 @@ import numpy as np
 from repro.core.colony import RunResult
 from repro.core.params import ACOParams
 from repro.errors import ReproError, ServeError
-from repro.serve.service import SolveHandle, SolveRequest, SolveService, SolveUpdate
+from repro.serve.service import SolveHandle, SolveRequest, SolveUpdate
 from repro.tsp.instance import TSPInstance
 
 __all__ = [
     "DEFAULT_MAX_LINE_BYTES",
+    "ClientSession",
     "decode_request",
+    "encode_error",
     "encode_request",
     "health_over_tcp",
     "instance_from_json",
@@ -92,6 +101,10 @@ _PARAM_FIELDS = ("alpha", "beta", "rho", "n_ants", "nn", "seed", "eta_shift")
 #: default cap on one wire line; oversized lines are discarded in bounded
 #: chunks and answered with an ``error`` line (the connection survives)
 DEFAULT_MAX_LINE_BYTES = 1 << 20
+
+
+def _line(payload: dict) -> bytes:
+    return (json.dumps(payload) + "\n").encode("utf-8")
 
 
 # ------------------------------------------------------------- encode / decode
@@ -170,7 +183,7 @@ def encode_request(
         payload["ls_target"] = request.ls_target
         if request.ls_passes is not None:
             payload["ls_passes"] = request.ls_passes
-    return (json.dumps(payload) + "\n").encode("utf-8")
+    return _line(payload)
 
 
 def _parse_line(line: bytes | str) -> dict:
@@ -260,7 +273,7 @@ def _encode_update(req_id: str, update: SolveUpdate) -> bytes:
         "iteration": update.iteration,
         "best_length": update.best_length,
     }
-    return (json.dumps(payload) + "\n").encode("utf-8")
+    return _line(payload)
 
 
 def _encode_result(req_id: str, result: RunResult, early: str | None) -> bytes:
@@ -274,31 +287,18 @@ def _encode_result(req_id: str, result: RunResult, early: str | None) -> bytes:
         "wall_seconds": float(result.wall_seconds),
         "early": early,
     }
-    return (json.dumps(payload) + "\n").encode("utf-8")
+    return _line(payload)
 
 
-def _encode_error(req_id: str | None, exc: BaseException) -> bytes:
+def encode_error(req_id: str | None, exc: BaseException) -> bytes:
+    """An ``error`` response line for ``exc``, tagged with ``req_id``."""
     payload = {
         "type": "error",
         "id": req_id,
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    return (json.dumps(payload) + "\n").encode("utf-8")
-
-
-def _encode_accepted(req_id: str) -> bytes:
-    return (json.dumps({"type": "accepted", "id": req_id}) + "\n").encode("utf-8")
-
-
-def _encode_stats(req_id: str, stats: dict) -> bytes:
-    payload = {"type": "stats", "id": req_id, "stats": stats}
-    return (json.dumps(payload) + "\n").encode("utf-8")
-
-
-def _encode_health(req_id: str, health: dict) -> bytes:
-    payload = {"type": "health", "id": req_id, "health": health}
-    return (json.dumps(payload) + "\n").encode("utf-8")
+    return _line(payload)
 
 
 # --------------------------------------------------------------------- server
@@ -343,63 +343,127 @@ async def _read_wire_line(
         return b"", discarded
 
 
-async def _stream_response(
-    handle: SolveHandle,
-    req_id: str,
-    writer: asyncio.StreamWriter,
-    lock: asyncio.Lock,
-) -> None:
-    """Relay one handle's updates + final result onto the shared writer."""
+class ClientSession:
+    """One client connection's write side, shared by every response on it.
 
-    async def _send(data: bytes) -> None:
-        async with lock:
-            if writer.is_closing():
+    :meth:`send` serializes writes and drops them once the client is gone:
+    closing a connection never cancels accepted work.  :meth:`accept` and
+    :meth:`finish` bracket each accepted request, so after the client's
+    EOF the connection handler waits (:meth:`wait_idle`) until every
+    accepted request has sent its last line, then closes.
+    """
+
+    __slots__ = ("writer", "lock", "alive", "_open", "_idle", "_streams")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.lock = asyncio.Lock()
+        self.alive = True
+        self._open = 0  # accepted requests without their last line yet
+        self._idle = asyncio.Event()
+        self._idle.set()
+        self._streams: set[asyncio.Task] = set()
+
+    async def send(self, data: bytes) -> None:
+        if not self.alive:
+            return
+        async with self.lock:
+            if self.writer.is_closing():
+                self.alive = False
                 return
-            writer.write(data)
-            await writer.drain()
+            try:
+                self.writer.write(data)
+                await self.writer.drain()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                self.alive = False
 
+    def _count(self, delta: int) -> None:
+        self._open += delta
+        if self._open > 0:
+            self._idle.clear()
+        else:
+            self._idle.set()
+
+    async def accept(self, req_id: str) -> None:
+        """Send ``accepted``; the request now counts until :meth:`finish`."""
+        self._count(1)
+        await self.send(_line({"type": "accepted", "id": req_id}))
+
+    async def finish(self, data: bytes) -> None:
+        """Send an accepted request's last line (``result`` or ``error``)
+        and stop counting it."""
+        try:
+            if data:
+                await self.send(data)
+        finally:
+            self._count(-1)
+
+    async def stream(self, req_id: str, handle: SolveHandle) -> None:
+        """Accept an in-process handle and relay its lines in the background."""
+        await self.accept(req_id)
+        task = asyncio.create_task(_stream_response(handle, req_id, self))
+        self._streams.add(task)
+        task.add_done_callback(self._streams.discard)
+
+    async def wait_idle(self) -> None:
+        await self._idle.wait()
+
+
+async def _stream_response(
+    handle: SolveHandle, req_id: str, session: ClientSession
+) -> None:
+    """Relay one handle's updates and final result onto its session."""
+    final = b""
     try:
         async for update in handle:
-            await _send(_encode_update(req_id, update))
+            await session.send(_encode_update(req_id, update))
         try:
             result = await handle.result()
         except ReproError as exc:
-            await _send(_encode_error(req_id, exc))
+            final = encode_error(req_id, exc)
         else:
             # Early resolution is visible as an empty iteration trace; the
             # wire surfaces it as a tag so clients need no such inference.
             early = None
             if not result.iteration_best_lengths:
                 early = "deadline_or_target"
-            await _send(_encode_result(req_id, result, early))
-    except (ConnectionResetError, BrokenPipeError):  # client went away
-        pass
+            final = _encode_result(req_id, result, early)
+    finally:
+        await session.finish(final)
+
+
+async def _admin_response(front, obj: dict, default_id: str) -> bytes:
+    """Answer an admin line inline, never queued behind solve work."""
+    op = str(obj["op"])
+    op_id = str(obj.get("id", default_id))
+    if op == "stats":
+        return _line({"type": op, "id": op_id, op: await front.stats_payload()})
+    if op == "health":
+        return _line({"type": op, "id": op_id, op: await front.health_payload()})
+    raise ServeError(f"unknown op {op!r} (supported: 'stats', 'health')")
 
 
 async def _handle_connection(
-    service: SolveService,
+    front,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
-    lock = asyncio.Lock()
-    streams: set[asyncio.Task] = set()
+    session = ClientSession(writer)
     counter = 0
     try:
         while True:
             line, discarded = await _read_wire_line(reader)
             if discarded:
                 counter += 1
-                async with lock:
-                    writer.write(
-                        _encode_error(
-                            None,
-                            ServeError(
-                                f"line too long ({discarded} bytes discarded); "
-                                "one request per newline-terminated line"
-                            ),
-                        )
+                await session.send(
+                    encode_error(
+                        None,
+                        ServeError(
+                            f"line too long ({discarded} bytes discarded); "
+                            "one request per newline-terminated line"
+                        ),
                     )
-                    await writer.drain()
+                )
                 continue
             if not line:  # EOF
                 break
@@ -410,67 +474,50 @@ async def _handle_connection(
             try:
                 obj = _parse_line(line)
                 if "op" in obj:
-                    # Admin plane: answered inline, never queued behind
-                    # solve work (snapshot()/health() are lock-bounded,
-                    # not solving).
-                    op = str(obj["op"])
-                    op_id = str(obj.get("id", f"req-{counter}"))
-                    if op == "stats":
-                        payload = _encode_stats(
-                            op_id, service.stats.snapshot()
-                        )
-                    elif op == "health":
-                        payload = _encode_health(op_id, service.health())
-                    else:
-                        raise ServeError(
-                            f"unknown op {op!r} (supported: 'stats', 'health')"
-                        )
-                    async with lock:
-                        writer.write(payload)
-                        await writer.drain()
+                    await session.send(
+                        await _admin_response(front, obj, f"req-{counter}")
+                    )
                     continue
                 req_id, request = decode_request_obj(
                     obj, default_id=f"req-{counter}"
                 )
-                handle = await service.submit(request)
+                await front.submit_wire(obj, req_id, request, session)
             except ReproError as exc:
-                async with lock:
-                    writer.write(
-                        _encode_error(getattr(exc, "req_id", req_id), exc)
-                    )
-                    await writer.drain()
-                continue
-            async with lock:
-                writer.write(_encode_accepted(req_id))
-                await writer.drain()
-            task = asyncio.create_task(
-                _stream_response(handle, req_id, writer, lock)
-            )
-            streams.add(task)
-            task.add_done_callback(streams.discard)
+                await session.send(
+                    encode_error(getattr(exc, "req_id", req_id), exc)
+                )
     except (ConnectionResetError, BrokenPipeError):
         pass
     finally:
-        if streams:
-            await asyncio.gather(*list(streams), return_exceptions=True)
+        # EOF ends the request side only: every accepted request streams
+        # to its last line before the connection closes.
+        await session.wait_idle()
+        session.alive = False
         writer.close()
         try:
             await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        except (ConnectionResetError, BrokenPipeError, OSError):
             pass
 
 
 async def serve_tcp(
-    service: SolveService,
+    front,
     host: str = "127.0.0.1",
     port: int = 8642,
     *,
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
 ) -> asyncio.AbstractServer:
-    """Start the JSON-lines TCP front-end on an already-started service.
+    """Start the JSON-lines TCP front-end on an already-started front.
+
+    ``front`` is a :class:`~repro.serve.service.SolveService` (solves in
+    process) or a :class:`~repro.shard.router.ShardRouter` (routes to
+    worker shards); the handler only calls what both provide:
+    ``submit_wire(raw_obj, req_id, request, session)`` (submit a decoded
+    request and stream its lines onto the :class:`ClientSession`), and
+    the admin payloads ``stats_payload()`` and ``health_payload()``.
 
     Returns the :class:`asyncio.AbstractServer`; the caller owns both
-    lifetimes (close the server, then drain the service).  ``port=0``
+    lifetimes (close the server, then drain the front).  ``port=0``
     binds an ephemeral port (see ``server.sockets[0].getsockname()``).
     ``max_line_bytes`` bounds per-connection buffering: longer lines are
     discarded in bounded chunks and answered with an ``error`` line.
@@ -482,7 +529,7 @@ async def serve_tcp(
 
     async def handler(reader, writer):
         try:
-            await _handle_connection(service, reader, writer)
+            await _handle_connection(front, reader, writer)
         except asyncio.CancelledError:
             # Loop shutdown cancels open connections; end the task quietly —
             # 3.11's stream machinery logs handler tasks that finish
@@ -501,10 +548,10 @@ async def _connect_with_retries(
     host: str,
     port: int,
     *,
-    connect_timeout: float | None,
-    connect_retries: int,
-    retry_backoff: float,
-    jitter_seed: int,
+    connect_timeout: float | None = None,
+    connect_retries: int = 0,
+    retry_backoff: float = 0.05,
+    jitter_seed: int = 0,
 ):
     """``open_connection`` with a timeout and bounded jittered retries.
 
@@ -531,17 +578,48 @@ async def _connect_with_retries(
             attempt += 1
 
 
-async def _read_response_line(
-    reader: asyncio.StreamReader, read_timeout: float | None
-) -> bytes:
-    """One response line, bounded by ``read_timeout`` seconds (None = no
-    bound); a timeout surfaces as :class:`~repro.errors.ServeError`."""
+async def _exchange(
+    host: str,
+    port: int,
+    line: bytes,
+    on_response,
+    *,
+    read_timeout: float | None = None,
+    **connect_kwargs,
+):
+    """One client exchange: connect (:func:`_connect_with_retries` takes
+    ``connect_kwargs``), send ``line``, then feed each decoded non-error
+    response to ``on_response`` until it returns a value, which is
+    returned.  ``error`` responses, an early close and a response line
+    slower than ``read_timeout`` seconds (None = no bound) raise
+    :class:`~repro.errors.ServeError`; the connection always closes."""
+    reader, writer = await _connect_with_retries(host, port, **connect_kwargs)
     try:
-        return await asyncio.wait_for(reader.readline(), read_timeout)
-    except asyncio.TimeoutError:
-        raise ServeError(
-            f"no response from server within {read_timeout}s"
-        ) from None
+        writer.write(line)
+        await writer.drain()
+        while True:
+            try:
+                raw = await asyncio.wait_for(reader.readline(), read_timeout)
+            except asyncio.TimeoutError:
+                raise ServeError(
+                    f"no response from server within {read_timeout}s"
+                ) from None
+            if not raw:
+                raise ServeError("server closed the connection mid-request")
+            obj = json.loads(raw)
+            if obj.get("type") == "error":
+                raise ServeError(
+                    f"server error {obj.get('error')}: {obj.get('message')}"
+                )
+            done = on_response(obj)
+            if done is not None:
+                return done
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            pass
 
 
 async def request_over_tcp(
@@ -567,88 +645,44 @@ async def request_over_tcp(
     building block — production clients should keep one connection and
     pipeline.
     """
-    reader, writer = await _connect_with_retries(
+    updates: list[dict] = []
+
+    def on_response(obj: dict):
+        kind = obj.get("type")
+        if kind == "result":
+            return updates, obj
+        if kind == "update":
+            updates.append(obj)
+        elif kind != "accepted":
+            raise ServeError(f"unknown response type {kind!r}")
+        return None
+
+    return await _exchange(
         host,
         port,
+        encode_request(request, req_id),
+        on_response,
         connect_timeout=connect_timeout,
+        read_timeout=read_timeout,
         connect_retries=connect_retries,
         retry_backoff=retry_backoff,
         jitter_seed=jitter_seed,
     )
-    updates: list[dict] = []
-    try:
-        writer.write(encode_request(request, req_id))
-        await writer.drain()
-        while True:
-            line = await _read_response_line(reader, read_timeout)
-            if not line:
-                raise ServeError("server closed the connection mid-request")
-            obj = json.loads(line)
-            kind = obj.get("type")
-            if kind == "accepted":
-                continue
-            if kind == "update":
-                updates.append(obj)
-            elif kind == "result":
-                return updates, obj
-            elif kind == "error":
-                raise ServeError(
-                    f"server error {obj.get('error')}: {obj.get('message')}"
-                )
-            else:
-                raise ServeError(f"unknown response type {kind!r}")
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
 
 
 async def _admin_over_tcp(
-    host: str,
-    port: int,
-    op: str,
-    req_id: str,
-    *,
-    connect_timeout: float | None = None,
-    read_timeout: float | None = None,
-    connect_retries: int = 0,
-    retry_backoff: float = 0.05,
-    jitter_seed: int = 0,
+    host: str, port: int, op: str, req_id: str, **net_kwargs
 ) -> dict:
     """One admin round-trip (``stats`` / ``health``); returns the payload."""
-    reader, writer = await _connect_with_retries(
-        host,
-        port,
-        connect_timeout=connect_timeout,
-        connect_retries=connect_retries,
-        retry_backoff=retry_backoff,
-        jitter_seed=jitter_seed,
+
+    def on_response(obj: dict):
+        if obj.get("type") != op:
+            raise ServeError(f"unknown response type {obj.get('type')!r}")
+        return obj[op]
+
+    return await _exchange(
+        host, port, _line({"op": op, "id": req_id}), on_response, **net_kwargs
     )
-    try:
-        writer.write(
-            (json.dumps({"op": op, "id": req_id}) + "\n").encode("utf-8")
-        )
-        await writer.drain()
-        line = await _read_response_line(reader, read_timeout)
-        if not line:
-            raise ServeError("server closed the connection mid-request")
-        obj = json.loads(line)
-        kind = obj.get("type")
-        if kind == op:
-            return obj[op]
-        if kind == "error":
-            raise ServeError(
-                f"server error {obj.get('error')}: {obj.get('message')}"
-            )
-        raise ServeError(f"unknown response type {kind!r}")
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
 
 
 async def stats_over_tcp(

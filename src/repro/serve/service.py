@@ -812,6 +812,20 @@ class SolveService:
         self._slots_taken += 1
         return self._make_pending(request)
 
+    # The three calls :func:`~repro.serve.protocol.serve_tcp` makes on a front.
+
+    async def submit_wire(
+        self, raw_obj: dict, req_id: str, request: SolveRequest, session
+    ) -> None:
+        """Submit a decoded wire request and stream it onto ``session``."""
+        await session.stream(req_id, await self.submit(request))
+
+    async def stats_payload(self) -> dict:
+        return self.stats.snapshot()
+
+    async def health_payload(self) -> dict:
+        return self.health()
+
     def _try_acquire_slot(self) -> bool:
         """Acquire one capacity slot without suspending; False when full."""
         assert self._slots is not None

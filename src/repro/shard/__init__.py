@@ -24,20 +24,21 @@ Layers (one module each):
 * :mod:`repro.shard.router` — :class:`~repro.shard.router.ShardRouter`:
   BatchKey-hash routing with health-scored spill to the least-loaded
   healthy shard, failover (dead shard → re-route + respawn), rolling
-  drain/restart, router-level shedding, and
-  :func:`~repro.shard.router.serve_router_tcp`, the client-facing front.
+  drain/restart and router-level shedding.  Clients reach it through
+  :func:`~repro.serve.protocol.serve_tcp`, the same JSON-lines front a
+  single ``SolveService`` runs behind.
 * :mod:`repro.shard.stats` — fold per-shard
   :meth:`~repro.serve.service.ServiceStats.snapshot` payloads (exact
   counter sums + lossless :class:`~repro.obs.ReservoirHistogram` merges)
   into one router-level ``{"op": "stats"}`` payload.
 
-``gpu-aco serve --shards N`` is the CLI surface; ``N=0`` keeps the
-single-process in-process path byte-for-byte.
+``gpu-aco serve --shards N`` is the CLI surface; ``N=0`` solves in
+process behind the same front.
 """
 
 from __future__ import annotations
 
-from repro.shard.router import ShardRouter, serve_router_tcp, shard_index
+from repro.shard.router import ShardRouter, shard_index
 from repro.shard.shm import InstanceShmCache, resolve_shared_instance
 from repro.shard.stats import fold_health, fold_stats
 from repro.shard.supervisor import WorkerShard
@@ -51,7 +52,6 @@ __all__ = [
     "fold_health",
     "fold_stats",
     "resolve_shared_instance",
-    "serve_router_tcp",
     "shard_index",
     "worker_main",
 ]

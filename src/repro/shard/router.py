@@ -1,25 +1,26 @@
 """The shard router: BatchKey-hash routing over N worker processes.
 
 One asyncio process owns N :class:`~repro.shard.supervisor.WorkerShard`
-workers and speaks the standard JSON-lines wire to clients
-(:func:`serve_router_tcp` — byte-compatible with ``gpu-aco serve``, so
-every existing client/CLI works unchanged).  Per request:
+workers and is a front for :func:`~repro.serve.protocol.serve_tcp`, the
+one JSON-lines handler ``gpu-aco serve`` runs on either tier, so every
+existing client/CLI works unchanged.  The handler decodes and validates
+each line exactly like a single server (errors become ``error`` lines
+without a worker round-trip) and hands solve requests to
+:meth:`ShardRouter.submit_wire`, which:
 
-1. decode + validate exactly like a single server (errors become
-   ``error`` lines here, without burning a worker round-trip);
-2. publish inline coordinate instances into the shared-memory cache
+1. publishes inline coordinate instances into the shared-memory cache
    (:mod:`repro.shard.shm`) so equal instances serialize once, not per
    shard;
-3. route by a **stable hash** of the request's
+2. routes by a **stable hash** of the request's
    :class:`~repro.serve.service.BatchKey` — equal-geometry requests land
    on the same shard, preserving the micro-batcher's packing density —
    unless the primary is dead or scoring past ``spill_threshold``, in
    which case the request spills to the least-loaded healthy shard
    (scored from each worker's ``{"op": "health"}`` probe + the router's
    own outstanding counts);
-4. forward over the shard's **trunk** (one pipelined connection per
-   worker) under a router-assigned wire id, relay ``update``/``result``/
-   ``error`` lines back under the client's id.
+3. forwards over the shard's **trunk** (one pipelined connection per
+   worker) under a router-assigned wire id, and relays ``update``/
+   ``result``/``error`` lines back under the client's id.
 
 Failover: a worker death surfaces as trunk EOF.  The router respawns the
 shard (``shards_respawned``) and re-forwards every outstanding request
@@ -47,14 +48,8 @@ from repro.errors import ReproError, ServeError, ServiceOverloadedError
 from repro.obs import MetricsRegistry
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.protocol import (
-    DEFAULT_MAX_LINE_BYTES,
-    _encode_accepted,
-    _encode_error,
-    _encode_health,
-    _encode_stats,
-    _parse_line,
-    _read_wire_line,
-    decode_request_obj,
+    ClientSession,
+    encode_error,
     encode_request,
     health_over_tcp,
     stats_over_tcp,
@@ -65,7 +60,7 @@ from repro.shard.stats import fold_health, fold_stats
 from repro.shard.supervisor import WorkerShard
 from repro.shard.worker import ShardConfig
 
-__all__ = ["ShardRouter", "serve_router_tcp", "shard_index"]
+__all__ = ["ShardRouter", "shard_index"]
 
 _PROBE_NET = {"connect_timeout": 2.0, "read_timeout": 5.0}
 
@@ -81,33 +76,6 @@ def shard_index(key: BatchKey, nshards: int) -> int:
     return int.from_bytes(digest[:8], "big") % nshards
 
 
-class _ClientSession:
-    """One client connection's write side, shared by its relays."""
-
-    __slots__ = ("writer", "lock", "alive")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
-        self.alive = True
-
-    async def send(self, data: bytes) -> None:
-        if not self.alive:
-            return
-        async with self.lock:
-            if self.writer.is_closing():
-                self.alive = False
-                return
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                # Closing a client connection never cancels accepted work
-                # (same contract as the single-process wire); remaining
-                # responses for this session are dropped here.
-                self.alive = False
-
-
 class _Routed:
     """Router book-keeping for one in-flight forwarded request."""
 
@@ -121,7 +89,7 @@ class _Routed:
         req_id: str,
         key: BatchKey,
         wire: bytes,
-        session: _ClientSession,
+        session: ClientSession,
         digest: str | None,
     ) -> None:
         self.wid = wid
@@ -262,13 +230,13 @@ class ShardRouter:
         for task in list(self._readers.values()):
             task.cancel()
         self._readers.clear()
-        orphans, self._outstanding = list(self._outstanding.values()), {}
-        for routed in orphans:
-            await routed.session.send(
-                _encode_error(
+        for routed in list(self._outstanding.values()):
+            await self._end(
+                routed,
+                encode_error(
                     routed.req_id,
                     ServeError("router stopped before the request resolved"),
-                )
+                ),
             )
         self._shm.close()
 
@@ -358,21 +326,34 @@ class ShardRouter:
             return {"suite": raw_instance["suite"]}
         return self._shm.wire_form(request.instance)
 
-    def _resolve(self, routed: _Routed) -> None:
-        """Take a request out of ``_outstanding`` for good.  Its last
-        in-flight sibling over the same instance unlinks the shared block
-        (re-forwarded orphans stay outstanding and keep it)."""
-        if self._outstanding.pop(routed.wid, None) is not None and routed.digest:
+    def _resolve(self, routed: _Routed) -> bool:
+        """Take a request out of ``_outstanding`` for good; False if it
+        already was.  Its last in-flight sibling over the same instance
+        unlinks the shared block (re-forwarded orphans stay outstanding
+        and keep it)."""
+        if self._outstanding.pop(routed.wid, None) is None:
+            return False
+        if routed.digest:
             self._shm.release(routed.digest)
+        return True
 
-    async def submit(
+    async def _end(self, routed: _Routed, line: bytes) -> None:
+        """Resolve an accepted request and send its last line.  Every path
+        that finishes one — relay, failover give-up, respawn failure,
+        :meth:`stop` — ends here, so its session counts it once."""
+        if self._resolve(routed):
+            await routed.session.finish(line)
+
+    async def submit_wire(
         self,
         raw_obj: dict,
         req_id: str,
         request: SolveRequest,
-        session: _ClientSession,
+        session: ClientSession,
     ) -> None:
-        """Route one decoded solve request; sends ``accepted`` on success.
+        """Route one decoded solve request; ``accepted`` goes onto the
+        client ``session`` on success (the wire-front call
+        :func:`~repro.serve.protocol.serve_tcp` makes).
 
         Raises :class:`~repro.errors.ReproError` subclasses for the caller
         to turn into ``error`` lines (closed router, shed load, no healthy
@@ -404,7 +385,7 @@ class ShardRouter:
         ordinal = self._route_ordinal
         self._route_ordinal += 1
         self._requests_routed.inc()
-        await session.send(_encode_accepted(req_id))
+        await session.accept(req_id)
         plan = self._fault_plan
         if plan is not None and ordinal in plan.kill_workers:
             # Deterministic chaos: SIGKILL the shard this request landed
@@ -450,12 +431,14 @@ class ShardRouter:
         if routed is None:
             return  # resolved elsewhere (e.g. re-routed) or unknown
         obj["id"] = routed.req_id
-        if kind in ("result", "error"):
-            self._resolve(routed)
-            if 0 <= routed.shard_id < len(self.shards):
-                target = self.shards[routed.shard_id]
-                target.outstanding = max(0, target.outstanding - 1)
-        await routed.session.send((json.dumps(obj) + "\n").encode("utf-8"))
+        line = (json.dumps(obj) + "\n").encode("utf-8")
+        if kind not in ("result", "error"):
+            await routed.session.send(line)
+            return
+        if 0 <= routed.shard_id < len(self.shards):
+            target = self.shards[routed.shard_id]
+            target.outstanding = max(0, target.outstanding - 1)
+        await self._end(routed, line)
 
     async def _on_trunk_down(self, shard: WorkerShard) -> None:
         """A worker went away: planned restarts just mark state; unplanned
@@ -477,8 +460,7 @@ class ShardRouter:
             await shard.spawn()
         except ServeError as exc:
             for routed in orphans:
-                self._resolve(routed)
-                await routed.session.send(_encode_error(routed.req_id, exc))
+                await self._end(routed, encode_error(routed.req_id, exc))
             return
         self._start_reader(shard)
         self._shards_respawned.inc()
@@ -487,22 +469,21 @@ class ShardRouter:
                 continue  # resolved while we respawned
             routed.reroutes += 1
             if routed.reroutes > self.max_reroutes:
-                self._resolve(routed)
-                await routed.session.send(
-                    _encode_error(
+                await self._end(
+                    routed,
+                    encode_error(
                         routed.req_id,
                         ServeError(
                             f"request failed over {routed.reroutes} times "
                             "without completing"
                         ),
-                    )
+                    ),
                 )
                 continue
             try:
                 await self._forward(routed)
             except ReproError as exc:
-                self._resolve(routed)
-                await routed.session.send(_encode_error(routed.req_id, exc))
+                await self._end(routed, encode_error(routed.req_id, exc))
 
     # ------------------------------------------------------------- observers
 
@@ -540,137 +521,30 @@ class ShardRouter:
             "outstanding": len(self._outstanding),
         }
 
+    async def _scrape_healthy(self, scrape) -> dict[int, dict]:
+        """``scrape`` (an admin client call) on every healthy shard at once;
+        shard id -> payload, shards that failed to answer left out."""
+        shards = self._healthy()
+        payloads = await asyncio.gather(
+            *(scrape(self.config.host, s.port, **_PROBE_NET) for s in shards),
+            return_exceptions=True,
+        )
+        return {
+            s.id: payload
+            for s, payload in zip(shards, payloads)
+            if isinstance(payload, dict)
+        }
+
     async def stats_payload(self) -> dict:
         """The router's ``{"op": "stats"}`` answer: live per-shard scrapes
         folded into one service-shaped aggregate (see
         :func:`~repro.shard.stats.fold_stats`)."""
-        shards = self._healthy()
-        scrapes = await asyncio.gather(
-            *(
-                stats_over_tcp(self.config.host, s.port, **_PROBE_NET)
-                for s in shards
-            ),
-            return_exceptions=True,
-        )
-        per_shard = {
-            s.id: snap
-            for s, snap in zip(shards, scrapes)
-            if isinstance(snap, dict)
-        }
+        per_shard = await self._scrape_healthy(stats_over_tcp)
         return fold_stats(per_shard, router=self._router_block())
 
     async def health_payload(self) -> dict:
         """The router's ``{"op": "health"}`` answer (every shard appears,
         dead ones included)."""
-        shards = self._healthy()
-        probes = await asyncio.gather(
-            *(
-                health_over_tcp(self.config.host, s.port, **_PROBE_NET)
-                for s in shards
-            ),
-            return_exceptions=True,
-        )
-        per_shard = {
-            s.id: snap
-            for s, snap in zip(shards, probes)
-            if isinstance(snap, dict)
-        }
+        per_shard = await self._scrape_healthy(health_over_tcp)
         summaries = {s.id: s.summary() for s in self.shards}
         return fold_health(per_shard, summaries, router=self._router_block())
-
-
-# ------------------------------------------------------------------ TCP front
-
-
-async def _handle_router_connection(
-    router: ShardRouter,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Same wire contract as the single-process handler, minus local solve:
-    admin ops answer from the fold, solve lines route to shards."""
-    session = _ClientSession(writer)
-    counter = 0
-    try:
-        while True:
-            line, discarded = await _read_wire_line(reader)
-            if discarded:
-                counter += 1
-                await session.send(
-                    _encode_error(
-                        None,
-                        ServeError(
-                            f"line too long ({discarded} bytes discarded); "
-                            "one request per newline-terminated line"
-                        ),
-                    )
-                )
-                continue
-            if not line:  # EOF
-                break
-            if not line.strip():
-                continue
-            counter += 1
-            req_id: str | None = None
-            try:
-                obj = _parse_line(line)
-                if "op" in obj:
-                    op = str(obj["op"])
-                    op_id = str(obj.get("id", f"req-{counter}"))
-                    if op == "stats":
-                        payload = _encode_stats(
-                            op_id, await router.stats_payload()
-                        )
-                    elif op == "health":
-                        payload = _encode_health(
-                            op_id, await router.health_payload()
-                        )
-                    else:
-                        raise ServeError(
-                            f"unknown op {op!r} (supported: 'stats', 'health')"
-                        )
-                    await session.send(payload)
-                    continue
-                req_id, request = decode_request_obj(
-                    obj, default_id=f"req-{counter}"
-                )
-                await router.submit(obj, req_id, request, session)
-            except ReproError as exc:
-                await session.send(
-                    _encode_error(getattr(exc, "req_id", req_id), exc)
-                )
-                continue
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    finally:
-        session.alive = False
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-
-async def serve_router_tcp(
-    router: ShardRouter,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    *,
-    max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-) -> asyncio.AbstractServer:
-    """Start the client-facing JSON-lines front on a started router.
-
-    Same contract as :func:`~repro.serve.protocol.serve_tcp` (ephemeral
-    ``port=0``, per-line cap with surviving connections); the caller owns
-    both lifetimes — close the server, then ``await router.drain()``.
-    """
-    if max_line_bytes < 1:
-        raise ServeError(f"max_line_bytes must be >= 1, got {max_line_bytes}")
-
-    async def handler(reader, writer):
-        try:
-            await _handle_router_connection(router, reader, writer)
-        except asyncio.CancelledError:
-            writer.close()
-
-    return await asyncio.start_server(handler, host, port, limit=max_line_bytes)

@@ -9,7 +9,8 @@ lifecycle edges:
 * **Config** crosses the process boundary as a :class:`ShardConfig` of
   primitives (backend by registry name, device by key) — ``spawn``
   pickles the entry point's arguments, and backend/device objects don't
-  pickle.
+  pickle.  :meth:`ShardConfig.build_service` turns it into the service,
+  here and in ``gpu-aco serve --shards 0``.
 * **Readiness** is a one-shot ``{"shard": i, "port": p, "pid": ...}``
   message through a ``multiprocessing.Pipe``; the supervisor connects
   its trunk to that port.
@@ -55,27 +56,36 @@ class ShardConfig:
     checkpoint_dir: str | None = None
     max_line_bytes: int = 1 << 20
 
+    def build_service(self):
+        """The :class:`~repro.serve.service.SolveService` these knobs
+        describe — what each worker serves, and ``gpu-aco serve --shards
+        0`` in process.  Raises :class:`~repro.errors.ACOConfigError` on
+        a bad combination."""
+        from repro.backend import resolve_backend
+        from repro.serve import SolveService
+        from repro.simt.device import DEVICES
+
+        return SolveService(
+            max_batch=self.max_batch,
+            workers=self.workers,
+            max_pending=self.max_pending,
+            retry_budget=self.retry_budget,
+            retry_backoff=self.retry_backoff,
+            retry_jitter_seed=self.retry_jitter_seed,
+            checkpoint_dir=self.checkpoint_dir,
+            backend=resolve_backend(self.backend),
+            device=DEVICES[self.device],
+        )
+
 
 async def _worker_amain(shard_id: int, config: ShardConfig, conn) -> None:
     """Build the service, serve the wire, report readiness, await SIGTERM."""
     # lint: worker-thread — runs in the worker process, off the router's
     # loop: router state marked `guarded-by: loop` must never be touched
     # from here (it crosses a process boundary, not just a thread one).
-    from repro.backend import resolve_backend
-    from repro.serve import SolveService, serve_tcp
-    from repro.simt.device import DEVICES
+    from repro.serve import serve_tcp
 
-    service = SolveService(
-        max_batch=config.max_batch,
-        workers=config.workers,
-        max_pending=config.max_pending,
-        retry_budget=config.retry_budget,
-        retry_backoff=config.retry_backoff,
-        retry_jitter_seed=config.retry_jitter_seed,
-        checkpoint_dir=config.checkpoint_dir,
-        backend=resolve_backend(config.backend),
-        device=DEVICES[config.device],
-    )
+    service = config.build_service()
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):

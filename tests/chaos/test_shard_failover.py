@@ -15,10 +15,10 @@ import asyncio
 import json
 
 from repro.core import ACOParams, AntSystem
-from repro.serve import FaultPlan, stats_over_tcp
+from repro.serve import FaultPlan, serve_tcp, stats_over_tcp
 from repro.serve.protocol import encode_request
 from repro.serve.service import SolveRequest
-from repro.shard import ShardConfig, ShardRouter, serve_router_tcp, shard_index
+from repro.shard import ShardConfig, ShardRouter, shard_index
 from repro.tsp import uniform_instance
 
 ITERATIONS = 6
@@ -51,7 +51,7 @@ def test_kill_one_shard_mid_burst_every_request_resolves_bit_identical():
         async with ShardRouter(
             3, ShardConfig(max_batch=4), faults=plan
         ) as router:
-            server = await serve_router_tcp(router, "127.0.0.1", 0)
+            server = await serve_tcp(router, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
                 # One pipelined connection, the whole burst written up

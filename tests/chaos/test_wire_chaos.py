@@ -3,14 +3,18 @@
 Replays the deterministic malformed-line corpus
 (:func:`~repro.serve.faults.malformed_wire_lines`) against a live server:
 every garbage line gets a structured ``error`` response, the connection
-survives, and a well-formed request afterwards still completes.  Also
-pins the client-side connect-retry/timeout seam.
+survives, and a well-formed request afterwards still completes.  The
+wire-contract tests run on both fronts ``serve_tcp`` serves — an
+in-process ``SolveService`` and a one-shard ``ShardRouter`` — so the
+router's error lines are pinned too.  Also pins the client-side
+connect-retry/timeout seam.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.serve import (
     stats_over_tcp,
 )
 from repro.serve.protocol import DEFAULT_MAX_LINE_BYTES, encode_request
+from repro.shard import ShardConfig, ShardRouter
 from repro.tsp import uniform_instance
 
 MAX_LINE = 4096
@@ -39,6 +44,51 @@ def _request(seed: int, **kwargs) -> SolveRequest:
         params=ACOParams(seed=seed, nn=7),
         **kwargs,
     )
+
+
+class _ServedFront:
+    """A front behind ``serve_tcp`` on a private event loop in a background
+    thread, so one router (worker process included) serves a whole
+    module; tests talk to it over TCP from their own loops."""
+
+    def __init__(self, kind: str) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
+        self._thread.start()
+        self.port = self._call(self._start(kind))
+
+    def _call(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(120)
+
+    async def _start(self, kind: str) -> int:
+        if kind == "service":
+            self.front = SolveService(max_batch=2, workers=1)
+        else:
+            self.front = ShardRouter(1, ShardConfig(max_batch=2))
+        await self.front.start()
+        self.server = await serve_tcp(self.front, port=0, max_line_bytes=MAX_LINE)
+        return self.server.sockets[0].getsockname()[1]
+
+    async def _stop(self) -> None:
+        self.server.close()
+        await self.server.wait_closed()
+        await self.front.drain()
+
+    def close(self) -> None:
+        self._call(self._stop())
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(30)
+        self._loop.close()
+
+
+@pytest.fixture(scope="module", params=["service", "router"])
+def port(request):
+    """The listening port of a module-wide front of each kind."""
+    served = _ServedFront(request.param)
+    try:
+        yield served.port
+    finally:
+        served.close()
 
 
 async def _with_server(fn, **serve_kwargs):
@@ -60,8 +110,8 @@ class TestMalformedLines:
         assert a == b
         assert len(a[0]) > MAX_LINE  # the oversized entry really oversizes
 
-    def test_every_garbage_line_gets_an_error_and_connection_survives(self):
-        async def scenario(service, port):
+    def test_every_garbage_line_gets_an_error_and_connection_survives(self, port):
+        async def scenario():
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 for line in malformed_wire_lines(oversized_bytes=MAX_LINE):
@@ -82,13 +132,13 @@ class TestMalformedLines:
                 writer.close()
                 await writer.wait_closed()
 
-        asyncio.run(_with_server(scenario))
+        asyncio.run(scenario())
 
-    def test_oversized_line_is_discarded_not_buffered(self):
+    def test_oversized_line_is_discarded_not_buffered(self, port):
         """A line far past the cap is answered (and discarded) — the
         error response reports how much was thrown away."""
 
-        async def scenario(service, port):
+        async def scenario():
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 writer.write(b"x" * (MAX_LINE * 8) + b"\n")
@@ -100,15 +150,15 @@ class TestMalformedLines:
                 writer.close()
                 await writer.wait_closed()
 
-        asyncio.run(_with_server(scenario))
+        asyncio.run(scenario())
 
     def test_default_line_cap_is_one_mib(self):
         assert DEFAULT_MAX_LINE_BYTES == 1 << 20
 
 
 class TestAdminPlaneUnderChaos:
-    def test_stats_and_health_work_after_garbage(self):
-        async def scenario(service, port):
+    def test_stats_and_health_work_after_garbage(self, port):
+        async def scenario():
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 writer.write(b"plain text, not json at all\n")
@@ -123,10 +173,10 @@ class TestAdminPlaneUnderChaos:
             assert health["accepting"] is True
             assert health["workers_alive"] >= 1
 
-        asyncio.run(_with_server(scenario))
+        asyncio.run(scenario())
 
-    def test_unknown_op_is_an_error_line(self):
-        async def scenario(service, port):
+    def test_unknown_op_is_an_error_line(self, port):
+        async def scenario():
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 writer.write(b'{"op": "reboot", "id": "x"}\n')
@@ -138,7 +188,7 @@ class TestAdminPlaneUnderChaos:
                 writer.close()
                 await writer.wait_closed()
 
-        asyncio.run(_with_server(scenario))
+        asyncio.run(scenario())
 
 
 class TestClientNetworking:

@@ -17,11 +17,20 @@ from repro.serve.protocol import (
     instance_from_json,
     instance_to_json,
 )
+from repro.shard import ShardConfig, ShardRouter
 from repro.tsp import uniform_instance
 
 
 def run_async(coro):
     return asyncio.run(coro)
+
+
+def _make_front(kind: str):
+    """Both fronts ``serve_tcp`` serves: one in-process service, or a
+    router over one worker-process shard."""
+    if kind == "service":
+        return SolveService(max_batch=2)
+    return ShardRouter(1, ShardConfig(max_batch=2))
 
 
 class TestEncodeDecode:
@@ -224,3 +233,49 @@ class TestTcpServer:
 
         message = run_async(drive())
         assert "ServiceClosedError" in message
+
+
+@pytest.mark.parametrize("front_kind", ["service", "router"])
+def test_half_closed_client_receives_every_accepted_result(front_kind):
+    """A client that pipelines requests and then shuts its write side
+    (``nc -N``, ncat) still gets each request's accepted, update and
+    result lines before the server closes the connection."""
+    reqs = {
+        rid: SolveRequest(
+            instance=uniform_instance(16, seed=40 + i),
+            params=ACOParams(seed=3, nn=7),
+            iterations=4,
+            report_every=2,
+        )
+        for i, rid in enumerate(("a", "b"))
+    }
+
+    async def drive():
+        async with _make_front(front_kind) as front:
+            server = await serve_tcp(front, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                for rid, req in reqs.items():
+                    writer.write(encode_request(req, rid))
+                writer.write_eof()
+                lines = []
+                while line := await asyncio.wait_for(reader.readline(), 120):
+                    lines.append(json.loads(line))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+            return lines
+
+    lines = run_async(drive())
+    for rid, req in reqs.items():
+        mine = [obj for obj in lines if obj["id"] == rid]
+        assert [obj["type"] for obj in mine] == [
+            "accepted", "update", "update", "result"
+        ], lines
+        solo = AntSystem(req.instance, req.params).run(4)
+        assert mine[-1]["best_length"] == solo.best_length

@@ -69,6 +69,18 @@ def test_shards_flag_rejects_negative():
     assert "--shards must be >= 0" in out.stderr
 
 
+def test_shards_config_error_is_a_usage_message():
+    """A bad service knob is caught before any worker spawns."""
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--shards", "1",
+         "--max-batch", "0", "--port", "0"],
+        env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode != 0
+    assert "error: max_batch must be >= 1" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_serve_shards_cli_roundtrip_stats_and_sigint_drain():
     port = _free_port()
     proc = _spawn_router(port, shards=2)

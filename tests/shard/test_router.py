@@ -17,9 +17,9 @@ import pytest
 
 from repro.core import ACOParams, AntSystem
 from repro.errors import ServeError
-from repro.serve import health_over_tcp, request_over_tcp, stats_over_tcp
+from repro.serve import health_over_tcp, request_over_tcp, serve_tcp, stats_over_tcp
 from repro.serve.service import SolveRequest
-from repro.shard import ShardConfig, ShardRouter, serve_router_tcp, shard_index
+from repro.shard import ShardConfig, ShardRouter, shard_index
 from repro.tsp import uniform_instance
 
 ITERATIONS = 5
@@ -87,7 +87,7 @@ def test_submit_before_start_is_draining_error():
     async def _go():
         router = ShardRouter(2)
         with pytest.raises(ServeError, match="draining"):
-            await router.submit({}, "r0", None, None)
+            await router.submit_wire({}, "r0", None, None)
 
     asyncio.run(_go())
 
@@ -100,7 +100,7 @@ def test_sharded_burst_bit_identical_with_exact_stats_fold():
 
     async def _go():
         async with ShardRouter(2, _config()) as router:
-            server = await serve_router_tcp(router, "127.0.0.1", 0)
+            server = await serve_tcp(router, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
                 results = await asyncio.gather(
@@ -175,7 +175,7 @@ def test_rolling_restart_keeps_serving():
 
     async def _go():
         async with ShardRouter(1, _config()) as router:
-            server = await serve_router_tcp(router, "127.0.0.1", 0)
+            server = await serve_tcp(router, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
                 _, before = await request_over_tcp(
@@ -234,7 +234,7 @@ def test_distinct_instance_stream_leaves_no_shared_blocks():
                 return stub
 
             router._shm.wire_form = _recording_wire_form
-            server = await serve_router_tcp(router, "127.0.0.1", 0)
+            server = await serve_tcp(router, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -290,14 +290,60 @@ def test_failed_submit_releases_shared_block(monkeypatch):
 
     async def _go():
         with pytest.raises(ServiceOverloadedError):  # no healthy shard
-            await router.submit(raw, "r0", request, None)
+            await router.submit_wire(raw, "r0", request, None)
         assert (len(router._shm), router.outstanding) == (0, 0)
         monkeypatch.setattr(router_mod, "encode_request", _encode_fails)
         with pytest.raises(ValueError, match="unencodable"):
-            await router.submit(raw, "r1", request, None)
+            await router.submit_wire(raw, "r1", request, None)
         assert (len(router._shm), router.outstanding) == (0, 0)
 
     try:
         asyncio.run(_go())
     finally:
         router._shm.close()
+
+
+def test_relayed_and_orphaned_requests_each_finish_their_session_once():
+    """A relayed result and a ``stop()`` orphan end through one path: each
+    accepted request sends its last line and leaves the client session's
+    count exactly once, so the handler's wait for a half-closed client
+    ends."""
+    from repro.serve.protocol import ClientSession
+    from repro.shard.router import _Routed
+
+    class _Writer:
+        def __init__(self):
+            self.lines = []
+
+        def is_closing(self):
+            return False
+
+        def write(self, data):
+            self.lines.append(json.loads(data))
+
+        async def drain(self):
+            pass
+
+    key = _requests()[0].bucket_key
+
+    async def _go():
+        router = ShardRouter(1, _config())  # never started: no processes
+        writer = _Writer()
+        session = ClientSession(writer)
+        for wid, req_id in (("x0", "a"), ("x1", "b")):
+            await session.accept(req_id)
+            router._outstanding[wid] = _Routed(wid, req_id, key, b"", session, None)
+        await router._relay(
+            router.shards[0], b'{"type": "result", "id": "x0", "best_length": 1}\n'
+        )
+        await router.stop()
+        await router.stop()  # idempotent: nothing ends twice
+        await asyncio.wait_for(session.wait_idle(), 5)
+        return writer.lines, session._open
+
+    lines, still_open = asyncio.run(_go())
+    assert [(obj["type"], obj["id"]) for obj in lines] == [
+        ("accepted", "a"), ("accepted", "b"), ("result", "a"), ("error", "b"),
+    ]
+    assert "router stopped" in lines[-1]["message"]
+    assert still_open == 0
