@@ -51,7 +51,8 @@ Subcommands
 ``solve`` and ``sweep`` accept ``--report-every K``: the run then keeps
 K-iteration blocks device-resident, reporting (and transferring tours to
 the host) only at K-boundaries — bit-identical results, amortised
-per-iteration overhead.
+per-iteration overhead.  A run's reports keep each boundary's lengths and
+stage records but not its tours, so memory stays flat at any K.
 
 ``solve`` and ``sweep`` also accept ``--local-search 2opt`` (with
 ``--ls-passes N`` and ``--ls-target {iteration-best,best-so-far}``): elite
@@ -167,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="K",
         help="device-resident run loop: report/transfer only every "
-        "K-th iteration (bit-identical results; default 1)",
+        "K-th iteration (bit-identical results; default 1); reports keep "
+        "lengths and stage records, not tours",
     )
     _add_local_search_flags(solve)
     solve.add_argument(
@@ -264,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="K",
         help="device-resident run loop: report/transfer only every "
-        "K-th iteration (bit-identical results; default 1)",
+        "K-th iteration (bit-identical results; default 1); reports keep "
+        "lengths and stage records, not tours",
     )
     _add_local_search_flags(sweep)
 
@@ -308,12 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=3,
         help="failed-batch re-runs each request may consume before its "
         "failure is surfaced (quarantine bisection; default 3)",
-    )
-    serve.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="write a checkpoint of every completed batch engine into DIR",
     )
     serve.add_argument(
         "--shards",
@@ -773,7 +770,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_budget=args.retry_budget,
         backend=backend.name,
         device=args.device,
-        checkpoint_dir=args.checkpoint_dir,
     )
     # Built before the loop starts, on both paths, so every config error
     # (bad max_batch/workers/max_pending combination) surfaces as a clean
@@ -898,7 +894,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "requests_shed",
         "requests_retried",
         "batches_bisected",
-        "checkpoints_written",
         "batches",
         "rows_packed",
         "ls_batches",

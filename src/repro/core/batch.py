@@ -786,7 +786,9 @@ class BatchEngine:
         advances — so an interrupt inside the kernels leaves exactly the
         completed iterations behind.  At a boundary, tours, lengths, the
         fold and ``pending`` cross to the host (the latter into ``bests``)
-        and one report per row is returned.
+        and one report per row is returned.  The reports hold no tours:
+        :meth:`run` keeps every boundary's reports, so a tour reference
+        there would pin one ``(B, m, n + 1)`` batch per boundary.
         """
         bs = self.state
         tours, lengths, ctx, stages = self._advance(collect=boundary)
@@ -803,7 +805,6 @@ class BatchEngine:
         reports = [
             IterationReport(
                 iteration=bs.iteration,
-                tours=bs.tours[b],
                 lengths=bs.lengths[b],
                 stages=stages[b],
                 **self._ls_fields(b),
@@ -829,10 +830,14 @@ class BatchEngine:
         This is one boundary step of :meth:`run`'s loop: every stage runs
         on ``self.backend`` and tours and lengths cross to the host once,
         at the end of the iteration (a no-copy pass-through on numpy).
+        Unlike a run's reports, each carries its row's ``tours``.
         """
         if self._fold_len is None:
             self._seed_fold()
-        return self._step(True, [], [[] for _ in range(self.B)])
+        reports = self._step(True, [], [[] for _ in range(self.B)])
+        for b, rep in enumerate(reports):
+            rep.tours = self.state.tours[b]
+        return reports
 
     def run(
         self,
@@ -851,7 +856,10 @@ class BatchEngine:
         there only.  ``K=1`` (the default) makes every iteration a
         boundary.  The best tour, best length, per-iteration best lengths
         and the final pheromone stack are bit-identical for every K; only
-        the ``reports`` lists thin out (boundary iterations only).
+        the ``reports`` lists thin out (boundary iterations only).  The
+        reports carry lengths, stage records and 2-opt counters but no
+        tours, so the run holds one tour batch at a time whatever its
+        length; tours reach the caller through ``on_boundary``.
 
         ``on_boundary`` is called at every report boundary (so every K-th
         iteration and the last) with a :class:`BoundaryUpdate` snapshot —

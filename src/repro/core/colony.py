@@ -62,6 +62,12 @@ class RunResult:
     Summing shares across different batches under-reports real elapsed
     time; throughput accounting must use the batch-level
     :attr:`~repro.core.batch.BatchRunResult.wall_seconds` instead.
+
+    ``reports`` holds one :class:`~repro.core.report.IterationReport` per
+    report boundary with its iteration, lengths, stage records and 2-opt
+    counters, but no tours (``tours is None``): a run's memory stays flat
+    in its length.  Per-iteration tours come from ``run_iteration()``, and
+    a run's best-so-far tours from the ``on_boundary`` hook.
     """
 
     best_tour: np.ndarray

@@ -32,7 +32,26 @@ from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import Kernel, LaunchConfig
 
-__all__ = ["TourConstruction", "ConstructionResult", "BatchConstructionResult"]
+__all__ = [
+    "TourConstruction",
+    "ConstructionResult",
+    "BatchConstructionResult",
+    "best_unvisited",
+]
+
+
+def best_unvisited(rows: np.ndarray, visited: np.ndarray, xp=np) -> np.ndarray:
+    """ACOTSP's ``choose_best_next``: per row, the first city of maximal
+    ``choice`` among the unvisited ones.
+
+    ``rows`` are the ants' current ``choice`` rows and ``visited`` their
+    boolean tabu rows, both ``(k, n)``.  Every construction rule falls back
+    to this when its own selection has nothing to choose from: the
+    task-based rules when their candidates carry no weight, I-Roulette
+    (versions 7-8) when every unvisited product is ``0``.  An unvisited
+    city always beats a visited one, even at weight ``0``.
+    """
+    return xp.argmax(xp.where(visited, -np.inf, rows), axis=1)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from repro.core.construction.base import (
     BatchConstructionResult,
     ConstructionResult,
     TourConstruction,
+    best_unvisited,
 )
 from repro.core.report import StageReport
 from repro.core.state import ColonyState
@@ -56,6 +57,16 @@ _TILE_RULES = ("product", "heuristic")
 
 def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
+
+
+def _min_off_diagonal(choice: np.ndarray, xp) -> float:
+    """Smallest off-diagonal entry of a contiguous ``(B, n, n)`` stack,
+    ``n >= 2`` (an ant's current city is visited, so the diagonal never
+    competes).  Past the first element, each run of ``n + 1`` flat entries
+    is ``n`` off-diagonal ones and then a diagonal one."""
+    B, n, _ = choice.shape
+    off = choice.reshape(B, n * n)[:, 1:].reshape(B, n - 1, n + 1)[:, :, :n]
+    return float(xp.min(off))
 
 
 class DataParallelConstruction(TourConstruction):
@@ -131,6 +142,7 @@ class DataParallelConstruction(TourConstruction):
         ant_idx = xp.arange(m)
         tours = xp.empty((m, n + 1), dtype=np.int32)
         visited = xp.zeros((m, n), dtype=bool)
+        fallbacks = 0
 
         # One draw vector per step, pregenerated in bulk (bit-identical to
         # per-step uniform() calls; the ledger charge below is unchanged).
@@ -180,6 +192,12 @@ class DataParallelConstruction(TourConstruction):
                 pick = xp.argmax(winner_choice, axis=1)
                 stats.int_ops += float(m) * len(spans)
             nxt = tile_city[ant_idx, pick]
+            # Every unvisited product 0: the argmax fell on a lowest index
+            # that may be visited; take the best unvisited city instead.
+            dead = xp.flatnonzero(w[ant_idx, nxt] == 0.0)
+            if dead.size:
+                nxt[dead] = best_unvisited(choice[cur[dead]], visited[dead], xp)
+                fallbacks += dead.size
 
             visited[ant_idx, nxt] = True
             tours[:, step] = nxt
@@ -190,7 +208,9 @@ class DataParallelConstruction(TourConstruction):
         report = StageReport(
             stage="construction", kernel=self.key, stats=stats, launch=launch
         )
-        return ConstructionResult(tours=tours, report=report, fallback_steps=0.0)
+        return ConstructionResult(
+            tours=tours, report=report, fallback_steps=float(fallbacks)
+        )
 
     def build_batch(
         self, bstate, rng: DeviceRNG, collect: bool = True
@@ -216,6 +236,19 @@ class DataParallelConstruction(TourConstruction):
         values the IEEE-754 bit patterns read as int64 order exactly like
         the values (equal values have equal bits).  So the winner and its lowest-index tie-break match a
         float argmax, which costs more because it must also look for NaNs.
+
+        When every unvisited product is ``0`` (an underflowed trail or
+        heuristic), the argmax returns the lowest city even if it is
+        visited.  The winner's product is then ``+0.0``, which one ``(M,)``
+        gather at the tabu-scatter index detects; those ants take the
+        best-unvisited fallback of versions 1-6
+        (:func:`~repro.core.construction.base.best_unvisited`), counted in
+        ``fallback_steps``.  The closed-form ledger does not charge it.
+        The gather runs only in iterations where a zero product is
+        possible: unvisited products are at least ``fl(c * u)``, with
+        ``c`` the smallest off-diagonal ``choice_info`` entry and ``u`` the
+        generator's ``min_uniform``, so when that is positive the check is
+        skipped.
         """
         B, n, m, device = bstate.B, bstate.n, bstate.m, bstate.device
         xp = bstate.backend.xp
@@ -274,10 +307,20 @@ class DataParallelConstruction(TourConstruction):
         # each ant's winning value without per-step index allocations.
         ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
         win_idx = _buf("win_idx", (M,), np.int64)
+        win_bits = _buf("win_bits", (M,), np.int64)
         nxt = _buf("nxt", (M,), np.int64)
         # The argmax reads the products' int64 bit patterns (precondition in
         # the docstring), and the tabu update is one flat scatter.
         w_bits = rows_buf.view(np.int64)
+        w_bits_flat = w_bits.reshape(-1)
+        fallbacks = xp.zeros(B)
+        # One min per iteration stands in for the per-step winner check
+        # whenever no product can be 0 (see the docstring).
+        zero_risk = n > 1 and not (
+            _min_off_diagonal(choice_rows.reshape(B, n, n), xp)
+            * rng.min_uniform
+            > 0.0
+        )
         live_flat = live.reshape(-1)
         per_tile = self.tile_rule == "heuristic" and len(spans) > 1
         if per_tile:
@@ -311,6 +354,18 @@ class DataParallelConstruction(TourConstruction):
                 pick = xp.argmax(winner_choice, axis=1)
                 nxt[:] = tile_city[ant_idx, pick]
             xp.add(ant_base, nxt, out=win_idx)
+            # A winning product of +0.0 (bits 0) means every unvisited
+            # product is 0 and the argmax fell on the lowest city, visited
+            # or not: those ants take the best unvisited city instead.
+            if zero_risk and not xp.take(
+                w_bits_flat, win_idx, out=win_bits, **take_kw
+            ).all():
+                dead = xp.flatnonzero(win_bits == 0)
+                nxt[dead] = best_unvisited(
+                    choice_rows[rows_idx[dead]], live[dead] == 0.0, xp
+                )
+                fallbacks += xp.bincount(dead // m, minlength=B)
+                xp.add(ant_base, nxt, out=win_idx)
             live_flat[win_idx] = 0.0
             tours[:, step] = nxt
             cur = nxt
@@ -319,8 +374,8 @@ class DataParallelConstruction(TourConstruction):
         tours = tours.reshape(B, m, n + 1)
         return BatchConstructionResult(
             tours=tours,
-            reports=self._batch_reports(bstate, xp.zeros(B)) if collect else [],
-            fallback_steps=xp.zeros(B),
+            reports=self._batch_reports(bstate, fallbacks) if collect else [],
+            fallback_steps=fallbacks,
         )
 
     # --------------------------------------------------------------- ledger

@@ -44,6 +44,7 @@ from repro.core.construction.base import (
     BatchConstructionResult,
     ConstructionResult,
     TourConstruction,
+    best_unvisited,
 )
 from repro.core.report import StageReport
 from repro.core.state import ColonyState
@@ -344,8 +345,9 @@ def construct_exact_batch(
         if dead.size:
             # Exhausted rows: the best-choice full-row fallback (ACOTSP's
             # choose_best_next) overwrites those ants' picks.
-            sub = xp.where(live[dead] == 0, -np.inf, choice_rows[rows_idx[dead]])
-            nxt[dead] = xp.argmax(sub, axis=1)
+            nxt[dead] = best_unvisited(
+                choice_rows[rows_idx[dead]], live[dead] == 0, xp
+            )
             fb_ant[dead] += 1
         xp.add(ant_base, nxt, out=win)
         live_flat[win] = 0

@@ -74,10 +74,17 @@ class StageReport:
 
 @dataclass
 class IterationReport:
-    """Everything one Ant System iteration produced."""
+    """What one colony iteration produced: its tour lengths, stage records
+    and 2-opt counters.
+
+    ``tours`` is set only on the reports ``run_iteration()`` returns.  The
+    reports a :class:`~repro.core.colony.RunResult` keeps leave it
+    ``None``, so a run's memory does not grow with its length; a run's
+    tours reach callers through ``on_boundary`` (best-so-far) or
+    one-step ``run_iteration()`` calls.
+    """
 
     iteration: int
-    tours: np.ndarray
     lengths: np.ndarray
     stages: list[StageReport] = field(default_factory=list)
     #: 2-opt exchanges applied to this row at this report boundary (0 when
@@ -85,6 +92,9 @@ class IterationReport:
     ls_exchanges: int = 0
     #: total tour-length gain those exchanges bought
     ls_gain: int = 0
+    #: ``(m, n + 1)`` closed tours of this iteration (``run_iteration()``
+    #: reports only)
+    tours: np.ndarray | None = None
 
     @property
     def best_length(self) -> int:

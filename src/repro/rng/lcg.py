@@ -80,6 +80,8 @@ class ParkMillerLCG(DeviceRNG):
     """
 
     cost_kind = "lcg"
+    #: ``fl(1 / IM)``: states are never 0
+    min_uniform = 1.0 / LCG_IM
 
     def __init__(self, n_streams: int, seed: int, backend=None) -> None:
         super().__init__(n_streams=n_streams, seed=seed, backend=backend)
@@ -123,14 +125,19 @@ class ParkMillerLCG(DeviceRNG):
         additive term, so the ``r``-th successor of state ``s`` is just
         ``s * IA^r mod IM`` — the whole ``(rounds, n_streams)`` block is one
         outer product of the state vector with precomputed multiplier
-        powers, reduced mod the Mersenne prime by three mask-and-shift
-        folds.  ~12 block-wide operations replace ``rounds`` sequential
+        powers, reduced mod the Mersenne prime by two mask-and-shift
+        folds.  ~9 block-wide operations replace ``rounds`` sequential
         vector steps — the same trick the paper's bulk-generation kernel
         (construction version 6) uses to fill its texture buffer at
-        streaming rates.  Exactness: products are below ``(IM - 1)^2 <
-        2^62`` (exact in int64), three ``(x & IM) + (x >> 31)`` folds fully
-        reduce any such value, and valid states are never ``0 mod IM`` (IM
-        is prime), so no fold can land on the ``IM``-fixed-point.
+        streaming rates.  Exactness: with states and powers in ``[1, IM -
+        1]`` the product ``x`` is at most ``(IM - 1)^2 < 2^62`` (exact in
+        int64).  The first fold ``y = (x & IM) + (x >> 31)`` is at most
+        ``(2^31 - 1) + (2^31 - 4) = 2^32 - 5``, so ``y >> 31`` is 0 or 1.
+        If it is 1, the second fold gives ``y - IM <= 2^31 - 4``; if it is
+        0, it leaves ``y <= IM``.  Each fold keeps the residue, and ``y``
+        is never ``0 mod IM`` (``IM`` is prime and divides neither
+        factor), so ``y`` is neither ``IM`` nor ``0`` and the second fold
+        lands in ``[1, IM - 1]``: the fully reduced state.
 
         Wider blocks would push the outer product's int64 scratch out of
         cache, so they step row by row in a float64 copy of the state
@@ -190,7 +197,7 @@ class ParkMillerLCG(DeviceRNG):
         x = self._iblock[:rounds]
         t = self._ifold[:rounds]
         xp.multiply(self._state[None, :], powers, out=x)  # < 2^62, exact
-        for _ in range(3):
+        for _ in range(2):  # two folds reduce fully (see uniform_block)
             xp.right_shift(x, 31, out=t)
             xp.bitwise_and(x, LCG_IM, out=x)
             xp.add(x, t, out=x)

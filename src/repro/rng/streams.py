@@ -67,6 +67,9 @@ class DeviceRNG(abc.ABC):
 
     #: modelled device cost class, read by the SIMT cost model
     cost_kind: str = "lcg"
+    #: the smallest value :meth:`uniform` can return (``0.0`` unless a
+    #: generator rules out a zero raw word)
+    min_uniform: float = 0.0
 
     def __init__(self, n_streams: int, seed: int, backend=None) -> None:
         from repro.backend import resolve_backend

@@ -32,14 +32,12 @@ across batches.  Worker threads talk back only via
 from __future__ import annotations
 
 import asyncio
-import itertools
 import random
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 from repro.backend import WorkBuffers, resolve_backend
@@ -338,7 +336,6 @@ class ServiceStats:
     requests_shed: int = 0  #: load-shed evictions — guarded-by: _lock
     requests_retried: int = 0  #: rows re-run after a batch failure — guarded-by: _lock
     batches_bisected: int = 0  #: failed packs split for quarantine — guarded-by: _lock
-    checkpoints_written: int = 0  #: engine checkpoints persisted — guarded-by: _lock
     batches: int = 0  # guarded-by: _lock
     rows_packed: int = 0  #: total rows across all batches — guarded-by: _lock
     ls_batches: int = 0  #: batches with local search enabled — guarded-by: _lock
@@ -444,12 +441,6 @@ class ServiceStats:
             self.batches_bisected += 1
         self.registry.inc("serve.batches_bisected")
 
-    def observe_checkpoint(self) -> None:
-        """One engine checkpoint written (worker thread)."""
-        with self._lock:
-            self.checkpoints_written += 1
-        self.registry.inc("serve.checkpoints_written")
-
     # ------------------------------------------------------------- summaries
 
     @property
@@ -493,7 +484,6 @@ class ServiceStats:
                 "requests_shed": self.requests_shed,
                 "requests_retried": self.requests_retried,
                 "batches_bisected": self.batches_bisected,
-                "checkpoints_written": self.checkpoints_written,
                 "batches": self.batches,
                 "rows_packed": self.rows_packed,
                 "ls_batches": self.ls_batches,
@@ -590,10 +580,6 @@ class SolveService:
         Optional :class:`~repro.serve.faults.FaultPlan` (or ready
         :class:`~repro.serve.faults.FaultInjector`) — the deterministic
         chaos seam.  ``None`` (production) injects nothing.
-    checkpoint_dir:
-        When set, every completed batch's final engine state is written
-        there as a numbered checkpoint
-        (:mod:`repro.core.checkpoint` format) — the warm-start feed.
     backend / device:
         Engine construction knobs, shared by every batch.
 
@@ -614,7 +600,6 @@ class SolveService:
         retry_backoff: float = 0.05,
         retry_jitter_seed: int = 0,
         faults: FaultPlan | FaultInjector | None = None,
-        checkpoint_dir: str | Path | None = None,
         backend=None,
         device: DeviceSpec = TESLA_M2050,
     ) -> None:
@@ -645,14 +630,6 @@ class SolveService:
         self._faults = (
             FaultInjector(faults) if isinstance(faults, FaultPlan) else faults
         )
-        self.checkpoint_dir = (
-            None if checkpoint_dir is None else Path(checkpoint_dir)
-        )
-        if self.checkpoint_dir is not None:
-            self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        # Consumed via next() from worker threads too — atomic in CPython,
-        # so deliberately NOT loop-confined.
-        self._batch_seq = itertools.count()
         self.device = device
         self._backend = resolve_backend(backend)
         self.stats = ServiceStats()
@@ -1223,30 +1200,6 @@ class SolveService:
                     all_resolved = False
             return all_resolved
 
-        batch = engine.run(
+        return engine.run(
             key.iterations, report_every=key.report_every, on_boundary=on_boundary
         )
-        if self.checkpoint_dir is not None:
-            self._write_batch_checkpoint(engine, key)
-        return batch
-
-    def _write_batch_checkpoint(self, engine: BatchEngine, key: BatchKey) -> None:
-        """Persist the finished batch's engine state (worker thread).
-
-        One numbered file per batch under ``checkpoint_dir`` — the
-        pheromone warm-start feed.  Failures here must not fail the batch
-        (results are already computed); they surface as a failed-write
-        counter in the registry instead.
-        """
-        from repro.core.checkpoint import save_checkpoint
-        from repro.errors import CheckpointError
-
-        # lint: worker-thread
-        seq = next(self._batch_seq)
-        path = self.checkpoint_dir / f"batch-{seq:06d}-n{key.n}.npz"
-        try:
-            save_checkpoint(engine, path)
-        except CheckpointError:
-            self.stats.registry.inc("serve.checkpoint_write_failures")
-        else:
-            self.stats.observe_checkpoint()

@@ -35,7 +35,6 @@ COUNTER_KEYS = (
     "requests_shed",
     "requests_retried",
     "batches_bisected",
-    "checkpoints_written",
     "batches",
     "rows_packed",
     "ls_batches",

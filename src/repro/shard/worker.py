@@ -53,7 +53,6 @@ class ShardConfig:
     retry_jitter_seed: int = 0
     backend: str | None = None
     device: str = "m2050"
-    checkpoint_dir: str | None = None
     max_line_bytes: int = 1 << 20
 
     def build_service(self):
@@ -72,7 +71,6 @@ class ShardConfig:
             retry_budget=self.retry_budget,
             retry_backoff=self.retry_backoff,
             retry_jitter_seed=self.retry_jitter_seed,
-            checkpoint_dir=self.checkpoint_dir,
             backend=resolve_backend(self.backend),
             device=DEVICES[self.device],
         )

@@ -139,15 +139,19 @@ class TestSingleTileFastPath:
             validate_tour(t, n)
 
     def test_zero_choice_ties_resolve_alike(self):
-        """Tied +0.0 products and all-zero rows: both paths take the lowest
-        city (the tours then revisit cities, identically)."""
+        """Tied +0.0 products and all-zero rows: both paths take the best
+        unvisited city (the lowest, as all remaining weights are 0), count
+        the same fallbacks and build valid tours."""
         engine, solo, rng = self._pair(48, 5)
         # Cities 20+ always tie at +0.0; once an ant has visited the first
         # 20, its whole product row is zero.
         engine.state.choice_info[:, :, 20:] = 0.0
         batch = engine.construction.build_batch(engine.state, engine.rng, collect=False)
-        tiled = engine.construction.build(solo, rng).tours
-        np.testing.assert_array_equal(batch.tours[0], tiled)
+        tiled = engine.construction.build(solo, rng)
+        np.testing.assert_array_equal(batch.tours[0], tiled.tours)
+        assert batch.fallback_steps[0] == tiled.fallback_steps > 0
+        for t in tiled.tours:
+            validate_tour(t, 48)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -11,6 +11,12 @@ count a fallback.  The inputs are generated: n 3..30, ants and colonies
 1..3, spare generator streams, ``nn`` None or 1..n-1, heterogeneous or
 broadcast rows, and weights drawn from a few levels (ties everywhere) with
 exact zeros, up to whole rows of them.
+
+The data-parallel kernels (versions 7-8, I-Roulette) get the same
+treatment: :meth:`DataParallelConstruction.build_batch` against a per-ant
+loop that takes the first maximum of ``choice * u * live`` over the row
+(or, under the ``"heuristic"`` tile rule, the tile winner of largest raw
+choice) and falls back to the best unvisited city when that product is 0.
 """
 
 from __future__ import annotations
@@ -19,9 +25,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import WorkBuffers
+from types import SimpleNamespace
+
+from repro.backend import WorkBuffers, resolve_backend
+from repro.core.construction.dataparallel import DataParallelConstruction
 from repro.core.construction.taskbased import construct_exact_batch
 from repro.rng import ParkMillerLCG
+from repro.simt.device import TESLA_M2050
 from repro.tsp.tour import validate_tour
 
 
@@ -113,3 +123,93 @@ def test_batch_kernel_matches_python_oracle(case):
             validate_tour(tours[b, a], n)
             colony_fallbacks += fb
         assert fallbacks[b] == colony_fallbacks, b
+
+
+def iroulette_oracle(choice, start_dart, darts, n, tile, rule):
+    """One ant's closed tour and fallback count under I-Roulette.
+
+    ``darts[step]`` holds the ant's ``n`` per-city draws of that step.
+    """
+    start = min(int(start_dart * n), n - 1)
+    tour, visited, fallbacks = [start], {start}, 0
+    spans = [(lo, min(lo + tile, n)) for lo in range(0, n, tile)]
+    for step in range(1, n):
+        cur = tour[-1]
+        row = [float(w) for w in choice[cur]]
+        prods = [
+            row[j] * float(darts[step][j]) * (0.0 if j in visited else 1.0)
+            for j in range(n)
+        ]
+        if rule == "product" or len(spans) == 1:
+            nxt = prods.index(max(prods))
+        else:
+            winners = []
+            for lo, hi in spans:
+                tile_prods = prods[lo:hi]
+                winners.append(lo + tile_prods.index(max(tile_prods)))
+            keys = [row[c] if prods[c] > 0.0 else -np.inf for c in winners]
+            nxt = winners[keys.index(max(keys))]
+        if prods[nxt] == 0.0:
+            masked = [-np.inf if c in visited else row[c] for c in range(n)]
+            nxt = masked.index(max(masked))
+            fallbacks += 1
+        tour.append(nxt)
+        visited.add(nxt)
+    return tour + tour[:1], fallbacks
+
+
+@st.composite
+def iroulette_colonies(draw):
+    n = draw(st.sampled_from([3, 5, 9, 17, 31, 33, 40, 70]))
+    B = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    rule = draw(st.sampled_from(["product", "heuristic"]))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A few levels (ties everywhere), optionally with subnormal weights
+    # whose products with a dart round to +0.0 although the weight is not
+    # 0.  Without zeros or subnormals the kernel skips its zero check.
+    levels = [0.5, 1.0, 2.0]
+    if draw(st.booleans()):
+        levels += [5e-324, 1e-300]
+    levels = np.array(levels)
+    choice = levels[rng.integers(0, len(levels), size=(B, n, n))]
+    choice[rng.random(choice.shape) < zero_frac] = 0.0
+    if draw(st.booleans()):
+        choice[:, np.arange(n), np.arange(n)] = 0.0
+    seeds = [int(s) for s in rng.integers(1, 2**31 - 1, size=B)]
+    return choice, B, m, n, rule, seeds
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=iroulette_colonies())
+def test_data_parallel_kernel_matches_iroulette_oracle(case):
+    choice, B, m, n, rule, seeds = case
+    kernel = DataParallelConstruction(tile=32, tile_rule=rule)
+    backend = resolve_backend("numpy")
+    bstate = SimpleNamespace(
+        B=B, n=n, m=m, nn=1, device=TESLA_M2050, backend=backend,
+        work=WorkBuffers(backend), choice_info=choice,
+    )
+    spc = kernel.rng_streams(n, m)
+    res = kernel.build_batch(
+        bstate, ParkMillerLCG.from_seeds(spc, seeds), collect=False
+    )
+    darts = ParkMillerLCG.from_seeds(spc, seeds).uniform_block(n)
+    darts = darts.reshape(n, B, m, n)  # (step, colony, ant, city)
+    for b in range(B):
+        colony_fallbacks = 0
+        for a in range(m):
+            # The start dart is stream a of colony b's block.
+            start_dart = darts[0, b].reshape(-1)[a]
+            want, fb = iroulette_oracle(
+                choice[b], start_dart, darts[:, b, a], n, 32, rule
+            )
+            np.testing.assert_array_equal(res.tours[b, a], want)
+            validate_tour(res.tours[b, a], n)
+            colony_fallbacks += fb
+        assert res.fallback_steps[b] == colony_fallbacks, b

@@ -61,6 +61,7 @@ def test_float_row_fill_equals_int64_steps(edge, extra, rounds, seed):
     [
         (4, 10),  # tiny
         (768, 48),  # jump-ahead regime (LCG)
+        (4096, 16),  # exactly the LCG jump-ahead cutoff
         (9000, 8),  # wide: in-place row fill regime (LCG)
         (513, 1),  # single round
     ],
@@ -92,6 +93,45 @@ def test_lcg_wide_rowfill_matches_jump_ahead():
     forced = ParkMillerLCG(n_streams=9000, seed=11)
     forced.JUMP_AHEAD_MAX_ELEMENTS = 1 << 30
     np.testing.assert_array_equal(wide.uniform_block(8), forced.uniform_block(8))
+
+
+def _first_fold(x: int) -> int:
+    return (x & LCG_IM) + (x >> 31)
+
+
+def _fold_carry_pairs(count: int) -> list[tuple[int, int]]:
+    """Random ``(state, power)`` pairs whose first fold is ``>= 2^31``,
+    so the jump-ahead fill's second fold carries."""
+    gen = np.random.default_rng(2024)
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < count:
+        s, p = (int(v) for v in gen.integers(1, LCG_IM, size=2))
+        if _first_fold(s * p) >= 1 << 31:
+            pairs.append((s, p))
+    return pairs
+
+
+def test_jump_ahead_two_folds_reduce_extreme_operands():
+    """Every product of states and powers in ``{1, 2, IM-2, IM-1}``, and
+    pairs whose first fold reaches ``2^31``, reduce to ``s * P % IM``."""
+    extremes = [1, 2, LCG_IM - 2, LCG_IM - 1]
+    carry = _fold_carry_pairs(64)
+    assert _first_fold((LCG_IM - 1) ** 2) >= 1 << 31  # the largest product
+    states = extremes + [s for s, _ in carry]
+    powers = extremes + [p for _, p in carry]
+    rng = ParkMillerLCG(n_streams=len(states), seed=1)
+    rng.load_state_arrays({"state": np.array(states, dtype=np.int64)})
+    # Install the operands as the fill's multiplier column: row r of the
+    # block is then states * powers[r] mod IM.
+    rng._powers[len(powers)] = np.array(powers, dtype=np.int64)[:, None]
+    assert len(states) * len(powers) <= ParkMillerLCG.JUMP_AHEAD_MAX_ELEMENTS
+    block = rng.uniform_block(len(powers))
+    want = np.array(
+        [[s * p % LCG_IM for s in states] for p in powers], dtype=np.int64
+    )
+    assert bool((want >= 1).all())
+    np.testing.assert_array_equal(block, want / float(LCG_IM))
+    np.testing.assert_array_equal(rng.state, want[-1])
 
 
 def test_block_out_buffer_reuse():
