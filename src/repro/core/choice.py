@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.report import StageReport
+from repro.core.report import StageReport, cached_stage_reports
 from repro.core.state import ColonyState
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -144,9 +144,14 @@ class ChoiceKernel(Kernel):
 
         if not collect:
             return []
-        stats, launch = self.predict_stats(bstate.n, bstate.device)
-        report = StageReport(stage="choice", kernel=self.name, stats=stats, launch=launch)
-        return [report] * bstate.B
+
+        def build(_) -> StageReport:
+            stats, launch = self.predict_stats(bstate.n, bstate.device)
+            return StageReport(
+                stage="choice", kernel=self.name, stats=stats, launch=launch
+            )
+
+        return cached_stage_reports(bstate, self, [None] * bstate.B, build)
 
     def predict_stats(
         self, n: int, device: DeviceSpec

@@ -37,6 +37,7 @@ __all__ = [
     "ConstructionResult",
     "BatchConstructionResult",
     "best_unvisited",
+    "min_off_diagonal",
 ]
 
 
@@ -52,6 +53,21 @@ def best_unvisited(rows: np.ndarray, visited: np.ndarray, xp=np) -> np.ndarray:
     city always beats a visited one, even at weight ``0``.
     """
     return xp.argmax(xp.where(visited, -np.inf, rows), axis=1)
+
+
+def min_off_diagonal(choice: np.ndarray, xp=np) -> float:
+    """Smallest off-diagonal entry of a contiguous ``(B, n, n)`` stack,
+    ``n >= 2``.
+
+    An ant's current city is visited, so a diagonal entry never weighs an
+    unvisited city: when this is positive, every unvisited weight is too
+    and :func:`best_unvisited` can never be needed.  Past the first
+    element, each run of ``n + 1`` flat entries is ``n`` off-diagonal ones
+    and then a diagonal one.
+    """
+    B, n, _ = choice.shape
+    off = choice.reshape(B, n * n)[:, 1:].reshape(B, n - 1, n + 1)[:, :, :n]
+    return float(xp.min(off))
 
 
 @dataclass
@@ -151,9 +167,9 @@ class TourConstruction(Kernel, abc.ABC):
             )
 
     def _batch_reports(self, bstate, fallbacks) -> list[StageReport]:
-        """Per-colony construction reports; rows with equal fallback counts
-        share one closed-form ledger (the stats are pure functions of the
-        problem size and the fallback count)."""
+        """Per-colony construction reports; rows and boundaries with equal
+        fallback counts share one closed-form ledger (the stats are pure
+        functions of the problem size and the fallback count)."""
 
         def build(fb: float) -> StageReport:
             stats, launch = self.predict_stats(
@@ -163,7 +179,9 @@ class TourConstruction(Kernel, abc.ABC):
                 stage="construction", kernel=self.key, stats=stats, launch=launch
             )
 
-        return cached_stage_reports((float(fb) for fb in fallbacks), build)
+        return cached_stage_reports(
+            bstate, self, (float(fb) for fb in fallbacks), build
+        )
 
     def _validate_batch_rng(self, rng: DeviceRNG, B: int, n: int, m: int) -> None:
         need = B * self.rng_streams(n, m)

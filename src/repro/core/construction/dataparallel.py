@@ -12,6 +12,12 @@ The paper's main construction contribution: instead of a thread per ant, a
 4. writes the product to shared memory, and a tree reduction selects the
    winning city.
 
+The batched kernel keeps step 3's register flag in the sign of the
+thread's own generator state instead of in a separate array: a visited
+city's stream is negated, so its ``U_j`` comes out negative and its product
+can never win (:meth:`DataParallelConstruction.build_batch`).  Each step's
+draws are generated just in time, one row per step, as the threads do.
+
 When ``n`` exceeds the block size, cities are processed in **tiles**: each
 tile elects a partial winner, and the final city is chosen among the tile
 winners.  With the default ``tile_rule="product"`` the winner is the global
@@ -39,6 +45,7 @@ from repro.core.construction.base import (
     ConstructionResult,
     TourConstruction,
     best_unvisited,
+    min_off_diagonal,
 )
 from repro.core.report import StageReport
 from repro.core.state import ColonyState
@@ -57,16 +64,6 @@ _TILE_RULES = ("product", "heuristic")
 
 def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
-
-
-def _min_off_diagonal(choice: np.ndarray, xp) -> float:
-    """Smallest off-diagonal entry of a contiguous ``(B, n, n)`` stack,
-    ``n >= 2`` (an ant's current city is visited, so the diagonal never
-    competes).  Past the first element, each run of ``n + 1`` flat entries
-    is ``n`` off-diagonal ones and then a diagonal one."""
-    B, n, _ = choice.shape
-    off = choice.reshape(B, n * n)[:, 1:].reshape(B, n - 1, n + 1)[:, :, :n]
-    return float(xp.min(off))
 
 
 class DataParallelConstruction(TourConstruction):
@@ -144,7 +141,7 @@ class DataParallelConstruction(TourConstruction):
         visited = xp.zeros((m, n), dtype=bool)
         fallbacks = 0
 
-        # One draw vector per step, pregenerated in bulk (bit-identical to
+        # One draw vector per step through BlockedDraws (bit-identical to
         # per-step uniform() calls; the ledger charge below is unchanged).
         draws = BlockedDraws(rng, n, work=state.work, key="dp_solo.rng")
 
@@ -227,22 +224,33 @@ class DataParallelConstruction(TourConstruction):
         Under the default product rule the best tile winner is the row's
         argmax (lowest index on ties) at any tile count, so each step takes
         one argmax over the row; only the ``"heuristic"`` rule keeps
-        per-tile winners.  Every argmax over the step's products (the row,
-        or each tile) runs on their int64 bit patterns.  This needs every
-        ``choice_info`` entry finite and ``>= 0`` (the choice kernel
-        guarantees it: ``eta = 1 / (d + 0.1)`` and the pheromone are finite
-        and non-negative).  Each product ``choice * u * live``, with ``u``
-        in ``[0, 1)``, is then a finite double ``>= +0.0``, and for such
-        values the IEEE-754 bit patterns read as int64 order exactly like
-        the values (equal values have equal bits).  So the winner and its lowest-index tie-break match a
-        float argmax, which costs more because it must also look for NaNs.
+        per-tile winners.
+
+        The visited flags are the signs of the threads' rng streams
+        (:meth:`~repro.rng.streams.BlockedDraws.negate`): the start city's
+        and each chosen city's stream is negated, and every later draw of a
+        negated stream is the exact negation of the draw it replaces, so
+        the sequence of magnitudes is untouched and clearing the signs at
+        the end restores the generator's state.  Every argmax over the
+        step's products ``choice * u`` (the row, or each tile) runs on
+        their int64 bit patterns.  This needs every ``choice_info`` entry
+        finite and ``>= 0`` (the choice kernel guarantees it: ``eta = 1 /
+        (d + 0.1)`` and the pheromone are finite and non-negative).  An
+        unvisited product, with ``u`` in ``[0, 1)``, is then a finite
+        double ``>= +0.0``, and for such values the IEEE-754 bit patterns
+        read as int64 order exactly like the values (equal values have
+        equal bits).  A visited product is ``<= -0.0``, whose bit pattern
+        is a negative int64, so it loses to every unvisited one.  The
+        winner and its lowest-index tie-break therefore match a float
+        argmax over ``choice * u * unvisited``, which costs more because it
+        must also look for NaNs.
 
         When every unvisited product is ``0`` (an underflowed trail or
-        heuristic), the argmax returns the lowest city even if it is
-        visited.  The winner's product is then ``+0.0``, which one ``(M,)``
-        gather at the tabu-scatter index detects; those ants take the
-        best-unvisited fallback of versions 1-6
-        (:func:`~repro.core.construction.base.best_unvisited`), counted in
+        heuristic), the winner's product is ``+0.0`` (or, under the
+        heuristic rule, a visited city's); one ``(M,)`` gather at the
+        winners detects it, and those ants take the best-unvisited fallback
+        of versions 1-6 (:func:`~repro.core.construction.base.best_unvisited`,
+        reading the visited mask from the draws' signs), counted in
         ``fallback_steps``.  The closed-form ledger does not charge it.
         The gather runs only in iterations where a zero product is
         possible: unvisited products are at least ``fl(c * u)``, with
@@ -280,95 +288,90 @@ class DataParallelConstruction(TourConstruction):
         ant_idx = _const("ant_idx", lambda: xp.arange(M))
         tours = xp.empty((M, n + 1), dtype=np.int32)  # escapes: never pooled
 
-        # The iteration's draws, pregenerated in bulk: the first-step vector
-        # is a single sliced view off the block row (each colony's leading m
-        # streams), with no contiguity copies.
-        draws = BlockedDraws(rng, n, work=wb, key="dp.rng")
-        u0 = draws.next().reshape(B, -1)[:, :m]
-        start = xp.minimum((u0 * n).astype(np.int64), n - 1).reshape(M)
-        tours[:, 0] = start
-        cur = start
-
-        # ``live`` mirrors the register tabu as a 1.0/0.0 multiplicand (a
-        # float multiply by the flag, exactly the kernel's branchless form);
-        # scratch buffers are reused across steps and iterations to avoid
-        # allocator churn.
-        live = _buf("live", (M, n), np.float64)
-        live[:] = 1.0
-        live[ant_idx, start] = 0.0
-        rows_buf = _buf("rows", (M, n), np.float64)
-        rows_idx = _buf("rows_idx", (M,), np.int64)
-
         # In-range indices by construction: numpy's bounds check is pure
         # overhead, so mode="clip" skips it (CuPy's take has no mode kwarg
         # and wraps unconditionally).
         take_kw = {"mode": "clip"} if xp is np else {}
-        # (M,) flat row bases into the (M, n) product matrix, for gathering
-        # each ant's winning value without per-step index allocations.
+        # (M,) flat row bases: ant_base + city is both the ant's cell in the
+        # (M, n) product matrix and its thread's rng stream.
         ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
+        rows_buf = _buf("rows", (M, n), np.float64)
+        rows_idx = _buf("rows_idx", (M,), np.int64)
         win_idx = _buf("win_idx", (M,), np.int64)
         win_bits = _buf("win_bits", (M,), np.int64)
         nxt = _buf("nxt", (M,), np.int64)
         # The argmax reads the products' int64 bit patterns (precondition in
-        # the docstring), and the tabu update is one flat scatter.
+        # the docstring).
         w_bits = rows_buf.view(np.int64)
         w_bits_flat = w_bits.reshape(-1)
         fallbacks = xp.zeros(B)
         # One min per iteration stands in for the per-step winner check
         # whenever no product can be 0 (see the docstring).
         zero_risk = n > 1 and not (
-            _min_off_diagonal(choice_rows.reshape(B, n, n), xp)
+            min_off_diagonal(choice_rows.reshape(B, n, n), xp)
             * rng.min_uniform
             > 0.0
         )
-        live_flat = live.reshape(-1)
         per_tile = self.tile_rule == "heuristic" and len(spans) > 1
         if per_tile:
             tile_city = _buf("tile_city", (M, len(spans)), np.int64)
             tile_val = _buf("tile_val", (M, len(spans)), np.float64)
             win_val = _buf("win_val", (M,), np.float64)
-        for step in range(1, n):
-            u = draws.next().reshape(M, n)
-            xp.add(row_off, cur, out=rows_idx)
-            w = xp.take(choice_rows, rows_idx, axis=0, out=rows_buf, **take_kw)
-            xp.multiply(w, u, out=w)
-            xp.multiply(w, live, out=w)
 
-            if not per_tile:
-                xp.argmax(w_bits, axis=1, out=nxt)
-            else:
-                # Per-tile winners: block_argmax inlined (same argmax + value
-                # gather, minus its per-call index scratch; ties resolve to the
-                # lowest lane).
-                w_flat = w.reshape(-1)
-                for t, (lo, hi) in enumerate(spans):
-                    idx = xp.argmax(w_bits[:, lo:hi], axis=1)
-                    xp.add(idx, lo, out=win_idx)
-                    tile_city[:, t] = win_idx
-                    xp.add(win_idx, ant_base, out=win_idx)
-                    xp.take(w_flat, win_idx, out=win_val, **take_kw)
-                    tile_val[:, t] = win_val
+        # The register tabu rides in the sign of each thread's stream: a
+        # visited city's stream is negated, so its draws (and products)
+        # are <= -0.0 and lose every argmax.  Leaving the block clears the
+        # signs, on success and on exception alike.
+        with BlockedDraws(rng, n, work=wb, key="dp.rng") as draws:
+            # First step: each colony's leading m streams place the ants.
+            u0 = draws.next().reshape(B, -1)[:, :m]
+            start = xp.minimum((u0 * n).astype(np.int64), n - 1).reshape(M)
+            tours[:, 0] = start
+            xp.add(ant_base, start, out=win_idx)
+            draws.negate(win_idx)
+            cur = start
+            for step in range(1, n):
+                u = draws.next().reshape(M, n)
+                xp.add(row_off, cur, out=rows_idx)
+                w = xp.take(choice_rows, rows_idx, axis=0, out=rows_buf, **take_kw)
+                xp.multiply(w, u, out=w)
 
-                winner_choice = choice_flat[rows_idx[:, None] * n + tile_city]
-                winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
-                pick = xp.argmax(winner_choice, axis=1)
-                nxt[:] = tile_city[ant_idx, pick]
-            xp.add(ant_base, nxt, out=win_idx)
-            # A winning product of +0.0 (bits 0) means every unvisited
-            # product is 0 and the argmax fell on the lowest city, visited
-            # or not: those ants take the best unvisited city instead.
-            if zero_risk and not xp.take(
-                w_bits_flat, win_idx, out=win_bits, **take_kw
-            ).all():
-                dead = xp.flatnonzero(win_bits == 0)
-                nxt[dead] = best_unvisited(
-                    choice_rows[rows_idx[dead]], live[dead] == 0.0, xp
-                )
-                fallbacks += xp.bincount(dead // m, minlength=B)
+                if not per_tile:
+                    xp.argmax(w_bits, axis=1, out=nxt)
+                else:
+                    # Per-tile winners: block_argmax inlined (same argmax +
+                    # value gather, minus its per-call index scratch; ties
+                    # resolve to the lowest lane).
+                    w_flat = w.reshape(-1)
+                    for t, (lo, hi) in enumerate(spans):
+                        idx = xp.argmax(w_bits[:, lo:hi], axis=1)
+                        xp.add(idx, lo, out=win_idx)
+                        tile_city[:, t] = win_idx
+                        xp.add(win_idx, ant_base, out=win_idx)
+                        xp.take(w_flat, win_idx, out=win_val, **take_kw)
+                        tile_val[:, t] = win_val
+
+                    winner_choice = choice_flat[rows_idx[:, None] * n + tile_city]
+                    winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
+                    pick = xp.argmax(winner_choice, axis=1)
+                    nxt[:] = tile_city[ant_idx, pick]
                 xp.add(ant_base, nxt, out=win_idx)
-            live_flat[win_idx] = 0.0
-            tours[:, step] = nxt
-            cur = nxt
+                # A winning product <= +0.0 (bits <= 0) means every unvisited
+                # product is 0: the argmax fell on the lowest such city, or
+                # (heuristic rule, every tile at 0) on a visited one.  Those
+                # ants take the best unvisited city instead.
+                if zero_risk:
+                    xp.take(w_bits_flat, win_idx, out=win_bits, **take_kw)
+                    if not (win_bits > 0).all():
+                        dead = xp.flatnonzero(win_bits <= 0)
+                        nxt[dead] = best_unvisited(
+                            choice_rows[rows_idx[dead]], u[dead] < 0.0, xp
+                        )
+                        fallbacks += xp.bincount(dead // m, minlength=B)
+                        xp.add(ant_base, nxt, out=win_idx)
+                draws.negate(win_idx)
+                tours[:, step] = nxt
+                cur = nxt
 
         tours[:, n] = tours[:, 0]
         tours = tours.reshape(B, m, n + 1)

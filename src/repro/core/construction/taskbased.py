@@ -183,7 +183,7 @@ def construct_exact_batch(
     *iterations*, so a steady-state build allocates only what escapes
     (tours, fallback counts).
     """
-    from repro.rng.streams import MAX_BLOCK_ELEMENTS, BlockedDraws
+    from repro.rng.streams import BlockedDraws
 
     M = B * m
 
@@ -216,30 +216,18 @@ def construct_exact_batch(
     live[:] = 1
     live_flat = live.reshape(-1)
 
-    # One colony-major dart vector per step, pregenerated in bulk: every
-    # step's vector is a zero-copy view of the block.  With one stream per
-    # ant the row already is the flat (M,) layout, larger stream counts
-    # slice the leading m streams of every colony block (what the solo
-    # code's ``[:m]`` does) — also a view, consumed in the (B, m) shape.
-    # Task-based kernels hold few streams, so the whole iteration's draws
-    # usually fit one block and per-step consumption collapses to an index;
-    # oversized cases chunk through BlockedDraws.
+    # One colony-major dart vector per step.  With one stream per ant the
+    # row already is the flat (M,) layout, larger stream counts slice the
+    # leading m streams of every colony block (what the solo code's
+    # ``[:m]`` does) — a view, consumed in the (B, m) shape.
     spc = rng.n_streams // B
-    whole_block = n * rng.n_streams <= MAX_BLOCK_ELEMENTS
-    if whole_block:
-        blk = rng.uniform_block(
-            n, out=_buf("rngblk", (n, rng.n_streams), np.float64)
-        )
-        u_steps = blk.reshape(n, B, spc)[:, :, :m]  # (n, B, m) view
-        draw = None
+    draws = BlockedDraws(rng, n, work=work, key="taskexact.rng")
+    if spc == m:
+        def draw():
+            return draws.next().reshape(B, m)
     else:
-        draws = BlockedDraws(rng, n, work=work, key="taskexact.rng")
-        if spc == m:
-            def draw():
-                return draws.next().reshape(B, m)
-        else:
-            def draw():
-                return draws.next().reshape(B, -1)[:, :m]
+        def draw():
+            return draws.next().reshape(B, -1)[:, :m]
 
     # Per-step scratch, allocated once per arena: every step writes the same
     # buffers in place (``out=``), which removes the allocator/cache churn
@@ -305,7 +293,7 @@ def construct_exact_batch(
         cand_t = _buf("cand", (k, M), np.int64)
         cand_flat = cand_t.reshape(-1)
 
-    d0 = u_steps[0] if whole_block else draw()
+    d0 = draw()
     start = xp.minimum((d0 * n).astype(np.int64), n - 1).reshape(M)
     tours[:, 0] = start
     xp.add(ant_base, start, out=win)
@@ -313,7 +301,7 @@ def construct_exact_batch(
     cur = start
 
     for step in range(1, n):
-        darts = u_steps[step] if whole_block else draw()
+        darts = draw()
         xp.add(row_off, cur, out=rows_idx)
         if nn_list is None:
             xp.multiply(rows_idx, n, out=row_base)
@@ -328,8 +316,8 @@ def construct_exact_batch(
         xp.multiply(w_buf, live_t, out=w_buf)
         for prev, row in acc_rows:
             xp.add(prev, row, out=row)
-        # darts is a (B, m) view of the pregenerated block row; multiplying
-        # in that shape (r2 views r_buf) avoids flattening-copies entirely.
+        # darts is a (B, m) view of the draw row; multiplying in that shape
+        # (r2 views r_buf) avoids flattening-copies entirely.
         xp.multiply(darts, sums2, out=r2)
         xp.less(w_buf, r_row, out=cmp_buf)
         xp.sum(cmp_bytes, axis=0, dtype=count_dtype, out=count)

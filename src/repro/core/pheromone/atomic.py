@@ -134,7 +134,7 @@ class AtomicSharedPheromone(PheromoneUpdate):
                 stage="pheromone", kernel=self.key, stats=stats, launch=launch
             )
 
-        return cached_stage_reports((float(h) for h in hot), build)
+        return cached_stage_reports(bstate, self, (float(h) for h in hot), build)
 
     # --------------------------------------------------------------- ledger
 

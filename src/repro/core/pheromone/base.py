@@ -20,7 +20,7 @@ import abc
 
 import numpy as np
 
-from repro.core.report import StageReport
+from repro.core.report import StageReport, cached_stage_reports
 from repro.core.state import ColonyState
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -208,11 +208,14 @@ class PheromoneUpdate(Kernel, abc.ABC):
         deposit_all_batch(bstate, tours, lengths)
         if not collect:
             return []
-        stats, launch = self.predict_stats(bstate.n, bstate.m, bstate.device)
-        report = StageReport(
-            stage="pheromone", kernel=self.key, stats=stats, launch=launch
-        )
-        return [report] * bstate.B
+
+        def build(_) -> StageReport:
+            stats, launch = self.predict_stats(bstate.n, bstate.m, bstate.device)
+            return StageReport(
+                stage="pheromone", kernel=self.key, stats=stats, launch=launch
+            )
+
+        return cached_stage_reports(bstate, self, [None] * bstate.B, build)
 
     @abc.abstractmethod
     def predict_stats(

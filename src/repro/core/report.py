@@ -9,6 +9,7 @@ for both paper devices.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,19 +22,36 @@ from repro.simt.timing import CostParams, estimate_time
 __all__ = ["StageReport", "IterationReport", "cached_stage_reports"]
 
 
-def cached_stage_reports(keys, build) -> list["StageReport"]:
-    """Per-colony reports, building one per *distinct* key.
+#: distinct reports one engine keeps (least recently used out): kernels
+#: whose keys differ per boundary (nn-list fallback counts, atomic hot
+#: degrees) would otherwise grow the cache for the whole run
+STAGE_REPORT_CACHE_SIZE = 64
 
-    ``build(key)`` must return the :class:`StageReport` for that key; rows
-    with equal keys share the instance (ledgers are pure functions of the
-    key plus the problem size, and nothing mutates a report downstream).
+
+def cached_stage_reports(bstate, kernel, keys, build) -> list["StageReport"]:
+    """Per-colony reports of ``kernel``, one per *distinct* key, shared for
+    the engine's lifetime.
+
+    ``build(key)`` must return the :class:`StageReport` for that key.  A
+    ledger is a pure function of the kernel, the problem size ``(n, m,
+    nn)``, the device and the key (fallback steps, hot degree; ``None`` for
+    a kernel whose ledger has no measured input), and nothing mutates a
+    report downstream, so rows and report boundaries with equal keys share
+    one instance.  The cache lives in the engine's work arena, bounded by
+    :data:`STAGE_REPORT_CACHE_SIZE`.
     """
-    cache: dict = {}
+    cache = bstate.work.cached("stage_reports", OrderedDict)
+    base = (kernel, bstate.n, bstate.m, bstate.nn, bstate.device)
     reports = []
     for key in keys:
-        report = cache.get(key)
+        full = base + (key,)
+        report = cache.get(full)
         if report is None:
-            report = cache[key] = build(key)
+            report = cache[full] = build(key)
+            if len(cache) > STAGE_REPORT_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(full)
         reports.append(report)
     return reports
 

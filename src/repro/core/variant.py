@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.report import StageReport
+from repro.core.report import StageReport, cached_stage_reports
 from repro.errors import ACOConfigError
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -232,6 +232,17 @@ class PseudoProportionalChoice(ChoicePolicy):
         return max(2 * m, 2)
 
     def build_batch(self, bstate, construction, choice_kernel, rng, collect: bool):
+        """Batched ACS construction: pseudo-random-proportional picks with
+        the local pheromone update after every step.
+
+        When every unvisited weight of an ant's row is ``0`` (an underflowed
+        ``eta^beta``; ACS trails stay ``>= tau0``), both the greedy argmax
+        and the roulette would land on city 0, visited or not; those ants
+        take :func:`~repro.core.construction.base.best_unvisited` instead.
+        The per-step check runs only in iterations whose ``choice_info``
+        has a zero off-diagonal entry.
+        """
+        from repro.core.construction.base import best_unvisited, min_off_diagonal
         from repro.rng.streams import BlockedDraws
 
         # The Choice kernel serves ACS too: choice_info is tau^alpha *
@@ -279,9 +290,12 @@ class PseudoProportionalChoice(ChoicePolicy):
 
         q0, xi = self.acs.q0, self.acs.xi
         nn2 = n * n
+        zero_risk = n > 1 and not (
+            min_off_diagonal(choice_rows.reshape(B, n, n), xp) > 0.0
+        )
 
         # One (B * S,) draw vector per step plus the placement draw — the
-        # exact per-step lockstep of the solo loop, pregenerated in bulk.
+        # exact per-step lockstep of the solo loop.
         draws = BlockedDraws(rng, n, work=wb, key="acs.rng")
         u = draws.next().reshape(B, S)
         start = xp.minimum((u[:, :m] * n).astype(np.int64), n - 1).reshape(M)
@@ -304,6 +318,12 @@ class PseudoProportionalChoice(ChoicePolicy):
             r = roulette * sums
             rsel = xp.minimum((cum < r[:, None]).sum(axis=1), n - 1)
             nxt = xp.where(explore < q0, greedy, rsel)
+            if zero_risk:
+                dead = xp.flatnonzero(sums <= 0.0)
+                if dead.size:
+                    nxt[dead] = best_unvisited(
+                        choice_rows[rows_idx[dead]], visited[dead], xp
+                    )
 
             # Local pheromone update, once per unique directed edge per
             # colony (colony offsets keep rows disjoint in the flat view;
@@ -326,11 +346,13 @@ class PseudoProportionalChoice(ChoicePolicy):
         tours = tours.reshape(B, m, n + 1)
         reports = []
         if collect:
-            stats, launch = self.predict_stats(n, m, bstate.device)
-            report = StageReport(
-                stage="construction", kernel="acs", stats=stats, launch=launch
-            )
-            reports = [report] * B
+            def build(_) -> StageReport:
+                stats, launch = self.predict_stats(n, m, bstate.device)
+                return StageReport(
+                    stage="construction", kernel="acs", stats=stats, launch=launch
+                )
+
+            reports = cached_stage_reports(bstate, self, [None] * B, build)
         return tours, choice_reports, reports
 
     def predict_stats(
@@ -405,11 +427,14 @@ class GlobalBestUpdate(UpdatePolicy):
         flat[rows, bw] = flat[rows, fw]
         if not collect:
             return []
-        stats, launch = self.predict_stats(n, bstate.device)
-        report = StageReport(
-            stage="pheromone", kernel="acs_global", stats=stats, launch=launch
-        )
-        return [report] * B
+
+        def build(_) -> StageReport:
+            stats, launch = self.predict_stats(n, bstate.device)
+            return StageReport(
+                stage="pheromone", kernel="acs_global", stats=stats, launch=launch
+            )
+
+        return cached_stage_reports(bstate, self, [None] * B, build)
 
     def predict_stats(
         self, n: int, device: DeviceSpec
@@ -522,11 +547,14 @@ class TrailLimitsUpdate(UpdatePolicy):
 
         if not collect:
             return []
-        stats, launch = self.predict_stats(n, bstate.device)
-        report = StageReport(
-            stage="pheromone", kernel="mmas_update", stats=stats, launch=launch
-        )
-        return [report] * B
+
+        def build(_) -> StageReport:
+            stats, launch = self.predict_stats(n, bstate.device)
+            return StageReport(
+                stage="pheromone", kernel="mmas_update", stats=stats, launch=launch
+            )
+
+        return cached_stage_reports(bstate, self, [None] * B, build)
 
     # ------------------------------------------------------------ stagnation
 

@@ -71,6 +71,11 @@ class ParkMillerLCG(DeviceRNG):
     Each stream's state is a positive 31-bit integer; zero is invalid (it is
     a fixed point of the recurrence), so seeding maps into ``[1, IM - 1]``.
 
+    A stream can also be *negated* (:meth:`negate`): the float64 row fill
+    then steps it to the negation of its usual successor and draws the
+    negation of its usual sample, so the sign rides along as a one-bit flag
+    at no cost to the sequence.  :meth:`clear_signs` drops every flag.
+
     Examples
     --------
     >>> rng = ParkMillerLCG(n_streams=4, seed=42)
@@ -86,13 +91,12 @@ class ParkMillerLCG(DeviceRNG):
     def __init__(self, n_streams: int, seed: int, backend=None) -> None:
         super().__init__(n_streams=n_streams, seed=seed, backend=backend)
         self._state = self.backend.from_host(self._derive_states(seed, n_streams))
-        # Block-fill caches (lazily sized: streams can grow when from_seeds
-        # installs a batched state vector).
-        self._powers: dict[int, np.ndarray] = {}
-        self._iblock: np.ndarray | None = None
-        self._ifold: np.ndarray | None = None
+        # The row fill's float64 copy of the states (lazily sized: streams
+        # can grow when from_seeds installs a batched state vector).  While
+        # ``_flive`` is set it, not ``_state``, holds the current states.
         self._fstate: np.ndarray | None = None
         self._fquot: np.ndarray | None = None
+        self._flive = False
 
     @classmethod
     def _derive_states(cls, seed: int, n_streams: int) -> np.ndarray:
@@ -102,119 +106,71 @@ class ParkMillerLCG(DeviceRNG):
 
     def _load_states(self, per_seed_states: list) -> None:
         self._state = self.backend.from_host(np.concatenate(per_seed_states))
-        # The stream count just changed: drop block-fill scratch sized for
-        # the old one (powers are per-rounds, stream-count independent).
-        self._iblock = self._ifold = self._fstate = self._fquot = None
+        # The stream count just changed: drop fill scratch sized for the old
+        # one.
+        self._fstate = self._fquot = None
+        self._flive = False
+
+    def _int_state(self) -> np.ndarray:
+        """The int64 state vector, synced from a live float64 copy."""
+        if self._flive:
+            self._state[...] = self._fstate  # exact: integers below 2^31
+            self._flive = False
+        return self._state
+
+    def _float_state(self) -> np.ndarray:
+        """The float64 state vector, made live from the int64 one."""
+        if not self._flive:
+            st = self._state
+            if self._fstate is None or self._fstate.shape != st.shape:
+                xp = self.backend.xp
+                self._fstate = xp.empty(st.shape, dtype=np.float64)
+                self._fquot = xp.empty(st.shape, dtype=np.float64)
+            self._fstate[...] = st  # exact: states are below 2^31
+            self._flive = True
+        return self._fstate
 
     def _next_raw(self) -> np.ndarray:
-        self._state = lcg_step(self._state, xp=self.backend.xp)
+        self._state = lcg_step(self._int_state(), xp=self.backend.xp)
         return self._state
 
     def _max_raw(self) -> float:
         return float(LCG_IM)
 
-    #: block elements up to which the jump-ahead outer product beats
-    #: row-by-row stepping (beyond it the 2x int64 scratch falls out of
-    #: cache and every fold pass streams from DRAM; measured crossover)
-    JUMP_AHEAD_MAX_ELEMENTS = 1 << 16
-
     def uniform_block(self, rounds: int, out: np.ndarray | None = None) -> np.ndarray:
         """Bulk fill, bit-identical to ``rounds`` sequential :meth:`uniform` calls.
 
-        Cache-sized blocks use **jump-ahead**: a Lehmer generator has no
-        additive term, so the ``r``-th successor of state ``s`` is just
-        ``s * IA^r mod IM`` — the whole ``(rounds, n_streams)`` block is one
-        outer product of the state vector with precomputed multiplier
-        powers, reduced mod the Mersenne prime by two mask-and-shift
-        folds.  ~9 block-wide operations replace ``rounds`` sequential
-        vector steps — the same trick the paper's bulk-generation kernel
-        (construction version 6) uses to fill its texture buffer at
-        streaming rates.  Exactness: with states and powers in ``[1, IM -
-        1]`` the product ``x`` is at most ``(IM - 1)^2 < 2^62`` (exact in
-        int64).  The first fold ``y = (x & IM) + (x >> 31)`` is at most
-        ``(2^31 - 1) + (2^31 - 4) = 2^32 - 5``, so ``y >> 31`` is 0 or 1.
-        If it is 1, the second fold gives ``y - IM <= 2^31 - 4``; if it is
-        0, it leaves ``y <= IM``.  Each fold keeps the residue, and ``y``
-        is never ``0 mod IM`` (``IM`` is prime and divides neither
-        factor), so ``y`` is neither ``IM`` nor ``0`` and the second fold
-        lands in ``[1, IM - 1]``: the fully reduced state.
-
-        Wider blocks would push the outer product's int64 scratch out of
-        cache, so they step row by row in a float64 copy of the state
-        vector (:meth:`_fill_rows_inplace`: an exact float reduction with
-        fewer passes than :func:`lcg_step`'s folding, and no per-step
-        temporaries).
+        Steps row by row in a float64 copy of the state vector
+        (:meth:`_fill_rows`: an exact float reduction with fewer passes
+        than :func:`lcg_step`'s folding, and no per-step temporaries).  A
+        construction kernel asks for one round per step
+        (:class:`~repro.rng.streams.BlockedDraws`), so its row is used
+        while it is still in cache.
         """
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
-        xp = self.backend.xp
         if out is None:
-            out = xp.empty((rounds, self.n_streams), dtype=np.float64)
+            out = self.backend.xp.empty((rounds, self.n_streams), dtype=np.float64)
         elif out.shape[0] < rounds or out.shape[1:] != (self.n_streams,):
             raise ValueError(
                 f"out buffer {out.shape} cannot hold ({rounds}, {self.n_streams})"
             )
         block = out[:rounds]
-        if rounds == 0:
-            return block
-        if rounds * self.n_streams <= self.JUMP_AHEAD_MAX_ELEMENTS:
-            self._fill_jump_ahead(rounds, block, xp)
-        elif xp is np:
-            self._fill_rows_inplace(rounds, block)
-        else:
-            st = self._state
-            for r in range(rounds):
-                st = lcg_step(st, xp=xp)
-                xp.true_divide(st, float(LCG_IM), out=block[r])
-            self._state = st
+        self._fill_rows(rounds, block, self.backend.xp)
         self.samples_drawn += rounds * self.n_streams
         return block
 
-    def _fill_jump_ahead(self, rounds: int, block: np.ndarray, xp) -> None:
-        """Outer-product fill of ``block[:rounds]`` with raw states."""
-        powers = self._powers.get(rounds)
-        if powers is None:
-            powers = self.backend.from_host(
-                np.array(
-                    [pow(LCG_IA, r, LCG_IM) for r in range(1, rounds + 1)],
-                    dtype=np.int64,
-                )[:, None]
-            )
-            self._powers[rounds] = powers
-        if (
-            self._iblock is None
-            or self._iblock.shape[0] < rounds
-            or self._iblock.shape[1] != self.n_streams
-        ):
-            grow = (
-                rounds
-                if self._iblock is None or self._iblock.shape[1] != self.n_streams
-                else max(rounds, self._iblock.shape[0]),
-                self.n_streams,
-            )
-            self._iblock = xp.empty(grow, dtype=np.int64)
-            self._ifold = xp.empty(grow, dtype=np.int64)
-        x = self._iblock[:rounds]
-        t = self._ifold[:rounds]
-        xp.multiply(self._state[None, :], powers, out=x)  # < 2^62, exact
-        for _ in range(2):  # two folds reduce fully (see uniform_block)
-            xp.right_shift(x, 31, out=t)
-            xp.bitwise_and(x, LCG_IM, out=x)
-            xp.add(x, t, out=x)
-        self._state = x[-1].copy()
-        # Fused cast-and-divide: int64 -> float64 is exact below 2^31.
-        xp.true_divide(x, float(LCG_IM), out=block)
+    def _fill_rows(self, rounds: int, block: np.ndarray, xp) -> None:
+        """Row-by-row fill, allocation-free.
 
-    def _fill_rows_inplace(self, rounds: int, block: np.ndarray) -> None:
-        """Row-by-row fill for wide streams, allocation-free (numpy only).
+        The states live in a float64 vector ``f`` and each row is reduced
+        in floating point::
 
-        The states are copied once into a float64 scratch vector ``f`` and
-        each row is reduced in floating point::
-
-            x = f * IA;  q = floor(x * fl(1/IM));  f = x - q * IM;  u = f / IM
+            x = f * IA;  q = trunc(x * fl(1/IM));  f = x - q * IM;  u = f / IM
 
         six float passes in place of :func:`lcg_step`'s seven int64 ones
-        (two of them a masked subtract).  Exactness, step by step:
+        (two of them a masked subtract).  Exactness, step by step, for a
+        positive state:
 
         * ``f`` is an integer in ``[1, IM - 1]``, so ``x = f * IA <
           2^46`` is an exact float64 integer (53-bit significand).
@@ -225,42 +181,64 @@ class ParkMillerLCG(DeviceRNG):
           fl(1/IM)`` is ``x / IM`` to a relative error of about ``2^-52``
           -- an absolute error of at most about ``2^-37``, as ``x / IM <
           2^15``.  That cannot cross an integer from ``2^-31`` away, so
-          the floor is exactly ``k``: no off-by-one correction pass.
+          the truncation is exactly ``k`` (for a positive value ``trunc``
+          is ``floor``): no off-by-one correction pass.
         * ``q * IM = k * IM < 2^46`` and ``x - q * IM = r`` are exact, so
           ``f`` holds the same integer state as the int64 recurrence.
+
+        A negated state ``-f`` (:meth:`negate`) steps to exactly ``-r``:
+        IEEE-754 rounding is symmetric in sign, so every product and the
+        truncation toward zero give the negations of the positive case's
+        values, and ``-x - (-k) * IM = -r`` is exact.  The sample is then
+        ``-r / IM = -fl(r / IM)``, the negation of the positive sample.
 
         The final divide must stay a divide: ``r * fl(1/IM)`` rounds twice
         and differs from the correctly rounded ``r / IM`` in the last bit
         for 9,437,184 of the ``2^31 - 2`` states.  ``f / IM`` is the very
         operation :meth:`uniform`'s fused cast-and-divide performs, so the
-        samples are bit-identical.  The state goes back to the int64
-        vector at the end of the call (an exact cast below ``2^31``), so
-        :func:`lcg_step`, jump-ahead and checkpoints never see the float
-        copy.  ``tests/rng/exhaustive_lcg_fold.py`` checks the floor over
-        every state.
+        samples are bit-identical.  The float vector stays live across
+        calls, so a run of one-round fills (one per construction step)
+        pays no conversion; the state goes back to the int64 vector (an
+        exact cast below ``2^31``) only when :func:`lcg_step` or a
+        checkpoint reads it.  ``tests/rng/exhaustive_lcg_fold.py``
+        checks both signs of every state.
         """
-        st = self._state
-        if self._fstate is None or self._fstate.shape != st.shape:
-            self._fstate = np.empty(st.shape, dtype=np.float64)
-            self._fquot = np.empty(st.shape, dtype=np.float64)
-        f, q = self._fstate, self._fquot
-        f[...] = st  # exact: states are below 2^31
+        f = self._float_state()
+        q = self._fquot
         for r in range(rounds):
-            np.multiply(f, LCG_IA, out=f)  # x < 2^46, exact
-            np.multiply(f, _INV_IM, out=q)
-            np.floor(q, out=q)  # exactly x // IM (see above)
-            np.multiply(q, LCG_IM, out=q)
-            np.subtract(f, q, out=f)  # x mod IM, exact
-            np.true_divide(f, float(LCG_IM), out=block[r])
-        st[...] = f
+            xp.multiply(f, LCG_IA, out=f)  # x < 2^46, exact
+            xp.multiply(f, _INV_IM, out=q)
+            xp.trunc(q, out=q)  # exactly x // IM toward zero (see above)
+            xp.multiply(q, LCG_IM, out=q)
+            xp.subtract(f, q, out=f)  # x mod IM with the sign of x, exact
+            xp.true_divide(f, float(LCG_IM), out=block[r])
+
+    def negate(self, streams) -> None:
+        """Flip the sign of the states at ``streams`` (distinct indices).
+
+        The row fill steps a negated stream exactly like the positive one
+        and hands out the negated sample (see :meth:`_fill_rows`), so a
+        consumer can keep one flag bit per stream in the sign.  Only the
+        row fill may step a negated stream; :meth:`clear_signs` restores
+        the positive states before anything else reads them.
+        """
+        f = self._float_state()
+        f[streams] = -f[streams]
+
+    def clear_signs(self) -> None:
+        """Make every state positive again (undo all :meth:`negate` flags)."""
+        if self._flive:
+            self.backend.xp.abs(self._fstate, out=self._fstate)
+        else:
+            self.backend.xp.abs(self._state, out=self._state)
 
     @property
     def state(self) -> np.ndarray:
         """Copy of the per-stream states (for tests and checkpointing)."""
-        return self._state.copy()
+        return self._int_state().copy()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"state": self.backend.to_host(self._state).copy()}
+        return {"state": self.backend.to_host(self._int_state()).copy()}
 
     def load_state_arrays(self, arrays: dict) -> None:
         state = np.asarray(arrays["state"], dtype=np.int64)
@@ -271,3 +249,4 @@ class ParkMillerLCG(DeviceRNG):
                 "out-of-range values"
             )
         self._state = self.backend.from_host(state.copy())
+        self._flive = False

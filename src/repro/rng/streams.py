@@ -17,13 +17,6 @@ import numpy as np
 
 __all__ = ["DeviceRNG", "BlockedDraws", "split_seed"]
 
-#: cap on elements pregenerated per ``uniform_block`` chunk by
-#: :class:`BlockedDraws` (float64 words; 1 << 19 elements = 4 MiB) — bulk
-#: generation amortises per-call overhead, but blocks must stay cache-sized:
-#: measured on the batched engines, 4 MiB chunks beat 64 MiB ones by ~5-10 %
-#: (a huge block is evicted before its tail rows are consumed).
-MAX_BLOCK_ELEMENTS = 1 << 19
-
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -222,70 +215,74 @@ class DeviceRNG(abc.ABC):
 
 
 class BlockedDraws:
-    """Per-step draw vectors served from bulk pregenerated blocks.
+    """Per-step draw vectors for a construction kernel, drawn just in time.
 
-    A construction kernel that consumes one uniform vector per step wraps its
-    generator in ``BlockedDraws(rng, rounds)`` and calls :meth:`next` once per
-    step.  Draws are pregenerated up to ``block_rounds`` steps at a time with
-    a single :meth:`DeviceRNG.uniform_block` call — the paper's bulk-RNG
-    amortisation — and handed out as zero-copy row views, so the steady-state
-    per-step cost collapses to an index bump.  The consumption order is the
-    same per-step lockstep, so tours built from blocked draws are
-    bit-identical to tours built from per-step :meth:`DeviceRNG.uniform`
-    calls (pinned by the rng test-suite).
+    A kernel that consumes one uniform vector per step wraps its generator
+    in ``BlockedDraws(rng, rounds)`` and calls :meth:`next` once per step.
+    Each call steps every stream one round into one reused ``(n_streams,)``
+    row (:meth:`DeviceRNG.uniform_block` with ``rounds=1``), the way the
+    paper's threads draw ``U_j`` in a register just before using it.  The
+    reason is cache size, not call count: a block pregenerated for several
+    steps outgrows the cache at the widths the data-parallel kernels draw
+    (one stream per ant and city), so its rows would go out to memory and
+    come back steps later, while the one row stays cached between its fill
+    and its use.  The consumption order is the per-step lockstep, so tours
+    built from these draws are bit-identical to tours built from per-step
+    :meth:`DeviceRNG.uniform` calls (pinned by the rng test-suite).
+
+    :meth:`negate` flags streams in the sign of their later draws (the
+    data-parallel kernels' register tabu).  Use the object as a context
+    manager when negating: leaving it clears the flags from the generator,
+    on success and on exception alike, so its observable state is never
+    touched.
 
     Parameters
     ----------
     rng:
-        The generator to pregenerate from.
+        The generator to draw from.
     rounds:
         Exact number of :meth:`next` calls the consumer will make; drawing
         past it raises (an over-consuming kernel would silently desync the
         stream otherwise).
     work:
         Optional :class:`~repro.backend.WorkBuffers` arena; when given, the
-        block buffer itself is hoisted across iterations under ``key``.
-    max_block_elements:
-        Cap on pregenerated elements per chunk; wide stream counts are served
-        in several chunks so memory stays bounded.
+        row buffer is hoisted across iterations under ``key``.
     """
 
     def __init__(
-        self,
-        rng: DeviceRNG,
-        rounds: int,
-        *,
-        work=None,
-        key: str = "rng.block",
-        max_block_elements: int = MAX_BLOCK_ELEMENTS,
+        self, rng: DeviceRNG, rounds: int, *, work=None, key: str = "rng.row"
     ) -> None:
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
         self.rng = rng
         self.remaining = int(rounds)
-        per_chunk = max(1, int(max_block_elements) // max(1, rng.n_streams))
-        self.block_rounds = min(int(rounds), per_chunk) if rounds else 0
-        self._work = work
-        self._key = key
-        self._block: np.ndarray | None = None
-        self._pos = 0
-        self._filled = 0
+        shape = (1, rng.n_streams)
+        if work is not None:
+            self._row = work.get(key, shape, np.float64)
+        else:
+            self._row = rng.backend.xp.empty(shape, dtype=np.float64)
+        self._signed = False
 
     def next(self) -> np.ndarray:
-        """The next ``(n_streams,)`` draw vector (a view into the block)."""
+        """The next ``(n_streams,)`` draw vector (valid until the next call)."""
         if self.remaining <= 0:
-            raise ValueError("BlockedDraws exhausted: all pregenerated rounds consumed")
-        if self._block is None or self._pos >= self._filled:
-            take = min(self.block_rounds, self.remaining)
-            out = None
-            if self._work is not None:
-                out = self._work.get(
-                    self._key, (self.block_rounds, self.rng.n_streams), np.float64
-                )
-            self._block = self.rng.uniform_block(take, out=out)
-            self._filled = take
-            self._pos = 0
-        row = self._block[self._pos]
-        self._pos += 1
+            raise ValueError("BlockedDraws exhausted: all rounds consumed")
         self.remaining -= 1
-        return row
+        # Looked up per call, so an instance-level wrapper (perfbench's
+        # --trace 1) sees every fill.
+        self.rng.uniform_block(1, out=self._row)
+        return self._row[0]
+
+    def negate(self, streams) -> None:
+        """Negate every later draw of ``streams`` (distinct indices; see
+        :meth:`repro.rng.lcg.ParkMillerLCG.negate`)."""
+        self.rng.negate(streams)
+        self._signed = True
+
+    def __enter__(self) -> "BlockedDraws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._signed:
+            self.rng.clear_signs()
+            self._signed = False

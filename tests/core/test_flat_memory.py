@@ -31,6 +31,12 @@ ENGINES = {
     "acs": dict(variant="acs"),
 }
 
+#: per-boundary growth allowed, as a fraction of one tour batch.  Stage
+#: ledgers are shared across boundaries, so a boundary adds only its
+#: reports and lengths; the nn-list rule's fallback counts differ per
+#: boundary, so its ledgers keep rotating through the bounded cache.
+GROWTH_DIVISOR = {"as-v8": 8, "mmas-v6-2opt": 4, "acs": 8}
+
 
 def _engine(options: dict) -> BatchEngine:
     return BatchEngine.replicas(
@@ -68,7 +74,9 @@ def test_run_memory_does_not_grow_with_its_length(name):
     growth = _held_bytes(options, LONG) - short
     per_boundary = growth / (LONG - SHORT)
     # Pinning every boundary's tours costs one whole batch per boundary.
-    assert per_boundary < tour_batch / 4, (name, per_boundary, tour_batch)
+    assert per_boundary < tour_batch / GROWTH_DIVISOR[name], (
+        name, per_boundary, tour_batch,
+    )
 
 
 @pytest.mark.parametrize("name", sorted(ENGINES))

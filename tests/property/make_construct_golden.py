@@ -9,8 +9,8 @@ versions 1-6) built on a grid of generated cases:
 * a280 at B=4, nn=30 — the ``solve-mmas-ls-a280`` geometry, whose late
   steps almost all fall back to the best-choice rule;
 * pcb442 at B=1, nn=300 — 300 candidates, past the 8-bit count width;
-* a280 at B=8, nn=30 — 280 x 2240 draws exceed ``MAX_BLOCK_ELEMENTS``, so
-  the darts come through :class:`~repro.rng.streams.BlockedDraws`;
+* a280 at B=8, nn=30 — 280 x 2240 draws, a request large enough that
+  :class:`~repro.rng.streams.BlockedDraws` steps the darts one row per step;
 * ant counts other than ``n`` and a generator holding more streams per
   colony than there are ants.
 

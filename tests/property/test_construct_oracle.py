@@ -17,6 +17,11 @@ treatment: :meth:`DataParallelConstruction.build_batch` against a per-ant
 loop that takes the first maximum of ``choice * u * live`` over the row
 (or, under the ``"heuristic"`` tile rule, the tile winner of largest raw
 choice) and falls back to the best unvisited city when that product is 0.
+
+So does ACS's pseudo-random-proportional rule
+(:meth:`PseudoProportionalChoice.build_batch`): greedy first maximum or
+roulette over the unvisited weights, and the best unvisited city when
+every unvisited weight is 0.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from types import SimpleNamespace
 from repro.backend import WorkBuffers, resolve_backend
 from repro.core.construction.dataparallel import DataParallelConstruction
 from repro.core.construction.taskbased import construct_exact_batch
+from repro.core.variant import ACSParams, PseudoProportionalChoice
 from repro.rng import ParkMillerLCG
 from repro.simt.device import TESLA_M2050
 from repro.tsp.tour import validate_tour
@@ -213,3 +219,89 @@ def test_data_parallel_kernel_matches_iroulette_oracle(case):
             validate_tour(res.tours[b, a], n)
             colony_fallbacks += fb
         assert res.fallback_steps[b] == colony_fallbacks, b
+
+
+def acs_oracle(choice, explore, roulette, start_dart, n, q0):
+    """One ACS ant's closed tour in plain Python.
+
+    ``explore[step]`` and ``roulette[step]`` are the ant's two darts of
+    that step; the local pheromone update never changes ``choice``.
+    """
+    start = min(int(start_dart * n), n - 1)
+    tour, visited = [start], {start}
+    for step in range(1, n):
+        row = [float(w) for w in choice[tour[-1]]]
+        w = [0.0 if c in visited else row[c] for c in range(n)]
+        total = 0.0
+        cum = []
+        for x in w:
+            total += x
+            cum.append(total)
+        if total <= 0.0:
+            masked = [-np.inf if c in visited else row[c] for c in range(n)]
+            nxt = masked.index(max(masked))
+        elif explore[step] < q0:
+            nxt = w.index(max(w))
+        else:
+            r = roulette[step] * total
+            nxt = min(sum(1 for s in cum if s < r), n - 1)
+        tour.append(nxt)
+        visited.add(nxt)
+    return tour + tour[:1]
+
+
+@st.composite
+def acs_colonies(draw):
+    n = draw(st.integers(3, 24))
+    B = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    q0 = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    choice = np.array([0.5, 1.0, 2.0])[rng.integers(0, 3, size=(B, n, n))]
+    choice[rng.random(choice.shape) < zero_frac] = 0.0
+    choice[:, np.arange(n), np.arange(n)] = 0.0
+    seeds = [int(s) for s in rng.integers(1, 2**31 - 1, size=B)]
+    return choice, B, m, n, q0, seeds
+
+
+class _FixedChoice:
+    """Choice-kernel stand-in that installs a given ``choice_info``."""
+
+    def __init__(self, choice):
+        self.choice = choice
+
+    def run_batch(self, bstate, collect=True):
+        bstate.choice_info = self.choice
+        return []
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=acs_colonies())
+def test_acs_kernel_matches_python_oracle(case):
+    choice, B, m, n, q0, seeds = case
+    policy = PseudoProportionalChoice(ACSParams(q0=q0))
+    policy.tau0 = np.full(B, 0.01)
+    backend = resolve_backend("numpy")
+    bstate = SimpleNamespace(
+        B=B, n=n, m=m, device=TESLA_M2050, backend=backend,
+        work=WorkBuffers(backend), pheromone=np.full((B, n, n), 0.01),
+    )
+    spc = policy.rng_streams(None, n, m)
+    tours, _, _ = policy.build_batch(
+        bstate, None, _FixedChoice(choice), ParkMillerLCG.from_seeds(spc, seeds),
+        collect=False,
+    )
+    darts = ParkMillerLCG.from_seeds(spc, seeds).uniform_block(n)
+    darts = darts.reshape(n, B, spc)
+    for b in range(B):
+        for a in range(m):
+            want = acs_oracle(
+                choice[b], darts[:, b, a], darts[:, b, m + a], darts[0, b, a], n, q0
+            )
+            np.testing.assert_array_equal(tours[b, a], want)
+            validate_tour(tours[b, a], n)
