@@ -61,9 +61,13 @@ class WorkBuffers:
         contents are whatever the previous user left (callers must reset
         any buffer whose starting value matters, e.g. visited masks).
         """
+        buf = self._buffers.get(key)
+        # Compared as given first: a hit (every call after the first, for
+        # a fixed geometry) then skips normalising shape and dtype.
+        if buf is not None and buf.shape == shape and buf.dtype == dtype:
+            return buf
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
-        buf = self._buffers.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
             buf = self.backend.xp.empty(shape, dtype=dtype)
             self._buffers[key] = buf

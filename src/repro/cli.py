@@ -27,8 +27,8 @@ Subcommands
 ``stats``
     Scrape the live stats plane of a running ``serve`` process (the
     ``{"op": "stats"}`` admin line): batch/flush counters plus queue-wait,
-    batch-wall and request-latency percentiles.  ``--json`` emits the raw
-    snapshot.
+    batch-wall, request-latency and engine-phase (``engine.phase.*``)
+    percentiles.  ``--json`` emits the raw snapshot.
 ``sweep``
     Parameter sweep (``--param rho=0.25,0.5,0.75`` style, × ``--replicas``)
     over one instance, executed as a single vectorized batch.
@@ -836,6 +836,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     from repro.errors import ServeError
     from repro.serve import health_over_tcp, stats_over_tcp
+    from repro.shard.stats import HISTOGRAM_KEYS
 
     plane = "health" if args.health else "stats"
     try:
@@ -906,14 +907,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(t.render())
     h = Table(
         ["distribution", "count", "mean", "p50", "p95", "p99", "max"],
-        title="request lifecycle distributions (seconds; rows for batch_rows)",
+        title=(
+            "request lifecycle and engine phase distributions "
+            "(seconds; rows for batch_rows)"
+        ),
     )
-    for key in (
-        "queue_wait_seconds",
-        "batch_wall_seconds",
-        "request_latency_seconds",
-        "batch_rows",
-    ):
+    for key in HISTOGRAM_KEYS:
         dist = snap.get(key)
         if not dist:
             continue

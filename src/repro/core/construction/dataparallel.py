@@ -281,17 +281,9 @@ class DataParallelConstruction(TourConstruction):
         # rows b*n + city — every per-step op keeps the solo 2-D shape.
         M = B * m
         choice_rows = xp.ascontiguousarray(bstate.choice_info).reshape(B * n, n)
-        choice_flat = choice_rows.reshape(-1)
         row_off = _const(
             "row_off", lambda: xp.repeat(xp.arange(B, dtype=np.int64) * n, m)
         )  # (M,)
-        ant_idx = _const("ant_idx", lambda: xp.arange(M))
-        tours = xp.empty((M, n + 1), dtype=np.int32)  # escapes: never pooled
-
-        # In-range indices by construction: numpy's bounds check is pure
-        # overhead, so mode="clip" skips it (CuPy's take has no mode kwarg
-        # and wraps unconditionally).
-        take_kw = {"mode": "clip"} if xp is np else {}
         # (M,) flat row bases: ant_base + city is both the ant's cell in the
         # (M, n) product matrix and its thread's rng stream.
         ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
@@ -299,7 +291,11 @@ class DataParallelConstruction(TourConstruction):
         rows_idx = _buf("rows_idx", (M,), np.int64)
         win_idx = _buf("win_idx", (M,), np.int64)
         win_bits = _buf("win_bits", (M,), np.int64)
-        nxt = _buf("nxt", (M,), np.int64)
+        # Step-major tours: row s holds every ant's city at step s, so each
+        # step's argmax writes one contiguous row in place.  The rows are
+        # pooled and int64, the argmax's own index type: int32 rows would
+        # add a cast to the argmax and to both index adds of every step.
+        tour_rows = _buf("tour_rows", (n + 1, M), np.int64)
         # The argmax reads the products' int64 bit patterns (precondition in
         # the docstring).
         w_bits = rows_buf.view(np.int64)
@@ -314,67 +310,79 @@ class DataParallelConstruction(TourConstruction):
         )
         per_tile = self.tile_rule == "heuristic" and len(spans) > 1
         if per_tile:
+            choice_flat = choice_rows.reshape(-1)
+            ant_idx = _const("ant_idx", lambda: xp.arange(M))
             tile_city = _buf("tile_city", (M, len(spans)), np.int64)
             tile_val = _buf("tile_val", (M, len(spans)), np.float64)
-            win_val = _buf("win_val", (M,), np.float64)
+
+        # The step's operations, bound once per build and called in method
+        # or ufunc form with positional arguments.  Gather indices are in
+        # range by construction, so numpy's bounds check is pure overhead
+        # and mode="clip" skips it (CuPy's take has no mode and wraps).
+        clip = ("clip",) if xp is np else ()
+        take_rows = choice_rows.take
+        take_bits = w_bits_flat.take
+        argmax_bits = w_bits.argmax
+        add = xp.add
+        multiply = xp.multiply
 
         # The register tabu rides in the sign of each thread's stream: a
         # visited city's stream is negated, so its draws (and products)
         # are <= -0.0 and lose every argmax.  Leaving the block clears the
         # signs, on success and on exception alike.
         with BlockedDraws(rng, n, work=wb, key="dp.rng") as draws:
+            u = draws.row.reshape(M, n)
+            flip = draws.sign_flip()
             # First step: each colony's leading m streams place the ants.
-            u0 = draws.next().reshape(B, -1)[:, :m]
-            start = xp.minimum((u0 * n).astype(np.int64), n - 1).reshape(M)
-            tours[:, 0] = start
-            xp.add(ant_base, start, out=win_idx)
-            draws.negate(win_idx)
-            cur = start
-            for step in range(1, n):
-                u = draws.next().reshape(M, n)
-                xp.add(row_off, cur, out=rows_idx)
-                w = xp.take(choice_rows, rows_idx, axis=0, out=rows_buf, **take_kw)
-                xp.multiply(w, u, out=w)
-
+            draws.next()
+            start = draws.row.reshape(B, -1)[:, :m] * n
+            tour_rows[0] = xp.minimum(start.astype(np.int64), n - 1).reshape(M)
+            add(ant_base, tour_rows[0], win_idx)
+            flip(win_idx)
+            cur = tour_rows[0]
+            for nxt, _ in zip(tour_rows[1:n], draws.steps):
+                add(row_off, cur, rows_idx)
+                take_rows(rows_idx, 0, rows_buf, *clip)
+                multiply(rows_buf, u, rows_buf)
                 if not per_tile:
-                    xp.argmax(w_bits, axis=1, out=nxt)
+                    argmax_bits(1, nxt)
                 else:
                     # Per-tile winners: block_argmax inlined (same argmax +
                     # value gather, minus its per-call index scratch; ties
                     # resolve to the lowest lane).
-                    w_flat = w.reshape(-1)
                     for t, (lo, hi) in enumerate(spans):
-                        idx = xp.argmax(w_bits[:, lo:hi], axis=1)
-                        xp.add(idx, lo, out=win_idx)
+                        idx = w_bits[:, lo:hi].argmax(1)
+                        add(idx, lo, win_idx)
                         tile_city[:, t] = win_idx
-                        xp.add(win_idx, ant_base, out=win_idx)
-                        xp.take(w_flat, win_idx, out=win_val, **take_kw)
-                        tile_val[:, t] = win_val
+                        add(win_idx, ant_base, win_idx)
+                        take_bits(win_idx, None, win_bits, *clip)
+                        tile_val[:, t] = win_bits.view(np.float64)
 
                     winner_choice = choice_flat[rows_idx[:, None] * n + tile_city]
                     winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
-                    pick = xp.argmax(winner_choice, axis=1)
+                    pick = winner_choice.argmax(1)
                     nxt[:] = tile_city[ant_idx, pick]
-                xp.add(ant_base, nxt, out=win_idx)
+                add(ant_base, nxt, win_idx)
                 # A winning product <= +0.0 (bits <= 0) means every unvisited
                 # product is 0: the argmax fell on the lowest such city, or
                 # (heuristic rule, every tile at 0) on a visited one.  Those
                 # ants take the best unvisited city instead.
                 if zero_risk:
-                    xp.take(w_bits_flat, win_idx, out=win_bits, **take_kw)
+                    take_bits(win_idx, None, win_bits, *clip)
                     if not (win_bits > 0).all():
                         dead = xp.flatnonzero(win_bits <= 0)
                         nxt[dead] = best_unvisited(
                             choice_rows[rows_idx[dead]], u[dead] < 0.0, xp
                         )
                         fallbacks += xp.bincount(dead // m, minlength=B)
-                        xp.add(ant_base, nxt, out=win_idx)
-                draws.negate(win_idx)
-                tours[:, step] = nxt
+                        add(ant_base, nxt, win_idx)
+                flip(win_idx)
                 cur = nxt
 
-        tours[:, n] = tours[:, 0]
-        tours = tours.reshape(B, m, n + 1)
+        tour_rows[n] = tour_rows[0]
+        # A fresh ant-major int32 copy escapes; the step-major rows stay
+        # pooled.
+        tours = tour_rows.T.astype(np.int32, order="C").reshape(B, m, n + 1)
         return BatchConstructionResult(
             tours=tours,
             reports=self._batch_reports(bstate, fallbacks) if collect else [],

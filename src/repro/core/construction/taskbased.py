@@ -198,9 +198,9 @@ def construct_exact_batch(
 
     # All gather indices below are constructed from valid cities/ants, so
     # numpy's bounds check is pure overhead; mode="clip" skips it (measured
-    # ~1.7x faster takes).  Only numpy spells the kwarg (CuPy's take wraps
+    # ~1.7x faster takes).  Only numpy spells the mode (CuPy's take wraps
     # unconditionally).
-    take_kw = {"mode": "clip"} if xp is np else {}
+    clip = ("clip",) if xp is np else ()
 
     choice_rows = xp.ascontiguousarray(choice).reshape(B * n, n)
     choice_flat = choice_rows.reshape(-1)
@@ -211,23 +211,21 @@ def construct_exact_batch(
     ant_idx = _const("ant_idx", lambda: xp.arange(M, dtype=np.int64))
     ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
     ant_base_t = ant_base[None, :]  # (1, M) tabu row offsets
-    tours = xp.empty((M, n + 1), dtype=np.int32)  # escapes: never pooled
+    # Step-major tours: row s holds every ant's city at step s, written in
+    # place by each step's pick (pooled; a fresh int32 copy escapes).
+    tour_rows = _buf("tour_rows", (n + 1, M), np.int64)
     live = _buf("live", (M, n), np.uint8)
     live[:] = 1
     live_flat = live.reshape(-1)
+    live_cols = live.T
 
     # One colony-major dart vector per step.  With one stream per ant the
     # row already is the flat (M,) layout, larger stream counts slice the
     # leading m streams of every colony block (what the solo code's
-    # ``[:m]`` does) — a view, consumed in the (B, m) shape.
-    spc = rng.n_streams // B
+    # ``[:m]`` does) — a view of the draw row, taken once and consumed in
+    # the (B, m) shape.
     draws = BlockedDraws(rng, n, work=work, key="taskexact.rng")
-    if spc == m:
-        def draw():
-            return draws.next().reshape(B, m)
-    else:
-        def draw():
-            return draws.next().reshape(B, -1)[:, :m]
+    darts = draws.row.reshape(B, -1)[:, :m]
 
     # Per-step scratch, allocated once per arena: every step writes the same
     # buffers in place (``out=``), which removes the allocator/cache churn
@@ -242,7 +240,6 @@ def construct_exact_batch(
     count = _buf("count", (M,), count_dtype)
     rows_idx = _buf("rows_idx", (M,), np.int64)
     win = _buf("win", (M,), np.int64)  # flat winner / tabu-commit indices
-    nxt = _buf("nxt", (M,), np.int64)
     r_buf = _buf("r", (M,), np.float64)
     exhausted = _buf("exhausted", (M,), bool)
     fb_ant = _buf("fb_ant", (M,), np.int64)
@@ -284,69 +281,71 @@ def construct_exact_batch(
                 ).T
             ),
         )
-        cand_choice_t = xp.take(
-            choice_flat,
-            cc_idx,
-            out=_buf("cand_choice_t", (k, B * n), np.float64),
-            **take_kw,
+        cand_choice_t = choice_flat.take(
+            cc_idx, None, _buf("cand_choice_t", (k, B * n), np.float64), *clip
         )  # (nn, B * n)
         cand_t = _buf("cand", (k, M), np.int64)
         cand_flat = cand_t.reshape(-1)
 
-    d0 = draw()
-    start = xp.minimum((d0 * n).astype(np.int64), n - 1).reshape(M)
-    tours[:, 0] = start
-    xp.add(ant_base, start, out=win)
-    live_flat[win] = 0
-    cur = start
+    # The step's operations, bound once per call and called in method or
+    # ufunc form with positional arguments.
+    add, multiply, less, minimum = xp.add, xp.multiply, xp.less, xp.minimum
+    take_choice = choice_flat.take
+    count_picks = cmp_bytes.sum
 
-    for step in range(1, n):
-        darts = draw()
-        xp.add(row_off, cur, out=rows_idx)
+    draws.next()
+    start = xp.minimum((darts * n).astype(np.int64), n - 1).reshape(M)
+    tour_rows[0] = start
+    add(ant_base, start, win)
+    live_flat[win] = 0
+    cur = tour_rows[0]
+
+    for nxt, _ in zip(tour_rows[1:n], draws.steps):
+        add(row_off, cur, rows_idx)
         if nn_list is None:
-            xp.multiply(rows_idx, n, out=row_base)
-            xp.add(col_t, row_base_t, out=idx_buf)
-            xp.take(choice_flat, idx_buf, out=w_buf, **take_kw)
-            xp.copyto(live_t, live.T)
+            multiply(rows_idx, n, row_base)
+            add(col_t, row_base_t, idx_buf)
+            take_choice(idx_buf, None, w_buf, *clip)
+            xp.copyto(live_t, live_cols)
         else:
-            xp.take(nn_cols, rows_idx, axis=1, out=cand_t, **take_kw)
-            xp.add(ant_base_t, cand_t, out=idx_buf)
-            xp.take(live_flat, idx_buf, out=live_t, **take_kw)
-            xp.take(cand_choice_t, rows_idx, axis=1, out=w_buf, **take_kw)
-        xp.multiply(w_buf, live_t, out=w_buf)
+            nn_cols.take(rows_idx, 1, cand_t, *clip)
+            add(ant_base_t, cand_t, idx_buf)
+            live_flat.take(idx_buf, None, live_t, *clip)
+            cand_choice_t.take(rows_idx, 1, w_buf, *clip)
+        multiply(w_buf, live_t, w_buf)
         for prev, row in acc_rows:
-            xp.add(prev, row, out=row)
+            add(prev, row, row)
         # darts is a (B, m) view of the draw row; multiplying in that shape
         # (r2 views r_buf) avoids flattening-copies entirely.
-        xp.multiply(darts, sums2, out=r2)
-        xp.less(w_buf, r_row, out=cmp_buf)
-        xp.sum(cmp_bytes, axis=0, dtype=count_dtype, out=count)
-        xp.minimum(count, k - 1, out=count)
+        multiply(darts, sums2, r2)
+        less(w_buf, r_row, cmp_buf)
+        count_picks(0, count_dtype, count)
+        minimum(count, k - 1, out=count)
         if nn_list is None:
             xp.copyto(nxt, count)
         else:
-            xp.multiply(count, M, out=win, dtype=np.int64)
-            xp.add(win, ant_idx, out=win)
-            xp.take(cand_flat, win, out=nxt, **take_kw)
+            multiply(count, M, win, dtype=np.int64)
+            add(win, ant_idx, win)
+            cand_flat.take(win, None, nxt, *clip)
         xp.less_equal(sums, 0.0, out=exhausted)
-        dead = xp.flatnonzero(exhausted)
-        if dead.size:
+        if exhausted.any():
             # Exhausted rows: the best-choice full-row fallback (ACOTSP's
             # choose_best_next) overwrites those ants' picks.
+            dead = xp.flatnonzero(exhausted)
             nxt[dead] = best_unvisited(
                 choice_rows[rows_idx[dead]], live[dead] == 0, xp
             )
             fb_ant[dead] += 1
-        xp.add(ant_base, nxt, out=win)
+        add(ant_base, nxt, win)
         live_flat[win] = 0
-        tours[:, step] = nxt
-        # ``cur`` aliases ``nxt``; the next step reads it into ``rows_idx``
-        # before anything rewrites ``nxt``.
+        # ``cur`` is this step's tour row; the next step reads it into
+        # ``rows_idx`` before anything rewrites it.
         cur = nxt
 
-    tours[:, n] = tours[:, 0]
+    tour_rows[n] = tour_rows[0]
     fallbacks = fb_ant.reshape(B, m).sum(axis=1).astype(np.float64)
-    return tours.reshape(B, m, n + 1), fallbacks
+    tours = tour_rows.T.astype(np.int32, order="C").reshape(B, m, n + 1)
+    return tours, fallbacks
 
 
 def _roulette(weights: np.ndarray, sums: np.ndarray, darts: np.ndarray) -> np.ndarray:

@@ -25,12 +25,13 @@ from repro.obs.metrics import (
     NullRegistry,
     ReservoirHistogram,
 )
-from repro.obs.phases import PHASES, PhaseClock
+from repro.obs.phases import PHASE_HISTOGRAMS, PHASES, PhaseClock
 from repro.obs.trace import TraceRecorder, TraceSpan
 
 __all__ = [
     "NULL_REGISTRY",
     "PHASES",
+    "PHASE_HISTOGRAMS",
     "Counter",
     "Gauge",
     "MetricsRegistry",

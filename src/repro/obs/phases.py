@@ -21,10 +21,14 @@ from __future__ import annotations
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
-__all__ = ["PHASES", "PhaseClock"]
+__all__ = ["PHASES", "PHASE_HISTOGRAMS", "PhaseClock"]
 
 #: Engine phase names, in pipeline order.
 PHASES = ("construct", "fold", "local-search", "update", "host-sync")
+
+#: The registry histogram of each phase's per-block seconds, in
+#: :data:`PHASES` order.
+PHASE_HISTOGRAMS = tuple(f"engine.phase.{phase}" for phase in PHASES)
 
 
 class PhaseClock:
@@ -66,9 +70,9 @@ class PhaseClock:
         phases to the registry histograms, and reset the block."""
         deltas = dict(self._block)
         if self.metrics.enabled:
-            for phase, seconds in deltas.items():
+            for name, seconds in zip(PHASE_HISTOGRAMS, deltas.values()):
                 if seconds > 0.0:
-                    self.metrics.observe(f"engine.phase.{phase}", seconds)
+                    self.metrics.observe(name, seconds)
         for phase in self._block:
             self._block[phase] = 0.0
         return deltas

@@ -71,7 +71,7 @@ class ParkMillerLCG(DeviceRNG):
     Each stream's state is a positive 31-bit integer; zero is invalid (it is
     a fixed point of the recurrence), so seeding maps into ``[1, IM - 1]``.
 
-    A stream can also be *negated* (:meth:`negate`): the float64 row fill
+    A stream can also be *negated* (:meth:`sign_flip`): the float64 row fill
     then steps it to the negation of its usual successor and draws the
     negation of its usual sample, so the sign rides along as a one-bit flag
     at no cost to the sequence.  :meth:`clear_signs` drops every flag.
@@ -97,6 +97,14 @@ class ParkMillerLCG(DeviceRNG):
         self._fstate: np.ndarray | None = None
         self._fquot: np.ndarray | None = None
         self._flive = False
+        # The fill's constants IA, fl(1/IM) and IM as 0-d float64 arrays on
+        # the backend: a ufunc takes a 0-d array operand with less per-call
+        # work than a Python scalar, and the values (all exact in float64)
+        # are the ones the scalars would convert to.
+        xp = self.backend.xp
+        self._fconst = tuple(
+            xp.asarray(c, dtype=np.float64) for c in (LCG_IA, _INV_IM, LCG_IM)
+        )
 
     @classmethod
     def _derive_states(cls, seed: int, n_streams: int) -> np.ndarray:
@@ -140,28 +148,12 @@ class ParkMillerLCG(DeviceRNG):
     def uniform_block(self, rounds: int, out: np.ndarray | None = None) -> np.ndarray:
         """Bulk fill, bit-identical to ``rounds`` sequential :meth:`uniform` calls.
 
-        Steps row by row in a float64 copy of the state vector
-        (:meth:`_fill_rows`: an exact float reduction with fewer passes
-        than :func:`lcg_step`'s folding, and no per-step temporaries).  A
-        construction kernel asks for one round per step
+        Steps row by row in a float64 copy of the state vector, allocation-
+        free and with no Python frame below this one: a construction kernel
+        calls it once per step with ``rounds=1``
         (:class:`~repro.rng.streams.BlockedDraws`), so its row is used
-        while it is still in cache.
-        """
-        if rounds < 0:
-            raise ValueError(f"rounds must be non-negative, got {rounds}")
-        if out is None:
-            out = self.backend.xp.empty((rounds, self.n_streams), dtype=np.float64)
-        elif out.shape[0] < rounds or out.shape[1:] != (self.n_streams,):
-            raise ValueError(
-                f"out buffer {out.shape} cannot hold ({rounds}, {self.n_streams})"
-            )
-        block = out[:rounds]
-        self._fill_rows(rounds, block, self.backend.xp)
-        self.samples_drawn += rounds * self.n_streams
-        return block
-
-    def _fill_rows(self, rounds: int, block: np.ndarray, xp) -> None:
-        """Row-by-row fill, allocation-free.
+        while it is still in cache and the call costs the six passes below
+        plus one argument check.
 
         The states live in a float64 vector ``f`` and each row is reduced
         in floating point::
@@ -186,7 +178,7 @@ class ParkMillerLCG(DeviceRNG):
         * ``q * IM = k * IM < 2^46`` and ``x - q * IM = r`` are exact, so
           ``f`` holds the same integer state as the int64 recurrence.
 
-        A negated state ``-f`` (:meth:`negate`) steps to exactly ``-r``:
+        A negated state ``-f`` (:meth:`sign_flip`) steps to exactly ``-r``:
         IEEE-754 rounding is symmetric in sign, so every product and the
         truncation toward zero give the negations of the positive case's
         values, and ``-x - (-k) * IM = -r`` is exact.  The sample is then
@@ -203,30 +195,51 @@ class ParkMillerLCG(DeviceRNG):
         checkpoint reads it.  ``tests/rng/exhaustive_lcg_fold.py``
         checks both signs of every state.
         """
-        f = self._float_state()
+        if rounds < 0:
+            raise ValueError(f"rounds must be non-negative, got {rounds}")
+        if out is None:
+            out = self.backend.xp.empty((rounds, self.n_streams), dtype=np.float64)
+        elif out.shape[0] < rounds or out.shape[1:] != (self.n_streams,):
+            raise ValueError(
+                f"out buffer {out.shape} cannot hold ({rounds}, {self.n_streams})"
+            )
+        block = out[:rounds]
+        f = self._fstate if self._flive else self._float_state()
         q = self._fquot
-        for r in range(rounds):
-            xp.multiply(f, LCG_IA, out=f)  # x < 2^46, exact
-            xp.multiply(f, _INV_IM, out=q)
-            xp.trunc(q, out=q)  # exactly x // IM toward zero (see above)
-            xp.multiply(q, LCG_IM, out=q)
-            xp.subtract(f, q, out=f)  # x mod IM with the sign of x, exact
-            xp.true_divide(f, float(LCG_IM), out=block[r])
+        ia, inv_im, im = self._fconst
+        xp = self.backend.xp
+        multiply, subtract = xp.multiply, xp.subtract
+        for row in block:
+            multiply(f, ia, f)  # x < 2^46, exact
+            multiply(f, inv_im, q)
+            xp.trunc(q, q)  # exactly x // IM toward zero (see above)
+            multiply(q, im, q)
+            subtract(f, q, f)  # x mod IM with the sign of x, exact
+            xp.true_divide(f, im, row)
+        self.samples_drawn += rounds * self.n_streams
+        return block
 
-    def negate(self, streams) -> None:
-        """Flip the sign of the states at ``streams`` (distinct indices).
+    def sign_flip(self):
+        """A bound sign flip: ``flip(streams)`` negates the states at
+        ``streams`` (distinct indices).
 
         The row fill steps a negated stream exactly like the positive one
-        and hands out the negated sample (see :meth:`_fill_rows`), so a
-        consumer can keep one flag bit per stream in the sign.  Only the
-        row fill may step a negated stream; :meth:`clear_signs` restores
+        and hands out the negated sample (see :meth:`uniform_block`), so a
+        consumer can keep one flag bit per stream in the sign.  The
+        callable holds the live float64 state vector, so a flip is one
+        gather, negate and scatter with no lookups on the way.  Only the
+        row fill may step a negated stream: :meth:`clear_signs` restores
         the positive states before anything else reads them.
         """
         f = self._float_state()
-        f[streams] = -f[streams]
+
+        def flip(streams) -> None:
+            f[streams] = -f[streams]
+
+        return flip
 
     def clear_signs(self) -> None:
-        """Make every state positive again (undo all :meth:`negate` flags)."""
+        """Make every state positive again (undo every :meth:`sign_flip` flag)."""
         if self._flive:
             self.backend.xp.abs(self._fstate, out=self._fstate)
         else:

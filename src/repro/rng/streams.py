@@ -12,6 +12,7 @@ scientific-python optimisation notes).
 from __future__ import annotations
 
 import abc
+from itertools import repeat
 
 import numpy as np
 
@@ -218,9 +219,9 @@ class BlockedDraws:
     """Per-step draw vectors for a construction kernel, drawn just in time.
 
     A kernel that consumes one uniform vector per step wraps its generator
-    in ``BlockedDraws(rng, rounds)`` and calls :meth:`next` once per step.
-    Each call steps every stream one round into one reused ``(n_streams,)``
-    row (:meth:`DeviceRNG.uniform_block` with ``rounds=1``), the way the
+    in ``BlockedDraws(rng, rounds)`` and advances it once per step.  Each
+    step fills every stream one round into one reused ``(n_streams,)`` row
+    (:meth:`DeviceRNG.uniform_block` with ``rounds=1``), the way the
     paper's threads draw ``U_j`` in a register just before using it.  The
     reason is cache size, not call count: a block pregenerated for several
     steps outgrows the cache at the widths the data-parallel kernels draw
@@ -230,20 +231,31 @@ class BlockedDraws:
     built from these draws are bit-identical to tours built from per-step
     :meth:`DeviceRNG.uniform` calls (pinned by the rng test-suite).
 
-    :meth:`negate` flags streams in the sign of their later draws (the
-    data-parallel kernels' register tabu).  Use the object as a context
-    manager when negating: leaving it clears the flags from the generator,
-    on success and on exception alike, so its observable state is never
-    touched.
+    The per-step API costs one call per step and no Python frame of its
+    own, so a step loop pays for the kernel's work and nothing else:
+
+    * :attr:`row` — the ``(n_streams,)`` row every fill writes in place; a
+      kernel takes its views of it (a reshape, a slice) once per build;
+    * :attr:`steps` — an iterator of exactly ``rounds`` fills, each one
+      ``rng.uniform_block(1, out)`` (the generator's attribute, looked up
+      once here, so an instance-level wrapper such as perfbench's
+      ``--trace 1`` sees every fill).  Drive a step loop from it, e.g.
+      ``for tour_row, _ in zip(tour_rows, draws.steps)``; it stops after
+      ``rounds`` fills, and :meth:`next` raises past them (an
+      over-consuming kernel would silently desync the stream otherwise);
+    * :meth:`sign_flip` — the generator's bound sign flip
+      (:meth:`repro.rng.lcg.ParkMillerLCG.sign_flip`), which flags streams
+      in the sign of their later draws (the data-parallel kernels'
+      register tabu).  Use the object as a context manager when flipping:
+      leaving it clears the flags from the generator, on success and on
+      exception alike, so its observable state is never touched.
 
     Parameters
     ----------
     rng:
         The generator to draw from.
     rounds:
-        Exact number of :meth:`next` calls the consumer will make; drawing
-        past it raises (an over-consuming kernel would silently desync the
-        stream otherwise).
+        Exact number of fills the consumer will make.
     work:
         Optional :class:`~repro.backend.WorkBuffers` arena; when given, the
         row buffer is hoisted across iterations under ``key``.
@@ -255,29 +267,31 @@ class BlockedDraws:
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
         self.rng = rng
-        self.remaining = int(rounds)
         shape = (1, rng.n_streams)
         if work is not None:
-            self._row = work.get(key, shape, np.float64)
+            block = work.get(key, shape, np.float64)
         else:
-            self._row = rng.backend.xp.empty(shape, dtype=np.float64)
+            block = rng.backend.xp.empty(shape, dtype=np.float64)
+        #: the ``(n_streams,)`` draw row, refilled in place by every step
+        self.row = block[0]
+        #: exactly ``rounds`` fills of :attr:`row`, one per ``next()``
+        self.steps = map(rng.uniform_block, repeat(1, int(rounds)), repeat(block))
         self._signed = False
 
     def next(self) -> np.ndarray:
-        """The next ``(n_streams,)`` draw vector (valid until the next call)."""
-        if self.remaining <= 0:
+        """Fill and return :attr:`row` (valid until the next fill)."""
+        if next(self.steps, None) is None:
             raise ValueError("BlockedDraws exhausted: all rounds consumed")
-        self.remaining -= 1
-        # Looked up per call, so an instance-level wrapper (perfbench's
-        # --trace 1) sees every fill.
-        self.rng.uniform_block(1, out=self._row)
-        return self._row[0]
+        return self.row
 
-    def negate(self, streams) -> None:
-        """Negate every later draw of ``streams`` (distinct indices; see
-        :meth:`repro.rng.lcg.ParkMillerLCG.negate`)."""
-        self.rng.negate(streams)
+    def sign_flip(self):
+        """The generator's sign flip, bound for this block: ``flip(streams)``
+        negates every later draw of ``streams`` (distinct indices; see
+        :meth:`repro.rng.lcg.ParkMillerLCG.sign_flip`).  Leaving the
+        ``with`` block clears the flags."""
+        flip = self.rng.sign_flip()
         self._signed = True
+        return flip
 
     def __enter__(self) -> "BlockedDraws":
         return self

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 
 import numpy as np
@@ -193,7 +194,7 @@ def _parse_line(line: bytes | str) -> dict:
     connections)."""
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # broken JSON, bad UTF-8, an over-long integer
         raise ServeError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ServeError("request must be a JSON object")
@@ -211,8 +212,40 @@ def decode_request(line: bytes | str, *, default_id: str) -> tuple[str, SolveReq
     return decode_request_obj(_parse_line(line), default_id=default_id)
 
 
+def _wire_int(obj: dict, name: str, default: int | None) -> int | None:
+    """Field ``name`` as a JSON integer (``default`` when absent; a
+    ``None`` default makes ``null`` legal too).  Bools, floats and strings
+    are refused rather than truncated or parsed."""
+    value = obj.get(name, default)
+    if value is None and default is None:
+        return None
+    if type(value) is not int:
+        raise ServeError(f"'{name}' must be a JSON integer, got {value!r}")
+    return value
+
+
+def _wire_seconds(obj: dict, name: str) -> float | None:
+    """Optional field ``name`` as a finite JSON number of seconds."""
+    value = obj.get(name)
+    if value is None:
+        return None
+    try:
+        seconds = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond float range
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise ServeError(f"'{name}' must be a finite JSON number, got {value!r}")
+    return seconds
+
+
 def decode_request_obj(obj: dict, *, default_id: str) -> tuple[str, SolveRequest]:
-    """Decode an already-parsed request object (see :func:`decode_request`)."""
+    """Decode an already-parsed request object (see :func:`decode_request`).
+
+    Integer fields (``iterations``, ``report_every``, ``priority``,
+    ``target_length``, ``construction``, ``pheromone``, ``ls_passes``)
+    take JSON integers only, and ``deadline`` / ``timeout`` finite
+    numbers; anything else is a :class:`~repro.errors.ServeError`.
+    """
     req_id = str(obj.get("id", default_id))
     try:
         if "instance" not in obj:
@@ -228,27 +261,17 @@ def decode_request_obj(obj: dict, *, default_id: str) -> tuple[str, SolveRequest
         request = SolveRequest(
             instance=instance,
             params=params,
-            iterations=int(obj.get("iterations", 20)),
-            report_every=int(obj.get("report_every", 1)),
-            deadline=(
-                None if obj.get("deadline") is None else float(obj["deadline"])
-            ),
-            timeout=(
-                None if obj.get("timeout") is None else float(obj["timeout"])
-            ),
-            priority=int(obj.get("priority", 0)),
-            target_length=(
-                None
-                if obj.get("target_length") is None
-                else int(obj["target_length"])
-            ),
-            construction=int(obj.get("construction", 8)),
-            pheromone=int(obj.get("pheromone", 1)),
+            iterations=_wire_int(obj, "iterations", 20),
+            report_every=_wire_int(obj, "report_every", 1),
+            deadline=_wire_seconds(obj, "deadline"),
+            timeout=_wire_seconds(obj, "timeout"),
+            priority=_wire_int(obj, "priority", 0),
+            target_length=_wire_int(obj, "target_length", None),
+            construction=_wire_int(obj, "construction", 8),
+            pheromone=_wire_int(obj, "pheromone", 1),
             variant=str(obj.get("variant", "as")),
             local_search=str(obj.get("local_search", "none")),
-            ls_passes=(
-                None if obj.get("ls_passes") is None else int(obj["ls_passes"])
-            ),
+            ls_passes=_wire_int(obj, "ls_passes", None),
             ls_target=str(obj.get("ls_target", "iteration-best")),
         )
     except (TypeError, ValueError) as exc:

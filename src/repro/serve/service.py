@@ -51,7 +51,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import PHASE_HISTOGRAMS, MetricsRegistry
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.simt.device import TESLA_M2050, DeviceSpec
 from repro.tsp.instance import TSPInstance
@@ -359,6 +359,11 @@ class ServiceStats:
             "serve.request_latency_seconds"
         )
         self.batch_rows = self.registry.histogram("serve.batch_rows")
+        # Every batch's engine publishes its per-block phase seconds here;
+        # created up front so the stats plane names every phase, observed
+        # or not.
+        for key in PHASE_HISTOGRAMS:
+            self.registry.histogram(key)
 
     # ----------------------------------------------------------- observation
 
@@ -504,6 +509,8 @@ class ServiceStats:
         summary["batch_wall_seconds"] = self.batch_wall.snapshot()
         summary["request_latency_seconds"] = self.request_latency.snapshot()
         summary["batch_rows"] = self.batch_rows.snapshot()
+        for key in PHASE_HISTOGRAMS:
+            summary[key] = self.registry.histogram(key).snapshot()
         return summary
 
 
@@ -1132,6 +1139,7 @@ class SolveService:
             pheromone=key.pheromone,
             backend=self._backend,
             work=self._worker_arena(),
+            metrics=self.stats.registry,
             variant=key.variant,
             local_search=key.local_search,
             local_search_options=(

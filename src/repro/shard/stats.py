@@ -20,7 +20,7 @@ on the worker→router hop, not to bloat the client-facing answer.
 
 from __future__ import annotations
 
-from repro.obs import ReservoirHistogram
+from repro.obs import PHASE_HISTOGRAMS, ReservoirHistogram
 
 __all__ = ["COUNTER_KEYS", "HISTOGRAM_KEYS", "fold_health", "fold_stats"]
 
@@ -44,13 +44,14 @@ COUNTER_KEYS = (
 #: key-wise summed dict counters
 _DICT_KEYS = ("batches_per_variant", "rows_per_bucket", "flush_causes")
 
-#: reservoir-histogram distributions
+#: reservoir-histogram distributions: the request lifecycle, then the
+#: engines' per-block phase seconds
 HISTOGRAM_KEYS = (
     "queue_wait_seconds",
     "batch_wall_seconds",
     "request_latency_seconds",
     "batch_rows",
-)
+) + PHASE_HISTOGRAMS
 
 
 def _strip_samples(hist_snap: dict) -> dict:

@@ -156,6 +156,46 @@ class TestMalformedLines:
         assert DEFAULT_MAX_LINE_BYTES == 1 << 20
 
 
+#: lines the wire once decoded by truncation or coercion; each must now
+#: get exactly one error line
+LAX_NUMBER_LINES = [
+    b'{"id": "lax0", "instance": {"suite": "att48"}, "iterations": 1.9}\n',
+    b'{"id": "lax1", "instance": {"suite": "att48"}, "iterations": true}\n',
+    b'{"id": "lax2", "instance": {"suite": "att48"}, "iterations": "3"}\n',
+    b'{"id": "lax3", "instance": {"suite": "att48"}, "priority": 2.7}\n',
+    b'{"id": "lax4", "instance": {"suite": "att48"}, "construction": 8.9}\n',
+    b'{"id": "lax5", "instance": {"suite": "att48"}, "deadline": NaN}\n',
+    b'{"id": "lax6", "instance": {"suite": "att48"}, "timeout": Infinity}\n',
+]
+
+
+class TestStrictNumbers:
+    def test_lax_numbers_get_one_error_line_each(self, port):
+        async def scenario():
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for k, line in enumerate(LAX_NUMBER_LINES):
+                    writer.write(line)
+                    await writer.drain()
+                    resp = json.loads(await reader.readline())
+                    assert resp["type"] == "error", resp
+                    assert resp["id"] == f"lax{k}", resp
+                # Nothing else was queued for those lines: the next line
+                # answers the next request, on the same connection.
+                writer.write(encode_request(_request(2), "after-lax"))
+                await writer.drain()
+                obj = json.loads(await reader.readline())
+                assert obj == {"type": "accepted", "id": "after-lax"}
+                while obj["type"] != "result":
+                    obj = json.loads(await reader.readline())
+                    assert obj["id"] == "after-lax"
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        asyncio.run(scenario())
+
+
 class TestAdminPlaneUnderChaos:
     def test_stats_and_health_work_after_garbage(self, port):
         async def scenario():

@@ -1,6 +1,6 @@
 """Exhaustive check of the float64 Park-Miller row fill over every state.
 
-:meth:`repro.rng.lcg.ParkMillerLCG._fill_rows` reduces ``x = f * 16807``
+:meth:`repro.rng.lcg.ParkMillerLCG.uniform_block` reduces ``x = f * 16807``
 modulo ``IM = 2^31 - 1`` in float64 as ``x - trunc(x * fl(1/IM)) * IM``.
 ``rng/lcg.py`` argues that the truncation is always exact, for a state and
 for its negation; this script confirms it for all ``2^31 - 2`` valid states
@@ -9,7 +9,7 @@ by chunk) and checking, bit for bit:
 
 * ``f`` steps to the exact int64 ``r = (f * 16807) mod IM`` and draws
   ``r / IM``;
-* ``-f`` (a stream flagged by ``negate``) steps to ``-r`` and draws
+* ``-f`` (a stream flagged by ``sign_flip``) steps to ``-r`` and draws
   ``-(r / IM)``;
 * ``trunc`` agrees with the ``floor`` the fill used before negated states
   existed, on ``x * fl(1/IM)`` for every positive state.

@@ -1,7 +1,7 @@
 """The sign tabu: negated Park-Miller streams and their cleanup.
 
 The data-parallel construction keeps each thread's visited flag in the sign
-of its stream (:meth:`ParkMillerLCG.negate`).  A negated stream must step
+of its stream (:meth:`ParkMillerLCG.sign_flip`).  A negated stream must step
 to exactly the negation of its usual successor and draw exactly the
 negation of its usual sample, and leaving a :class:`BlockedDraws` block
 must clear every sign, so the generator's observable state never shows
@@ -30,7 +30,7 @@ _EXTREMES = np.array([1, 2, LCG_IM - 2, LCG_IM - 1], dtype=np.int64)
 def test_negated_step_on_extreme_states():
     rng = ParkMillerLCG(n_streams=len(_EXTREMES), seed=1)
     rng.load_state_arrays({"state": _EXTREMES})
-    rng.negate(np.arange(len(_EXTREMES)))
+    rng.sign_flip()(np.arange(len(_EXTREMES)))
     want = _EXTREMES.copy()
     for _ in range(3):
         u = rng.uniform_block(1)[0]
@@ -60,35 +60,67 @@ class _Abort(Exception):
     pass
 
 
+def _fail_fill_at(rng, fail_at):
+    """Wrap ``rng.uniform_block`` on the instance (as perfbench's tracer
+    does) so that fill number ``fail_at`` (0-based) raises before drawing;
+    returns the list of completed fill sizes."""
+    fill = rng.uniform_block
+    done = []
+
+    def failing_fill(rounds, out=None):
+        if len(done) == fail_at:
+            raise _Abort
+        block = fill(rounds, out)
+        done.append(rounds)
+        return block
+
+    rng.uniform_block = failing_fill
+    return done
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     spc=st.integers(1, 40),
     seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
     rounds=st.integers(1, 12),
     abort_at=st.one_of(st.none(), st.integers(0, 11)),
+    abort_in_fill=st.booleans(),
     data=st.data(),
 )
-def test_blocked_draws_signs_leave_no_trace(spc, seeds, rounds, abort_at, data):
-    """Arbitrary negations over a BlockedDraws run, finished or aborted
-    midway: the draws are the twin's up to sign, and afterwards the
+def test_blocked_draws_signs_leave_no_trace(
+    spc, seeds, rounds, abort_at, abort_in_fill, data
+):
+    """Arbitrary sign flips over a BlockedDraws run through its per-step
+    API, finished, aborted midway by the consumer, or aborted by a fill
+    that raises: the draws are the twin's up to sign, and afterwards the
     generator's state matches the untouched twin's."""
     rng = ParkMillerLCG.from_seeds(spc, seeds)
     twin = ParkMillerLCG.from_seeds(spc, seeds)
     S = rng.n_streams
+    fail_at = None
+    if abort_at is not None and abort_in_fill:
+        fail_at = abort_at % rounds
+        done = _fail_fill_at(rng, fail_at)
     sign = np.ones(S)
     with pytest.raises(_Abort) if abort_at is not None else nullcontext():
         with BlockedDraws(rng, rounds) as draws:
-            for r in range(rounds):
-                if abort_at is not None and r == abort_at % rounds:
-                    raise _Abort
-                u = draws.next()
+            flip = draws.sign_flip()
+            for r, _ in enumerate(draws.steps):
                 ref = twin.uniform_block(1)[0]
-                np.testing.assert_array_equal(u, sign * ref)
-                flip = data.draw(
+                np.testing.assert_array_equal(draws.row, sign * ref)
+                if fail_at is None and abort_at is not None and r == abort_at % rounds:
+                    raise _Abort
+                picks = data.draw(
                     st.lists(st.integers(0, S - 1), unique=True, max_size=S)
                 )
-                draws.negate(np.array(flip, dtype=np.int64))
-                sign[flip] = -sign[flip]
+                flip(np.array(picks, dtype=np.int64))
+                sign[picks] = -sign[picks]
+            assert r == rounds - 1
+            with pytest.raises(ValueError, match="exhausted"):
+                draws.next()
+    if fail_at is not None:
+        del rng.uniform_block
+        assert done == [1] * fail_at
     _assert_same_observable_state(rng, twin)
 
 

@@ -99,6 +99,47 @@ class TestEncodeDecode:
                 decode_request(payload, default_id="d")
             assert getattr(err.value, "req_id", None) == "d"
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "iterations", "report_every", "priority", "target_length",
+            "construction", "pheromone", "ls_passes",
+        ],
+    )
+    @pytest.mark.parametrize("value", [1.9, 8.0, True, False, "3", [3]])
+    def test_int_fields_take_json_integers_only(self, field, value):
+        obj = {"id": "i", "instance": {"suite": "att48"}, field: value}
+        if field == "ls_passes":
+            obj["local_search"] = "2opt"
+        with pytest.raises(ServeError, match=field) as err:
+            decode_request(json.dumps(obj), default_id="d")
+        assert err.value.req_id == "i"
+
+    @pytest.mark.parametrize("field", ["deadline", "timeout"])
+    @pytest.mark.parametrize(
+        "raw", ["NaN", "Infinity", "-Infinity", "true", '"2"', "1e999", "1" * 400]
+    )
+    def test_second_fields_must_be_finite_numbers(self, field, raw):
+        line = '{"instance": {"suite": "att48"}, "%s": %s}' % (field, raw)
+        with pytest.raises(ServeError, match=field):
+            decode_request(line, default_id="d")
+
+    def test_numeric_fields_accept_their_json_types(self):
+        _, req = decode_request(
+            '{"instance": {"suite": "att48"}, "iterations": 3, "deadline": 2,'
+            ' "timeout": 0.5, "priority": -1, "target_length": 100,'
+            ' "ls_passes": null}',
+            default_id="d",
+        )
+        assert (req.iterations, req.deadline, req.timeout) == (3, 2.0, 0.5)
+        assert type(req.deadline) is float
+        assert (req.priority, req.target_length, req.ls_passes) == (-1, 100, None)
+
+    def test_integer_past_the_digit_limit_is_bad_json(self):
+        line = '{"instance": {"suite": "att48"}, "iterations": %s}' % ("9" * 5000)
+        with pytest.raises(ServeError, match="bad JSON"):
+            decode_request(line, default_id="d")
+
     def test_decode_applies_default_id(self):
         req_id, _ = decode_request(
             b'{"instance": {"suite": "att48"}}\n', default_id="req-7"

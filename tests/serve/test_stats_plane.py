@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import ACOParams
 from repro.errors import ACOConfigError, ServeError
+from repro.obs import PHASE_HISTOGRAMS
 from repro.serve import (
     ServiceStats,
     SolveRequest,
@@ -92,7 +93,7 @@ class TestServiceStats:
         assert snap["request_latency_seconds"]["p50"] == 0.25
         for dist in (
             "queue_wait_seconds", "batch_wall_seconds", "batch_rows",
-        ):
+        ) + PHASE_HISTOGRAMS:
             assert snap[dist]["count"] == 0
 
     def test_concurrent_mutation_from_threads(self):
@@ -208,6 +209,12 @@ class TestStatsWire:
         assert snap["completed"] == 1
         assert snap["request_latency_seconds"]["count"] == 1
         assert snap["flush_causes"]["full"] == 1  # max_batch=1 fills instantly
+        # The batch's engine published into the service registry: one
+        # observation per report block (3 iterations, report_every=1).
+        assert snap["engine.phase.construct"]["count"] == 3
+        assert snap["engine.phase.update"]["count"] == 3
+        assert snap["engine.phase.construct"]["total"] > 0.0
+        assert snap["engine.phase.local-search"]["count"] == 0
 
     def test_stats_op_echoes_id_and_interleaves_with_solves(self):
         async def drive():

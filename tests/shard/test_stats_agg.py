@@ -8,10 +8,14 @@ histograms — no worker processes involved.
 
 from __future__ import annotations
 
-from repro.obs import ReservoirHistogram
-from repro.serve.service import ServiceStats
+import asyncio
+
+from repro.core import ACOParams
+from repro.obs import PHASE_HISTOGRAMS, ReservoirHistogram
+from repro.serve.service import ServiceStats, SolveRequest, SolveService
 from repro.shard import fold_health, fold_stats
 from repro.shard.stats import COUNTER_KEYS, HISTOGRAM_KEYS
+from repro.tsp import uniform_instance
 
 
 def _shard_snapshot(shard: int, requests: int) -> dict:
@@ -84,6 +88,42 @@ def test_fold_stats_histograms_are_lossless():
         # p50 of the union {0..49, 100..149, 200..249, 300..349} sits
         # between the second and third shard's ranges.
         assert 100.0 <= agg[key]["p50"] <= 300.0
+
+
+def _served_snapshot(requests: int) -> dict:
+    """The snapshot of a real service after ``requests`` solves."""
+
+    async def drive():
+        async with SolveService(max_batch=1) as service:
+            for i in range(requests):
+                handle = await service.submit(
+                    SolveRequest(
+                        instance=uniform_instance(12, seed=i),
+                        params=ACOParams(seed=i + 1, nn=5),
+                        iterations=2,
+                        report_every=1,
+                    )
+                )
+                await handle.result()
+            return service.stats.snapshot()
+
+    return asyncio.run(drive())
+
+
+def test_fold_stats_engine_phases_from_real_services():
+    """Engine phase histograms published by real services' engines fold
+    losslessly at the router, like the lifecycle ones."""
+    per_shard = {0: _served_snapshot(1), 1: _served_snapshot(2)}
+    agg = fold_stats(per_shard)
+    for key in PHASE_HISTOGRAMS:
+        assert agg[key]["count"] == sum(s[key]["count"] for s in per_shard.values())
+    # One observation per report block: 2 iterations per request.
+    assert agg["engine.phase.construct"]["count"] == 6
+    samples = sorted(
+        v for s in per_shard.values() for v in s["engine.phase.construct"]["samples"]
+    )
+    assert agg["engine.phase.construct"]["min"] == round(samples[0], 6)
+    assert agg["engine.phase.construct"]["max"] == round(samples[-1], 6)
 
 
 def test_fold_stats_strips_samples_from_output():
