@@ -226,8 +226,32 @@ class DataParallelConstruction(TourConstruction):
         one argmax over the row; only the ``"heuristic"`` rule keeps
         per-tile winners.
 
+        Each step does the kernel's own work and nothing else: seven calls,
+        bound once per build, of which only the fill and the sign flip run
+        Python code of their own:
+
+        1. the draw: one ``rng.uniform_block(1, out=row)`` fill
+           (:attr:`~repro.rng.streams.BlockedDraws.steps`; the generator's
+           attribute, so an instance-level tracer sees every fill);
+        2. the gather: one ``row_off + cur`` add and one method-form
+           ``take`` of the ants' ``choice_info`` rows;
+        3. the products: one in-place multiply by the draw row, viewed as
+           ``(M, n)`` once per build;
+        4. the reduction: one method-form argmax over the products' int64
+           bits, written straight into the step's tour row;
+        5. the commit: one ``ant_base + city`` add and one sign flip
+           (:meth:`~repro.rng.streams.BlockedDraws.sign_flip`).
+
+        The zero-product check (below) and the heuristic tile rule ride in
+        the same loop behind a branch.  Tours are built step-major: row
+        ``s`` of a pooled ``(n + 1, M)`` int64 buffer holds every ant's city
+        at step ``s``, so each argmax writes one contiguous row, which is
+        the next step's ``cur``.  The returned tours are a fresh
+        ant-major ``(B, m, n + 1)`` int32 copy that shares no memory with
+        the arena.
+
         The visited flags are the signs of the threads' rng streams
-        (:meth:`~repro.rng.streams.BlockedDraws.negate`): the start city's
+        (:meth:`~repro.rng.streams.BlockedDraws.sign_flip`): the start city's
         and each chosen city's stream is negated, and every later draw of a
         negated stream is the exact negation of the draw it replaces, so
         the sequence of magnitudes is untouched and clearing the signs at

@@ -173,6 +173,17 @@ def construct_exact_batch(
       the count never exceeds ``k``;
     * the winner is one flat gather and the tabu commit one flat scatter.
 
+    The per-step call budget is the work above and nothing else: one
+    ``rng.uniform_block(1, out=row)`` fill (:class:`~repro.rng.BlockedDraws`,
+    the darts a ``(B, m)`` view of the row taken once per call), then
+    method-form ``take`` / ``sum`` and ufunc calls with positional
+    arguments, bound once per call, ``k - 1`` prefix-sum adds, and one
+    ``exhausted.any()`` before the fallback's ``flatnonzero``.  Each step
+    writes its picks into row ``s`` of a pooled step-major ``(n + 1, M)``
+    int64 buffer (the full rule's pick count is copied there, the
+    candidate rule's gather lands there); the returned tours are a fresh
+    ant-major int32 copy.
+
     An ant whose candidates carry no weight (``sum <= 0``: every candidate
     visited, or every unvisited weight zero) takes the first maximum of its
     full ``choice`` row over unvisited cities instead (ACOTSP's

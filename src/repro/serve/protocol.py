@@ -103,6 +103,12 @@ _PARAM_FIELDS = ("alpha", "beta", "rho", "n_ants", "nn", "seed", "eta_shift")
 #: chunks and answered with an ``error`` line (the connection survives)
 DEFAULT_MAX_LINE_BYTES = 1 << 20
 
+#: cap on one response line a client (or the router's trunk to a worker)
+#: reads.  asyncio's 64 KiB default is too small: a stats payload carries
+#: up to 512 raw samples per histogram, and a result line grows with the
+#: city count and the iteration count.
+MAX_RESPONSE_LINE_BYTES = 1 << 26
+
 
 def _line(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
@@ -588,7 +594,10 @@ async def _connect_with_retries(
     while True:
         try:
             return await asyncio.wait_for(
-                asyncio.open_connection(host, port), connect_timeout
+                asyncio.open_connection(
+                    host, port, limit=MAX_RESPONSE_LINE_BYTES
+                ),
+                connect_timeout,
             )
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             if attempt >= connect_retries:

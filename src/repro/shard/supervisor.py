@@ -20,6 +20,7 @@ import asyncio
 import multiprocessing as mp
 
 from repro.errors import ServeError
+from repro.serve.protocol import MAX_RESPONSE_LINE_BYTES
 from repro.shard.worker import ShardConfig, worker_main
 
 __all__ = ["WorkerShard"]
@@ -83,7 +84,7 @@ class WorkerShard:
         self.pid = int(ready["pid"])
         self.generation += 1
         self.reader, self.writer = await asyncio.open_connection(
-            self.config.host, self.port
+            self.config.host, self.port, limit=MAX_RESPONSE_LINE_BYTES
         )
         self.health_sample = None
         self.probe_failures = 0

@@ -216,6 +216,30 @@ class TestStatsWire:
         assert snap["engine.phase.construct"]["total"] > 0.0
         assert snap["engine.phase.local-search"]["count"] == 0
 
+    def test_full_reservoirs_fit_the_client_line(self):
+        """A long-lived server's stats line carries every histogram's full
+        reservoir, well past asyncio's 64 KiB default stream limit."""
+
+        async def drive():
+            async with SolveService(max_batch=1) as service:
+                registry = service.stats.registry
+                for name in list(registry.snapshot()["histograms"]):
+                    for i in range(600):
+                        registry.observe(name, 0.001 * i + 1e-9 * hash(name))
+                server = await serve_tcp(service, "127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    return await stats_over_tcp("127.0.0.1", port)
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        snap = run_async(drive())
+        assert len(json.dumps(snap)) > 1 << 16
+        for key in ("queue_wait_seconds",) + PHASE_HISTOGRAMS:
+            assert snap[key]["count"] == 600
+            assert len(snap[key]["samples"]) == 512
+
     def test_stats_op_echoes_id_and_interleaves_with_solves(self):
         async def drive():
             async with SolveService(max_batch=1) as service:
