@@ -180,9 +180,9 @@ def construct_exact_batch(
     arguments, bound once per call, ``k - 1`` prefix-sum adds, and one
     ``exhausted.any()`` before the fallback's ``flatnonzero``.  Each step
     writes its picks into row ``s`` of a pooled step-major ``(n + 1, M)``
-    int64 buffer (the full rule's pick count is copied there, the
+    int32 buffer (the full rule's pick count is copied there, the
     candidate rule's gather lands there); the returned tours are a fresh
-    ant-major int32 copy.
+    ant-major copy.
 
     An ant whose candidates carry no weight (``sum <= 0``: every candidate
     visited, or every unvisited weight zero) takes the first maximum of its
@@ -222,9 +222,11 @@ def construct_exact_batch(
     ant_idx = _const("ant_idx", lambda: xp.arange(M, dtype=np.int64))
     ant_base = _const("ant_base", lambda: xp.arange(M, dtype=np.int64) * n)
     ant_base_t = ant_base[None, :]  # (1, M) tabu row offsets
-    # Step-major tours: row s holds every ant's city at step s, written in
-    # place by each step's pick (pooled; a fresh int32 copy escapes).
-    tour_rows = _buf("tour_rows", (n + 1, M), np.int64)
+    # Step-major int32 tours: row s holds every ant's city at step s,
+    # written in place by each step's pick (pooled; a fresh copy escapes).
+    # The per-step cost is in the (k, M) tables, so the int64 index type
+    # would buy nothing here but a buffer twice the size.
+    tour_rows = _buf("tour_rows", (n + 1, M), np.int32)
     live = _buf("live", (M, n), np.uint8)
     live[:] = 1
     live_flat = live.reshape(-1)
@@ -355,7 +357,7 @@ def construct_exact_batch(
 
     tour_rows[n] = tour_rows[0]
     fallbacks = fb_ant.reshape(B, m).sum(axis=1).astype(np.float64)
-    tours = tour_rows.T.astype(np.int32, order="C").reshape(B, m, n + 1)
+    tours = tour_rows.T.copy().reshape(B, m, n + 1)
     return tours, fallbacks
 
 
