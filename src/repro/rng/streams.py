@@ -274,7 +274,7 @@ class BlockedDraws:
             block = rng.backend.xp.empty(shape, dtype=np.float64)
         #: the ``(n_streams,)`` draw row, refilled in place by every step
         self.row = block[0]
-        #: exactly ``rounds`` fills of :attr:`row`, one per ``next()``
+        #: an iterator of exactly ``rounds`` fills of :attr:`row`
         self.steps = map(rng.uniform_block, repeat(1, int(rounds)), repeat(block))
         self._signed = False
 

@@ -226,7 +226,7 @@ def _wire_int(obj: dict, name: str, default: int | None) -> int | None:
     if value is None and default is None:
         return None
     if type(value) is not int:
-        raise ServeError(f"'{name}' must be a JSON integer, got {value!r}")
+        raise ServeError(f"'{name}' must be a JSON integer, got {value!r:.40}")
     return value
 
 
@@ -240,7 +240,7 @@ def _wire_seconds(obj: dict, name: str) -> float | None:
     except OverflowError:  # an integer beyond float range
         seconds = math.inf
     if not math.isfinite(seconds):
-        raise ServeError(f"'{name}' must be a finite JSON number, got {value!r}")
+        raise ServeError(f"'{name}' must be a finite JSON number, got {value!r:.40}")
     return seconds
 
 
