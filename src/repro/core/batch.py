@@ -641,7 +641,7 @@ class BatchEngine:
         bs.best_lengths = self.backend.to_host(self._fold_len).copy()
         bs.best_tours = self.backend.to_host(self._fold_tours).copy()
 
-    def _fold_best(self, tours, lengths) -> IterationContext:
+    def _fold_best(self, tours, lengths, edges) -> IterationContext:
         """Fold this iteration's results into the best-so-far records.
 
         Runs on the backend with the strict-improvement / first-argmin rule
@@ -671,6 +671,7 @@ class BatchEngine:
                 improved[:, None], tours[rows, ib], self._fold_tours
             ),
             improved=improved,
+            edges=edges,
         )
 
     def _advance(self, collect: bool = True):
@@ -699,10 +700,10 @@ class BatchEngine:
         )
         t1 = perf_counter()
         clock.add("construct", t0, t1, labels["construct"])
-        lengths = tour_lengths_batch(
+        lengths, edges = tour_lengths_batch(
             tours, bs.dist, xp=self.backend.xp, work=self.work
         )
-        ctx = self._fold_best(tours, lengths)
+        ctx = self._fold_best(tours, lengths, edges)
         t2 = perf_counter()
         clock.add("fold", t1, t2)
         # The local-search seam rides the run loop: polish only at
@@ -736,8 +737,8 @@ class BatchEngine:
         ``iteration-best`` target the polished tours also replace the
         winning ants' rows in place, so iteration-best deposits (AS
         deposit-all, the MMAS schedule) and the boundary reports all see
-        the improved edges.  Per-row exchange/gain counts are kept for the
-        boundary's :class:`~repro.core.report.IterationReport` rows.
+        the improved edges (their edge-table rows are rebuilt).  Per-row
+        exchange/gain counts go to the boundary's reports.
         """
         bs = self.state
         xp = self.backend.xp
@@ -750,6 +751,12 @@ class BatchEngine:
             res = policy.improve(bs, tours[rows, ctx.it_best], ctx.it_best_lengths)
             tours[rows, ctx.it_best] = res.tours
             lengths[rows, ctx.it_best] = res.lengths
+            n = bs.n
+            ctx.edges[rows, ctx.it_best] = (
+                res.tours[:, :-1].astype(np.int64) * n
+                + res.tours[:, 1:]
+                + (rows * (n * n))[:, None]
+            )
             it_best_lengths = res.lengths
         better = res.lengths < ctx.best_lengths
         ex = self.backend.to_host(res.exchanges)
@@ -765,6 +772,7 @@ class BatchEngine:
             best_lengths=xp.where(better, res.lengths, ctx.best_lengths),
             best_tours=xp.where(better[:, None], res.tours, ctx.best_tours),
             improved=ctx.improved | better,
+            edges=ctx.edges,
         )
 
     def _ls_fields(self, b: int) -> dict:

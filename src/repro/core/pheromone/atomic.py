@@ -43,26 +43,25 @@ __all__ = ["AtomicSharedPheromone", "AtomicPheromone"]
 PHEROMONE_BLOCK = 256
 
 
-def _row_hot_degree(flat_idx: np.ndarray, n_cells: int, bk) -> np.ndarray:
-    """Hottest-cell update multiplicity per row of a ``(B, k)`` index batch.
+def _row_hot_degree(edges: np.ndarray, n_cells: int, bk) -> np.ndarray:
+    """Hottest-cell update multiplicity per row of a ``(B, k)`` edge table.
 
-    ``bk`` is the backend ``flat_idx`` lives on.  Row ``b``'s value equals
-    ``AtomicModel``'s contention record for that colony's index vector alone
-    (offsets keep rows disjoint, so one ``unique``/``bincount`` pass covers
-    the whole batch).  Integer counting, so every backend returns identical
-    values.
+    ``edges`` holds global flat indices on backend ``bk`` (rows disjoint, so
+    one pass covers the batch).  Row ``b``'s value is ``AtomicModel``'s
+    contention record for that colony's forward deposits, and so for its
+    backward ones (their counts are the forward counts transposed).
+    Integer counting, so every backend returns identical values.
     """
     xp = bk.xp
-    B = flat_idx.shape[0]
+    B = edges.shape[0]
     # The dense path allocates B * n_cells counters; unlike the deposit,
     # the hot degree is a pure measurement (identical either way), so the
     # guard can key on the actual scratch size.
     if B * n_cells > (1 << 24):
         return xp.asarray(
-            [float(xp.unique(row, return_counts=True)[1].max()) for row in flat_idx]
+            [float(xp.unique(row, return_counts=True)[1].max()) for row in edges]
         )
-    offset = (xp.arange(B, dtype=np.int64) * n_cells)[:, None]
-    counts = bk.bincount((flat_idx + offset).ravel(), minlength=B * n_cells)
+    counts = bk.bincount(edges.reshape(-1), minlength=B * n_cells)
     return counts.reshape(B, n_cells).max(axis=1).astype(np.float64)
 
 
@@ -105,25 +104,24 @@ class AtomicSharedPheromone(PheromoneUpdate):
         return StageReport(stage="pheromone", kernel=self.key, stats=stats, launch=launch)
 
     def update_batch(
-        self, bstate, tours: np.ndarray, lengths: np.ndarray, collect: bool = True
+        self, bstate, edges: np.ndarray, lengths: np.ndarray, collect: bool = True
     ) -> list[StageReport]:
         """Batched atomic update with per-colony contention measurement.
 
-        The hottest-cell multiplicity is measured per direction (forward,
-        backward) and per row, matching the solo path's two ``add_float``
-        probes whose maxima accumulate into one hot degree.  The hot degree
-        feeds only the report's cost model, so ``collect=False`` skips the
+        The hottest-cell multiplicity is measured once per row, on the
+        forward edges of the edge table: the backward counts are their
+        transpose, so the maximum equals the solo path's two ``add_float``
+        probes' accumulated hot degree.  The hot degree feeds only the
+        report's cost model, so ``collect=False`` skips the
         (bincount-heavy) measurement along with report materialization —
         the pheromone stack itself is updated identically.
         """
         evaporate_batch(bstate)
-        flat_fw, flat_bw, _ = deposit_all_batch(bstate, tours, lengths)
+        deposit_all_batch(bstate, edges, lengths)
         if not collect:
             return []
-        cells = bstate.n * bstate.n
-        bk = bstate.backend
-        hot = bk.xp.maximum(
-            _row_hot_degree(flat_fw, cells, bk), _row_hot_degree(flat_bw, cells, bk)
+        hot = _row_hot_degree(
+            edges.reshape(bstate.B, -1), bstate.n * bstate.n, bstate.backend
         )
 
         def build(h: float) -> StageReport:

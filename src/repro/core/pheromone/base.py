@@ -10,8 +10,11 @@ All five Table III/IV variants compute the *same* mathematical update
 They differ only in the execution strategy — atomics vs scatter-to-gather,
 tiling, symmetric thread halving — i.e. in the *ledger* they record.  The
 functional arithmetic therefore lives here once, and the test-suite asserts
-all variants leave bit-identical pheromone matrices (up to float addition
-order, which `deposit` makes deterministic by using ``np.add.at``).
+all variants leave bit-identical pheromone matrices.  Float addition order
+is fixed: the batched deposit sums each cell's deposits in ant-major input
+order with one weighted ``bincount`` (``np.add.at`` on huge instances), and
+the solo :func:`deposit_all` folds them one by one through the backend's
+``scatter_add``.
 """
 
 from __future__ import annotations
@@ -59,15 +62,8 @@ def evaporate_batch(bstate) -> None:
     bstate.pheromone *= (1.0 - bstate.rho)[:, None, None]
 
 
-def deposit_all(
-    state: ColonyState, tours: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric deposit of every ant's ``1/C_k`` (paper eqs. 3-4), in place.
-
-    Returns the flat forward indices, flat backward indices and per-edge
-    deposit values so atomic-flavoured strategies can re-use them for
-    contention accounting.
-    """
+def deposit_all(state: ColonyState, tours: np.ndarray, lengths: np.ndarray) -> None:
+    """Symmetric deposit of every ant's ``1/C_k`` (paper eqs. 3-4), in place."""
     bk = state.backend
     xp = bk.xp
     n = state.n
@@ -80,97 +76,65 @@ def deposit_all(
     flat_tau = state.pheromone.reshape(-1)
     bk.scatter_add(flat_tau, flat_fw, values)
     bk.scatter_add(flat_tau, flat_bw, values)
-    return flat_fw, flat_bw, values
 
 
-def deposit_all_batch(
-    bstate, tours: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched symmetric deposit over ``(B, m, n + 1)`` tours, in place.
+def deposit_all_batch(bstate, edges: np.ndarray, lengths: np.ndarray) -> None:
+    """Batched symmetric deposit over the iteration's edge table, in place.
 
-    Rows touch disjoint ``n²`` blocks of the flattened stack, and the code
-    path taken depends only on per-colony quantities, so a row's result is
-    exactly independent of how many rows share the batch — the invariant
-    the engine (and ``AntSystem``, its B = 1 view) is built on.  Note the
-    bincount fast path folds each cell's deposit *total* into ``tau`` in
-    one add, which can differ in the last ulp from :func:`deposit_all`'s
-    per-deposit ``np.add.at`` folding; the two functions are numerically
-    equivalent, not bit-identical.
-
-    Returns the per-colony *local* flat forward/backward indices (``(B,
-    m * n)``, no batch offset) and the deposit values, for the atomic
-    strategies' contention accounting.  Every intermediate (edge
-    endpoints, flat indices, per-edge deposit values) lives in the state's
-    :class:`~repro.backend.WorkBuffers` arena, reused across iterations —
-    the returned arrays are arena views, valid until the next deposit.
+    ``edges`` is the ``(B, m, n)`` ant-major table of global flat indices
+    from :func:`~repro.tsp.tour.tour_lengths_batch`.  One weighted
+    ``bincount`` sums each directed edge's deposits ``S`` in input order,
+    then ``tau += S`` and ``tau += Sᵀ``: the backward deposits into
+    ``(j, i)`` are the forward ones into ``(i, j)``, in the same order, so
+    ``Sᵀ`` is bit-identical to a backward ``bincount``.  The path taken
+    depends only on per-colony quantities, so a row's result is independent
+    of how many rows share the batch.  Folding cell totals can differ in
+    the last ulp from :func:`deposit_all`'s per-deposit folding.  Deposit
+    values live in the ``work`` arena (keys ``"dep.delta"``, ``"dep.vals"``).
     """
     # lint: hot-region
     bk = bstate.backend
     xp = bk.xp
     n, B = bstate.n, bstate.B
     wb = bstate.work
-    m_t = tours.shape[1]
-    # One int64 cast of the closed tours; endpoints are views into it.
-    t64 = wb.get("dep.t64", (B, m_t, n + 1), np.int64)
-    t64[...] = tours
-    frm = t64[:, :, :-1]
-    to = t64[:, :, 1:]
+    m_t = edges.shape[1]
+    cells = n * n
     deltas = wb.get("dep.delta", (B, m_t), np.float64)
     xp.divide(1.0, lengths, out=deltas)
     values = wb.get("dep.vals", (B, m_t * n), np.float64)
     values.reshape(B, m_t, n)[...] = deltas[:, :, None]
-    flat_fw = wb.get("dep.fw", (B, m_t * n), np.int64)
-    fw3 = flat_fw.reshape(B, m_t, n)
-    xp.multiply(frm, n, out=fw3)
-    xp.add(fw3, to, out=fw3)
-    flat_bw = wb.get("dep.bw", (B, m_t * n), np.int64)
-    bw3 = flat_bw.reshape(B, m_t, n)
-    xp.multiply(to, n, out=bw3)
-    xp.add(bw3, frm, out=bw3)
-    offsets = wb.cached(
-        f"dep.offsets.{B}x{n}",
-        lambda: (xp.arange(B, dtype=np.int64) * (n * n))[:, None],
-    )
-    gbuf = wb.get("dep.gidx", (B, m_t * n), np.int64)
-
-    def _global(local):
-        xp.add(local, offsets, out=gbuf)
-        return gbuf.reshape(-1)
-
-    flat_tau = bstate.pheromone.reshape(-1)
-    if n * n > _BINCOUNT_CELL_LIMIT:
+    tau = bstate.pheromone
+    if cells > _BINCOUNT_CELL_LIMIT:
         # Huge instances: scatter_add needs no counter scratch.  This branch
         # keys on the *per-colony* cell count (bincount and scatter_add fold
         # deposits differently in the last ulp), so a row's result never
-        # depends on how many rows share the batch.
-        bk.scatter_add(flat_tau, _global(flat_fw), values.reshape(-1))
-        bk.scatter_add(flat_tau, _global(flat_bw), values.reshape(-1))
-    elif B * n * n <= _BINCOUNT_SCRATCH_LIMIT:
+        # depends on how many rows share the batch.  Forward deposits
+        # scatter first, then the backward ones at ``to * n + frm``.
+        flat_tau = tau.reshape(-1)
+        fw = edges.reshape(-1)
+        bk.scatter_add(flat_tau, fw, values.reshape(-1))
+        frm, to = xp.divmod(fw % cells, n)
+        bk.scatter_add(flat_tau, fw + (to - frm) * (n - 1), values.reshape(-1))
+    elif B * cells <= _BINCOUNT_SCRATCH_LIMIT:
         # bincount(..., weights=...) accumulates deposits per cell in input
         # order (the atomic-sum semantics of np.add.at) at a fraction of
-        # its cost, then one vector add folds each direction into the
-        # stack.
-        vals = xp.ascontiguousarray(values.reshape(-1))
-        flat_tau += bk.bincount(
-            _global(flat_fw), weights=vals, minlength=flat_tau.size
-        )
-        flat_tau += bk.bincount(
-            _global(flat_bw), weights=vals, minlength=flat_tau.size
-        )
+        # its cost.
+        S = bk.bincount(
+            edges.reshape(-1), weights=values.reshape(-1), minlength=B * cells
+        ).reshape(B, n, n)
+        tau += S
+        tau += S.transpose(0, 2, 1)
     else:
         # Whole-batch counter scratch would be excessive: bincount row by
-        # row instead.  Rows are disjoint, so this is bit-identical to the
-        # single-pass variant above — the split is purely about memory.
+        # row on local indices instead.  Rows are disjoint, so this is
+        # bit-identical to the single-pass variant above — the split is
+        # purely about memory.
         for b in range(B):
-            row_tau = bstate.pheromone[b].reshape(-1)
-            row_vals = xp.ascontiguousarray(values[b])
-            row_tau += bk.bincount(
-                flat_fw[b], weights=row_vals, minlength=row_tau.size
-            )
-            row_tau += bk.bincount(
-                flat_bw[b], weights=row_vals, minlength=row_tau.size
-            )
-    return flat_fw, flat_bw, values
+            S = bk.bincount(
+                edges[b].reshape(-1) - b * cells, weights=values[b], minlength=cells
+            ).reshape(n, n)
+            tau[b] += S
+            tau[b] += S.T
 
 
 class PheromoneUpdate(Kernel, abc.ABC):
@@ -192,9 +156,12 @@ class PheromoneUpdate(Kernel, abc.ABC):
         """Apply the update in place, returning the stage report."""
 
     def update_batch(
-        self, bstate, tours: np.ndarray, lengths: np.ndarray, collect: bool = True
+        self, bstate, edges: np.ndarray, lengths: np.ndarray, collect: bool = True
     ) -> list[StageReport]:
         """Apply the update to ``B`` colonies in place; one report per colony.
+
+        ``edges`` is the iteration's ``(B, m, n)`` edge table (see
+        :func:`deposit_all_batch`), ``lengths`` the ``(B, m)`` tour lengths.
 
         The default covers the scatter-to-gather family (versions 3-5),
         whose functional effect is exactly evaporation + deposit and whose
@@ -205,7 +172,7 @@ class PheromoneUpdate(Kernel, abc.ABC):
         itself is identical either way.
         """
         evaporate_batch(bstate)
-        deposit_all_batch(bstate, tours, lengths)
+        deposit_all_batch(bstate, edges, lengths)
         if not collect:
             return []
 

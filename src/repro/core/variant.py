@@ -145,6 +145,7 @@ class IterationContext:
     best_lengths: np.ndarray  #: (B,) int64 best-so-far lengths (current iteration folded in)
     best_tours: np.ndarray  #: (B, n + 1) int32 best-so-far tours
     improved: np.ndarray  #: (B,) bool — rows whose best-so-far improved this iteration
+    edges: np.ndarray  #: (B, m, n) int64 edge table (see ``tour_lengths_batch``)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ class DepositAllUpdate(UpdatePolicy):
     key = "deposit_all"
 
     def update_batch(self, bstate, pheromone, tours, lengths, ctx, collect):
-        return pheromone.update_batch(bstate, tours, lengths, collect=collect)
+        return pheromone.update_batch(bstate, ctx.edges, lengths, collect=collect)
 
 
 class GlobalBestUpdate(UpdatePolicy):

@@ -77,34 +77,42 @@ def tour_lengths(tours: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 def tour_lengths_batch(
     tours: np.ndarray, dist: np.ndarray, xp=np, *, work
-) -> np.ndarray:
-    """Lengths of ``(B, m, n + 1)`` closed tours under ``(B, n, n)`` distances.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and edge table of ``(B, m, n + 1)`` closed tours.
 
-    ``dist`` may be a broadcast view with a length-1 batch axis (replicas of
-    one instance); row ``b`` equals ``tour_lengths(tours[b], dist[b])``.
-    ``xp`` selects the array module when tours/distances live on a non-numpy
-    backend (integer sums, so every backend returns identical values — and
-    integer addition is exact, so the two gather spellings below cannot
-    diverge either).
-
-    ``work`` is the :class:`~repro.backend.WorkBuffers` arena holding the
-    int64 tour copy and the flat edge-index scratch across iterations.  The
-    returned lengths array is always freshly allocated (it escapes into
-    reports).
+    ``dist`` is a ``(B, n, n)`` stack or a broadcast view with a zero batch
+    stride (replicas of one instance); row ``b`` of the lengths equals
+    ``tour_lengths(tours[b], dist[b])`` on every backend ``xp`` (integer
+    sums are exact in any order).  Returns ``(lengths, edges)``: fresh
+    ``(B, m)`` int64 lengths, and the ``(B, m, n)`` int64 ant-major table
+    of global flat edge indices ``frm * n + to + b * n * n`` the deposit
+    reads.  The table and the gathered distances are ``work`` arena buffers
+    (keys ``"edges"``, ``"edges.dist"``), valid until the next call.
     """
     if tours.ndim != 3:
         raise InvalidTourError(f"tours must be (B, m, n + 1), got shape {tours.shape}")
     B, m, n1 = tours.shape
     n = n1 - 1
-    t = work.get("tourlen.t", (B, m, n1), np.int64)
-    t[...] = tours
-    idx = work.get("tourlen.idx", (B, m, n), np.int64)
-    xp.multiply(t[:, :, :-1], n, out=idx)
-    xp.add(idx, t[:, :, 1:], out=idx)
-    # (B, n * n) flat distance rows; a view for both real layouts (full
-    # stacks and broadcast replicas merge their contiguous trailing axes).
-    d = xp.take_along_axis(dist.reshape(B, n * n), idx.reshape(B, m * n), axis=1)
-    return d.reshape(B, m, n).sum(axis=2)
+    edges = work.get("edges", (B, m, n), np.int64)
+    xp.multiply(tours[:, :, :-1], n, out=edges, dtype=np.int64)
+    xp.add(edges, tours[:, :, 1:], out=edges)
+    offsets = work.cached(
+        f"edges.offsets.{B}x{n}",
+        lambda: (xp.arange(B, dtype=np.int64) * (n * n))[:, None, None],
+    )
+    d = work.get("edges.dist", (B, m, n), np.int64)
+    # Indices are in range by construction; mode="clip" skips numpy's
+    # bounds check (and its buffered out=).  CuPy's take has no mode.
+    clip = ("clip",) if xp is np else ()
+    if dist.strides[0] == 0:
+        # Replicas: gather the local indices from the one shared matrix
+        # (reshaping the broadcast stack would copy B * n * n values).
+        dist[0].reshape(-1).take(edges, None, d, *clip)
+        xp.add(edges, offsets, out=edges)
+    else:
+        xp.add(edges, offsets, out=edges)
+        dist.reshape(-1).take(edges, None, d, *clip)
+    return d.sum(axis=2), edges
 
 
 def tour_edges(tour: np.ndarray) -> np.ndarray:

@@ -8,12 +8,12 @@ across iterations, and non-boundary iterations skip report materialization.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.backend import WorkBuffers
 from repro.core import ACOParams, AntSystem, BatchEngine
 from repro.tsp import uniform_instance
+from repro.tsp.tour import tour_lengths_batch
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,8 @@ def test_strategy_collect_flag(instance):
     engine.choice_kernel.run_batch(bs, collect=True)
     result = engine.construction.build_batch(bs, engine.rng, collect=False)
     assert result.reports == []
-    lengths = np.ones((2, bs.m), dtype=np.int64) * 100
-    reps = engine.pheromone.update_batch(bs, result.tours, lengths, collect=False)
+    lengths, edges = tour_lengths_batch(result.tours, bs.dist, work=bs.work)
+    reps = engine.pheromone.update_batch(bs, edges, lengths, collect=False)
     assert reps == []
 
 
