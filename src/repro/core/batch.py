@@ -56,7 +56,12 @@ from repro.obs import MetricsRegistry, PhaseClock, TraceRecorder
 from repro.rng import make_batched_rng
 from repro.simt.device import TESLA_M2050, DeviceSpec
 from repro.tsp.instance import TSPInstance
-from repro.tsp.tour import nearest_neighbor_tour, tour_length, tour_lengths_batch
+from repro.tsp.tour import (
+    edge_indices,
+    nearest_neighbor_tour,
+    tour_length,
+    tour_lengths_batch,
+)
 from repro.util.timer import WallClock
 
 __all__ = [
@@ -751,11 +756,8 @@ class BatchEngine:
             res = policy.improve(bs, tours[rows, ctx.it_best], ctx.it_best_lengths)
             tours[rows, ctx.it_best] = res.tours
             lengths[rows, ctx.it_best] = res.lengths
-            n = bs.n
             ctx.edges[rows, ctx.it_best] = (
-                res.tours[:, :-1].astype(np.int64) * n
-                + res.tours[:, 1:]
-                + (rows * (n * n))[:, None]
+                edge_indices(res.tours, xp) + (rows * (bs.n * bs.n))[:, None]
             )
             it_best_lengths = res.lengths
         better = res.lengths < ctx.best_lengths

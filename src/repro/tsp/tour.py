@@ -16,6 +16,7 @@ __all__ = [
     "tour_length",
     "tour_lengths",
     "tour_lengths_batch",
+    "edge_indices",
     "tour_edges",
     "validate_tour",
     "random_tour",
@@ -75,6 +76,13 @@ def tour_lengths(tours: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return dist[t[:, :-1], t[:, 1:]].sum(axis=1)
 
 
+def edge_indices(tours: np.ndarray, xp=np, out=None) -> np.ndarray:
+    """Flat indices ``frm * n + to`` of the edges of ``(..., n + 1)`` closed
+    tours, as ``(..., n)`` int64 (into ``out`` when given)."""
+    out = xp.multiply(tours[..., :-1], tours.shape[-1] - 1, out=out, dtype=np.int64)
+    return xp.add(out, tours[..., 1:], out=out)
+
+
 def tour_lengths_batch(
     tours: np.ndarray, dist: np.ndarray, xp=np, *, work
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +101,7 @@ def tour_lengths_batch(
         raise InvalidTourError(f"tours must be (B, m, n + 1), got shape {tours.shape}")
     B, m, n1 = tours.shape
     n = n1 - 1
-    edges = work.get("edges", (B, m, n), np.int64)
-    xp.multiply(tours[:, :, :-1], n, out=edges, dtype=np.int64)
-    xp.add(edges, tours[:, :, 1:], out=edges)
+    edges = edge_indices(tours, xp, out=work.get("edges", (B, m, n), np.int64))
     offsets = work.cached(
         f"edges.offsets.{B}x{n}",
         lambda: (xp.arange(B, dtype=np.int64) * (n * n))[:, None, None],
