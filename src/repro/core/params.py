@@ -66,6 +66,10 @@ class ACOParams:
             raise ACOConfigError(f"nn must be >= 1, got {self.nn}")
         if self.eta_shift <= 0.0:
             raise ACOConfigError(f"eta_shift must be > 0, got {self.eta_shift}")
+        if not 0 <= self.seed < 2**63:
+            # Seeds are hashed as unsigned 64-bit words (one generator also
+            # derives seed + 5); outside this range stream setup overflows.
+            raise ACOConfigError(f"seed must lie in [0, 2**63), got {self.seed}")
 
     def resolve_ants(self, n_cities: int) -> int:
         """Colony size for an ``n_cities`` instance (paper default: m = n)."""

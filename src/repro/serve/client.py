@@ -37,41 +37,16 @@ class AsyncSolveClient:
         self.service = service
 
     async def solve(
-        self,
-        instance: TSPInstance,
-        params: ACOParams | None = None,
-        *,
-        iterations: int = 20,
-        report_every: int = 1,
-        deadline: float | None = None,
-        timeout: float | None = None,
-        priority: int = 0,
-        target_length: int | None = None,
-        construction: int = 8,
-        pheromone: int = 1,
-        variant: str = "as",
-        local_search: str = "none",
-        ls_passes: int | None = None,
-        ls_target: str = "iteration-best",
+        self, instance: TSPInstance, params: ACOParams | None = None, **fields
     ) -> SolveHandle:
         """Queue one solve; returns once the request is accepted (which may
-        suspend under backpressure).  Stream/await the returned handle."""
-        request = SolveRequest(
-            instance=instance,
-            params=params or ACOParams(),
-            iterations=iterations,
-            report_every=report_every,
-            deadline=deadline,
-            timeout=timeout,
-            priority=priority,
-            target_length=target_length,
-            construction=construction,
-            pheromone=pheromone,
-            variant=variant,
-            local_search=local_search,
-            ls_passes=ls_passes,
-            ls_target=ls_target,
-        )
+        suspend under backpressure).  Stream/await the returned handle.
+
+        ``fields`` are the other :class:`SolveRequest` fields
+        (``iterations``, ``report_every``, ``deadline``, ...); omitted ones
+        keep its defaults, and an unknown one raises :class:`TypeError`.
+        """
+        request = SolveRequest(instance=instance, params=params or ACOParams(), **fields)
         return await self.service.submit(request)
 
     async def solve_and_wait(self, instance: TSPInstance, **kwargs) -> RunResult:

@@ -7,19 +7,23 @@ scriptable (``nc`` + a JSON library is a full client) and streaming-friendly
 Request (client -> server)::
 
     {"id": "r1", "instance": {"suite": "att48"}, "iterations": 50,
-     "report_every": 10, "params": {"seed": 7}, "deadline": 2.0,
+     "report_every": 10, "params": {"seed": 7, "beta": 5}, "deadline": 2.0,
      "target_length": 11200, "construction": 8, "pheromone": 1,
      "variant": "mmas", "local_search": "2opt", "ls_passes": 2,
      "ls_target": "iteration-best"}
 
 ``instance`` is either ``{"suite": NAME}`` (a paper-suite instance) or an
 inline coordinate instance ``{"name": ..., "coords": [[x, y], ...],
-"edge_weight_type": "EUC_2D"}``.  Every field except ``instance`` is
-optional; ``id`` defaults to a server-assigned ordinal; ``variant``
-defaults to ``"as"`` (``"acs"`` and ``"mmas"`` run on the same batched
-engine; unknown values are answered with an ``error`` line).
-``local_search`` defaults to ``"none"``; unknown values — and ls knobs
-without an algorithm — are likewise answered with an ``error`` line.
+"edge_weight_type": "EUC_2D"}``.  ``id`` is a JSON string or integer,
+echoed as sent (absent: a server-assigned ordinal).  Every other field,
+and every ``params`` field, is optional and typed by one field table built
+from :class:`~repro.serve.service.SolveRequest` and
+:class:`~repro.core.params.ACOParams`: an ``int`` takes a JSON integer (no
+bool), a ``float`` a finite JSON number, a ``str`` a JSON string, ``null``
+is legal only where the default is ``None``, and an absent field takes its
+dataclass default.  A wrong type, an unknown ``params`` field or a value
+the dataclasses refuse (a ``variant`` other than ``"as"`` / ``"acs"`` /
+``"mmas"``, ls knobs without an algorithm) gets one ``error`` line.
 
 Responses (server -> client), all tagged with the request ``id``::
 
@@ -71,6 +75,7 @@ handler, so the wire contract above holds on both tiers.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import math
 import random
@@ -97,8 +102,6 @@ __all__ = [
     "stats_over_tcp",
 ]
 
-_PARAM_FIELDS = ("alpha", "beta", "rho", "n_ants", "nn", "seed", "eta_shift")
-
 #: default cap on one wire line; oversized lines are discarded in bounded
 #: chunks and answered with an ``error`` line (the connection survives)
 DEFAULT_MAX_LINE_BYTES = 1 << 20
@@ -112,6 +115,79 @@ MAX_RESPONSE_LINE_BYTES = 1 << 26
 
 def _line(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+# ----------------------------------------------------------------- field table
+
+
+def _finite_float(value) -> float | None:
+    """A finite JSON number (an integer too) as ``float``, else ``None``."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    return number if math.isfinite(number) else None
+
+
+#: per field annotation: a reader that returns the field's value, or
+#: ``None`` to refuse the JSON value (``int`` and ``str`` take exactly that
+#: JSON type, so never a bool), and what the field takes, for errors
+_WIRE_TYPES = {
+    "int": (lambda value: value if type(value) is int else None, "a JSON integer"),
+    "float": (_finite_float, "a finite JSON number"),
+    "str": (lambda value: value if type(value) is str else None, "a JSON string"),
+}
+
+
+def _field_table(cls, skip: tuple[str, ...] = ()) -> tuple:
+    """``(name, (reader, noun), default)`` for each field of dataclass
+    ``cls``.  Both dataclasses' modules postpone annotations, so ``f.type``
+    is a string (``"int | None"``); one with no reader fails at import."""
+    return tuple(
+        (f.name, _WIRE_TYPES[f.type.removesuffix(" | None")], f.default)
+        for f in dataclasses.fields(cls)
+        if f.name not in skip
+    )
+
+
+#: the request schema, built once at import: the top level (besides ``id``,
+#: ``instance`` and ``params``) and the ``params`` object
+_REQUEST_FIELDS = _field_table(SolveRequest, skip=("instance", "params"))
+_PARAMS_FIELDS = _field_table(ACOParams)
+
+
+def _read_fields(table: tuple, obj: dict, prefix: str = "") -> dict:
+    """The fields of ``table`` present in ``obj``, read strictly (``null``
+    only where the default is ``None``); absent ones keep their default."""
+    kwargs = {}
+    for name, (read, noun), default in table:
+        if name not in obj:
+            continue
+        raw = obj[name]
+        if raw is None and default is None:
+            kwargs[name] = None
+        elif (value := read(raw)) is not None:
+            kwargs[name] = value
+        else:
+            raise ServeError(f"'{prefix}{name}' must be {noun}, got {raw!r:.40}")
+    return kwargs
+
+
+def _changed_fields(table: tuple, record) -> dict:
+    """The fields of ``table`` whose value in ``record`` is not the default."""
+    return {
+        name: getattr(record, name)
+        for name, _, default in table
+        if getattr(record, name) != default
+    }
+
+
+def _read_id(obj: dict, default_id: str) -> str | int:
+    """A line's ``id``: a JSON string or integer, echoed as sent."""
+    req_id = obj.get("id", default_id)
+    if type(req_id) not in (str, int):
+        raise ServeError(f"'id' must be a JSON string or integer, got {req_id!r:.40}")
+    return req_id
 
 
 # ------------------------------------------------------------- encode / decode
@@ -155,41 +231,22 @@ def instance_from_json(obj: dict) -> TSPInstance:
 
 
 def encode_request(
-    request: SolveRequest, req_id: str, *, instance_obj: dict | None = None
+    request: SolveRequest, req_id: str | int, *, instance_obj: dict | None = None
 ) -> bytes:
     """One request as a JSON line (the in-process -> wire direction).
 
+    Only fields that differ from their defaults are written.
     ``instance_obj`` overrides the instance's wire form — the shard
     router forwards ``{"suite": ...}`` stubs and shared-memory stubs this
     way instead of re-inlining coords per request.
     """
-    payload: dict = {
-        "id": req_id,
-        "instance": (
-            instance_obj
-            if instance_obj is not None
-            else instance_to_json(request.instance)
-        ),
-        "iterations": request.iterations,
-        "report_every": request.report_every,
-        "construction": request.construction,
-        "pheromone": request.pheromone,
-        "variant": request.variant,
-        "params": {f: getattr(request.params, f) for f in _PARAM_FIELDS},
-    }
-    if request.deadline is not None:
-        payload["deadline"] = request.deadline
-    if request.timeout is not None:
-        payload["timeout"] = request.timeout
-    if request.priority:
-        payload["priority"] = request.priority
-    if request.target_length is not None:
-        payload["target_length"] = request.target_length
-    if request.local_search != "none":
-        payload["local_search"] = request.local_search
-        payload["ls_target"] = request.ls_target
-        if request.ls_passes is not None:
-            payload["ls_passes"] = request.ls_passes
+    if instance_obj is None:
+        instance_obj = instance_to_json(request.instance)
+    payload = {"id": req_id, "instance": instance_obj}
+    payload.update(_changed_fields(_REQUEST_FIELDS, request))
+    params = _changed_fields(_PARAMS_FIELDS, request.params)
+    if params:
+        payload["params"] = params
     return _line(payload)
 
 
@@ -207,7 +264,7 @@ def _parse_line(line: bytes | str) -> dict:
     return obj
 
 
-def decode_request(line: bytes | str, *, default_id: str) -> tuple[str, SolveRequest]:
+def decode_request(line: bytes | str, *, default_id: str) -> tuple[str | int, SolveRequest]:
     """Parse one request line into ``(id, SolveRequest)``.
 
     Raises :class:`~repro.errors.ServeError` (or another
@@ -218,41 +275,14 @@ def decode_request(line: bytes | str, *, default_id: str) -> tuple[str, SolveReq
     return decode_request_obj(_parse_line(line), default_id=default_id)
 
 
-def _wire_int(obj: dict, name: str, default: int | None) -> int | None:
-    """Field ``name`` as a JSON integer (``default`` when absent; a
-    ``None`` default makes ``null`` legal too).  Bools, floats and strings
-    are refused rather than truncated or parsed."""
-    value = obj.get(name, default)
-    if value is None and default is None:
-        return None
-    if type(value) is not int:
-        raise ServeError(f"'{name}' must be a JSON integer, got {value!r:.40}")
-    return value
-
-
-def _wire_seconds(obj: dict, name: str) -> float | None:
-    """Optional field ``name`` as a finite JSON number of seconds."""
-    value = obj.get(name)
-    if value is None:
-        return None
-    try:
-        seconds = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond float range
-        seconds = math.inf
-    if not math.isfinite(seconds):
-        raise ServeError(f"'{name}' must be a finite JSON number, got {value!r:.40}")
-    return seconds
-
-
-def decode_request_obj(obj: dict, *, default_id: str) -> tuple[str, SolveRequest]:
+def decode_request_obj(obj: dict, *, default_id: str) -> tuple[str | int, SolveRequest]:
     """Decode an already-parsed request object (see :func:`decode_request`).
 
-    Integer fields (``iterations``, ``report_every``, ``priority``,
-    ``target_length``, ``construction``, ``pheromone``, ``ls_passes``)
-    take JSON integers only, and ``deadline`` / ``timeout`` finite
-    numbers; anything else is a :class:`~repro.errors.ServeError`.
+    The top level and ``params`` are read through the field table (see
+    the module docstring); a field of the wrong JSON type is a
+    :class:`~repro.errors.ServeError` naming it (``'params.seed'``).
     """
-    req_id = str(obj.get("id", default_id))
+    req_id = _read_id(obj, default_id)
     try:
         if "instance" not in obj:
             raise ServeError("request is missing 'instance'")
@@ -260,30 +290,19 @@ def decode_request_obj(obj: dict, *, default_id: str) -> tuple[str, SolveRequest
         raw_params = obj.get("params", {})
         if not isinstance(raw_params, dict):
             raise ServeError("'params' must be an object")
-        unknown = set(raw_params) - set(_PARAM_FIELDS)
-        if unknown:
-            raise ServeError(f"unknown params fields: {sorted(unknown)}")
-        params = ACOParams(**raw_params)
+        params = _read_fields(_PARAMS_FIELDS, raw_params, "params.")
+        if len(params) < len(raw_params):
+            unknown = sorted(raw_params.keys() - params.keys())
+            raise ServeError(f"unknown params fields: {unknown}")
         request = SolveRequest(
             instance=instance,
-            params=params,
-            iterations=_wire_int(obj, "iterations", 20),
-            report_every=_wire_int(obj, "report_every", 1),
-            deadline=_wire_seconds(obj, "deadline"),
-            timeout=_wire_seconds(obj, "timeout"),
-            priority=_wire_int(obj, "priority", 0),
-            target_length=_wire_int(obj, "target_length", None),
-            construction=_wire_int(obj, "construction", 8),
-            pheromone=_wire_int(obj, "pheromone", 1),
-            variant=str(obj.get("variant", "as")),
-            local_search=str(obj.get("local_search", "none")),
-            ls_passes=_wire_int(obj, "ls_passes", None),
-            ls_target=str(obj.get("ls_target", "iteration-best")),
+            params=ACOParams(**params),
+            **_read_fields(_REQUEST_FIELDS, obj),
         )
     except (TypeError, ValueError) as exc:
-        # Well-formed JSON carrying wrong-typed values (ragged coords, a
-        # string alpha, a list for iterations): still a client error, so it
-        # must become an error *response*, never a dropped connection.
+        # Well-formed JSON carrying a malformed instance (ragged or
+        # non-numeric coords): still a client error, so it must become an
+        # error *response*, never a dropped connection.
         wrapped = ServeError(f"bad request field: {exc}")
         wrapped.req_id = req_id  # type: ignore[attr-defined]
         raise wrapped from None
@@ -295,18 +314,17 @@ def decode_request_obj(obj: dict, *, default_id: str) -> tuple[str, SolveRequest
     return req_id, request
 
 
-def _encode_update(req_id: str, update: SolveUpdate) -> bytes:
-    payload = {
+def _encode_update(req_id: str | int, update: SolveUpdate) -> bytes:
+    return _line({
         "type": "update",
         "id": req_id,
         "iteration": update.iteration,
         "best_length": update.best_length,
-    }
-    return _line(payload)
+    })
 
 
-def _encode_result(req_id: str, result: RunResult, early: str | None) -> bytes:
-    payload = {
+def _encode_result(req_id: str | int, result: RunResult, early: str | None) -> bytes:
+    return _line({
         "type": "result",
         "id": req_id,
         "best_length": int(result.best_length),
@@ -315,27 +333,23 @@ def _encode_result(req_id: str, result: RunResult, early: str | None) -> bytes:
         "iterations_run": len(result.iteration_best_lengths),
         "wall_seconds": float(result.wall_seconds),
         "early": early,
-    }
-    return _line(payload)
+    })
 
 
-def encode_error(req_id: str | None, exc: BaseException) -> bytes:
+def encode_error(req_id: str | int | None, exc: BaseException) -> bytes:
     """An ``error`` response line for ``exc``, tagged with ``req_id``."""
-    payload = {
+    return _line({
         "type": "error",
         "id": req_id,
         "error": type(exc).__name__,
         "message": str(exc),
-    }
-    return _line(payload)
+    })
 
 
 # --------------------------------------------------------------------- server
 
 
-async def _read_wire_line(
-    reader: asyncio.StreamReader,
-) -> tuple[bytes, int]:
+async def _read_wire_line(reader: asyncio.StreamReader) -> tuple[bytes, int]:
     """One line from a limit-bounded reader; ``(line, discarded_bytes)``.
 
     The reader's ``limit`` (set at ``start_server`` time) bounds how much
@@ -359,17 +373,13 @@ async def _read_wire_line(
             chunk = await reader.read(max(consumed, 1))
             discarded += len(chunk)
             if not chunk:  # EOF inside the oversized line
-                break
+                return b"", discarded
             try:
-                tail = await reader.readuntil(b"\n")
-                discarded += len(tail)
-                break
+                return b"", discarded + len(await reader.readuntil(b"\n"))
             except asyncio.IncompleteReadError as eof:
-                discarded += len(eof.partial)
-                break
+                return b"", discarded + len(eof.partial)
             except asyncio.LimitOverrunError as more:
                 consumed = more.consumed
-        return b"", discarded
 
 
 class ClientSession:
@@ -413,7 +423,7 @@ class ClientSession:
         else:
             self._idle.set()
 
-    async def accept(self, req_id: str) -> None:
+    async def accept(self, req_id: str | int) -> None:
         """Send ``accepted``; the request now counts until :meth:`finish`."""
         self._count(1)
         await self.send(_line({"type": "accepted", "id": req_id}))
@@ -427,7 +437,7 @@ class ClientSession:
         finally:
             self._count(-1)
 
-    async def stream(self, req_id: str, handle: SolveHandle) -> None:
+    async def stream(self, req_id: str | int, handle: SolveHandle) -> None:
         """Accept an in-process handle and relay its lines in the background."""
         await self.accept(req_id)
         task = asyncio.create_task(_stream_response(handle, req_id, self))
@@ -438,9 +448,7 @@ class ClientSession:
         await self._idle.wait()
 
 
-async def _stream_response(
-    handle: SolveHandle, req_id: str, session: ClientSession
-) -> None:
+async def _stream_response(handle: SolveHandle, req_id: str | int, session: ClientSession) -> None:
     """Relay one handle's updates and final result onto its session."""
     final = b""
     try:
@@ -453,9 +461,7 @@ async def _stream_response(
         else:
             # Early resolution is visible as an empty iteration trace; the
             # wire surfaces it as a tag so clients need no such inference.
-            early = None
-            if not result.iteration_best_lengths:
-                early = "deadline_or_target"
+            early = None if result.iteration_best_lengths else "deadline_or_target"
             final = _encode_result(req_id, result, early)
     finally:
         await session.finish(final)
@@ -464,7 +470,7 @@ async def _stream_response(
 async def _admin_response(front, obj: dict, default_id: str) -> bytes:
     """Answer an admin line inline, never queued behind solve work."""
     op = str(obj["op"])
-    op_id = str(obj.get("id", default_id))
+    op_id = _read_id(obj, default_id)
     if op == "stats":
         return _line({"type": op, "id": op_id, op: await front.stats_payload()})
     if op == "health":
@@ -473,48 +479,33 @@ async def _admin_response(front, obj: dict, default_id: str) -> bytes:
 
 
 async def _handle_connection(
-    front,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
+    front, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
     session = ClientSession(writer)
     counter = 0
     try:
         while True:
             line, discarded = await _read_wire_line(reader)
-            if discarded:
-                counter += 1
-                await session.send(
-                    encode_error(
-                        None,
-                        ServeError(
-                            f"line too long ({discarded} bytes discarded); "
-                            "one request per newline-terminated line"
-                        ),
-                    )
-                )
-                continue
-            if not line:  # EOF
+            if not line and not discarded:  # EOF
                 break
-            if not line.strip():
+            if not discarded and not line.strip():
                 continue
             counter += 1
-            req_id: str | None = None
+            req_id: str | int | None = None
             try:
+                if discarded:
+                    raise ServeError(
+                        f"line too long ({discarded} bytes discarded); "
+                        "one request per newline-terminated line"
+                    )
                 obj = _parse_line(line)
                 if "op" in obj:
-                    await session.send(
-                        await _admin_response(front, obj, f"req-{counter}")
-                    )
+                    await session.send(await _admin_response(front, obj, f"req-{counter}"))
                     continue
-                req_id, request = decode_request_obj(
-                    obj, default_id=f"req-{counter}"
-                )
+                req_id, request = decode_request_obj(obj, default_id=f"req-{counter}")
                 await front.submit_wire(obj, req_id, request, session)
             except ReproError as exc:
-                await session.send(
-                    encode_error(getattr(exc, "req_id", req_id), exc)
-                )
+                await session.send(encode_error(getattr(exc, "req_id", req_id), exc))
     except (ConnectionResetError, BrokenPipeError):
         pass
     finally:
@@ -552,9 +543,7 @@ async def serve_tcp(
     discarded in bounded chunks and answered with an ``error`` line.
     """
     if max_line_bytes < 1:
-        raise ServeError(
-            f"max_line_bytes must be >= 1, got {max_line_bytes}"
-        )
+        raise ServeError(f"max_line_bytes must be >= 1, got {max_line_bytes}")
 
     async def handler(reader, writer):
         try:
@@ -565,9 +554,7 @@ async def serve_tcp(
             # cancelled as "Exception in callback" noise.
             writer.close()
 
-    return await asyncio.start_server(
-        handler, host, port, limit=max_line_bytes
-    )
+    return await asyncio.start_server(handler, host, port, limit=max_line_bytes)
 
 
 # --------------------------------------------------------------------- client
@@ -593,20 +580,15 @@ async def _connect_with_retries(
     attempt = 0
     while True:
         try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(
-                    host, port, limit=MAX_RESPONSE_LINE_BYTES
-                ),
-                connect_timeout,
-            )
+            connect = asyncio.open_connection(host, port, limit=MAX_RESPONSE_LINE_BYTES)
+            return await asyncio.wait_for(connect, connect_timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             if attempt >= connect_retries:
                 raise ServeError(
                     f"cannot connect to {host}:{port} after "
                     f"{attempt + 1} attempt(s): {exc!r}"
                 ) from exc
-            delay = retry_backoff * (2**attempt) * (1.0 + rng.random())
-            await asyncio.sleep(delay)
+            await asyncio.sleep(retry_backoff * (2**attempt) * (1.0 + rng.random()))
             attempt += 1
 
 
@@ -633,16 +615,12 @@ async def _exchange(
             try:
                 raw = await asyncio.wait_for(reader.readline(), read_timeout)
             except asyncio.TimeoutError:
-                raise ServeError(
-                    f"no response from server within {read_timeout}s"
-                ) from None
+                raise ServeError(f"no response from server within {read_timeout}s") from None
             if not raw:
                 raise ServeError("server closed the connection mid-request")
             obj = json.loads(raw)
             if obj.get("type") == "error":
-                raise ServeError(
-                    f"server error {obj.get('error')}: {obj.get('message')}"
-                )
+                raise ServeError(f"server error {obj.get('error')}: {obj.get('message')}")
             done = on_response(obj)
             if done is not None:
                 return done
@@ -660,11 +638,7 @@ async def request_over_tcp(
     request: SolveRequest,
     *,
     req_id: str = "r0",
-    connect_timeout: float | None = None,
-    read_timeout: float | None = None,
-    connect_retries: int = 0,
-    retry_backoff: float = 0.05,
-    jitter_seed: int = 0,
+    **net_kwargs,
 ) -> tuple[list[dict], dict]:
     """Fire one request at a running server; return ``(updates, final)``.
 
@@ -673,7 +647,8 @@ async def request_over_tcp(
     :class:`~repro.errors.ServeError` when the server answers with an
     ``error`` response, closes early, cannot be reached within
     ``connect_timeout`` (after ``connect_retries`` jittered re-attempts),
-    or goes silent past ``read_timeout``.  Mainly a smoke-test/client
+    or goes silent past ``read_timeout``; ``retry_backoff`` and
+    ``jitter_seed`` shape the re-attempts.  Mainly a smoke-test/client
     building block — production clients should keep one connection and
     pipeline.
     """
@@ -690,15 +665,7 @@ async def request_over_tcp(
         return None
 
     return await _exchange(
-        host,
-        port,
-        encode_request(request, req_id),
-        on_response,
-        connect_timeout=connect_timeout,
-        read_timeout=read_timeout,
-        connect_retries=connect_retries,
-        retry_backoff=retry_backoff,
-        jitter_seed=jitter_seed,
+        host, port, encode_request(request, req_id), on_response, **net_kwargs
     )
 
 

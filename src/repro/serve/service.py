@@ -43,7 +43,9 @@ from typing import NamedTuple
 from repro.backend import WorkBuffers, resolve_backend
 from repro.core.batch import BatchEngine, BatchRunResult, BoundaryUpdate
 from repro.core.colony import RunResult
+from repro.core.construction import CONSTRUCTION_VERSIONS
 from repro.core.params import ACOParams
+from repro.core.pheromone import PHEROMONE_VERSIONS
 from repro.errors import (
     ACOConfigError,
     ServeError,
@@ -156,6 +158,18 @@ class SolveRequest:
     def __post_init__(self) -> None:
         from repro.core.variant import LOCAL_SEARCH, LS_TARGETS, VARIANTS
 
+        # Kernel versions are checked here, at submit time: an unknown one
+        # would otherwise fail its whole batch when the engine is built.
+        if self.construction not in CONSTRUCTION_VERSIONS:
+            raise ACOConfigError(
+                f"unknown construction version {self.construction!r}; "
+                f"valid: {sorted(CONSTRUCTION_VERSIONS)}"
+            )
+        if self.pheromone not in PHEROMONE_VERSIONS:
+            raise ACOConfigError(
+                f"unknown pheromone version {self.pheromone!r}; "
+                f"valid: {sorted(PHEROMONE_VERSIONS)}"
+            )
         if self.variant not in VARIANTS:
             raise ACOConfigError(
                 f"unknown variant {self.variant!r}; valid: {sorted(VARIANTS)}"
@@ -799,7 +813,7 @@ class SolveService:
     # The three calls :func:`~repro.serve.protocol.serve_tcp` makes on a front.
 
     async def submit_wire(
-        self, raw_obj: dict, req_id: str, request: SolveRequest, session
+        self, raw_obj: dict, req_id: str | int, request: SolveRequest, session
     ) -> None:
         """Submit a decoded wire request and stream it onto ``session``."""
         await session.stream(req_id, await self.submit(request))

@@ -86,7 +86,7 @@ class _Routed:
     def __init__(
         self,
         wid: str,
-        req_id: str,
+        req_id: str | int,
         key: BatchKey,
         wire: bytes,
         session: ClientSession,
@@ -347,7 +347,7 @@ class ShardRouter:
     async def submit_wire(
         self,
         raw_obj: dict,
-        req_id: str,
+        req_id: str | int,
         request: SolveRequest,
         session: ClientSession,
     ) -> None:

@@ -6,8 +6,9 @@ every garbage line gets a structured ``error`` response, the connection
 survives, and a well-formed request afterwards still completes.  The
 wire-contract tests run on both fronts ``serve_tcp`` serves — an
 in-process ``SolveService`` and a one-shard ``ShardRouter`` — so the
-router's error lines are pinned too.  Also pins the client-side
-connect-retry/timeout seam.
+router's error lines are pinned too, and so is the wire-schema property of
+``tests/serve/test_wire_schema.py`` (any JSON value in any field), run
+live.  Also pins the client-side connect-retry/timeout seam.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ACOParams
 from repro.errors import ServeError
@@ -32,6 +35,7 @@ from repro.serve import (
 from repro.serve.protocol import DEFAULT_MAX_LINE_BYTES, encode_request
 from repro.shard import ShardConfig, ShardRouter
 from repro.tsp import uniform_instance
+from tests.serve.test_wire_schema import DEEP, FIELDS, base_line_obj, json_values, place
 
 MAX_LINE = 4096
 
@@ -166,7 +170,45 @@ LAX_NUMBER_LINES = [
     b'{"id": "lax4", "instance": {"suite": "att48"}, "construction": 8.9}\n',
     b'{"id": "lax5", "instance": {"suite": "att48"}, "deadline": NaN}\n',
     b'{"id": "lax6", "instance": {"suite": "att48"}, "timeout": Infinity}\n',
+    b'{"id": "lax7", "instance": {"suite": "att48"}, "params": {"seed": 7.5}}\n',
+    b'{"id": "lax8", "instance": {"suite": "att48"}, "params": {"seed": "7"}}\n',
+    b'{"id": "lax9", "instance": {"suite": "att48"}, "params": {"nn": 2.5}}\n',
+    b'{"id": "lax10", "instance": {"suite": "att48"}, "params": {"nn": true}}\n',
+    b'{"id": "lax11", "instance": {"suite": "att48"}, "params": {"alpha": NaN}}\n',
+    b'{"id": "lax12", "instance": {"suite": "att48"}, "params": {"beta": 1e400}}\n',
+    b'{"id": "lax13", "instance": {"suite": "att48"}, "params": {"n_ants": true}}\n',
 ]
+
+#: lines whose ``id`` or string field the wire once coerced with ``str()``;
+#: each pairs with the id its one error line carries (``None`` when the id
+#: itself is refused) and the field its message names
+STRING_FIELD_LINES = [
+    (b'{"id": {"a": 1}, "instance": {"suite": "att48"}}\n', None, "id"),
+    (b'{"id": null, "instance": {"suite": "att48"}}\n', None, "id"),
+    (b'{"id": 2.5, "instance": {"suite": "att48"}}\n', None, "id"),
+    (b'{"id": "s0", "instance": {"suite": "att48"}, "variant": 5}\n', "s0", "variant"),
+    (
+        b'{"id": "s1", "instance": {"suite": "att48"}, "local_search": ["2opt"]}\n',
+        "s1",
+        "local_search",
+    ),
+    (
+        b'{"id": "s2", "instance": {"suite": "att48"}, "local_search": "2opt",'
+        b' "ls_target": null}\n',
+        "s2",
+        "ls_target",
+    ),
+]
+
+
+def _named_field(line: bytes) -> str:
+    """The one field a lax line sets besides ``id`` and ``instance``."""
+    obj = json.loads(line)
+    (field,) = obj.keys() - {"id", "instance"}
+    if field == "params":
+        (name,) = obj["params"]
+        field = f"params.{name}"
+    return field
 
 
 class TestStrictNumbers:
@@ -180,6 +222,7 @@ class TestStrictNumbers:
                     resp = json.loads(await reader.readline())
                     assert resp["type"] == "error", resp
                     assert resp["id"] == f"lax{k}", resp
+                    assert _named_field(line) in resp["message"], resp
                 # Nothing else was queued for those lines: the next line
                 # answers the next request, on the same connection.
                 writer.write(encode_request(_request(2), "after-lax"))
@@ -189,6 +232,93 @@ class TestStrictNumbers:
                 while obj["type"] != "result":
                     obj = json.loads(await reader.readline())
                     assert obj["id"] == "after-lax"
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        asyncio.run(scenario())
+
+
+    def test_string_fields_and_ids_get_one_error_line_each(self, port):
+        async def scenario():
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for line, req_id, field in STRING_FIELD_LINES:
+                    writer.write(line)
+                    await writer.drain()
+                    resp = json.loads(await reader.readline())
+                    assert resp["type"] == "error", resp
+                    assert resp["id"] == req_id, resp
+                    assert f"'{field}'" in resp["message"], resp
+                # An integer id is echoed as sent, on every line.
+                obj = json.loads(encode_request(_request(5), "unused"))
+                obj["id"] = 7
+                writer.write((json.dumps(obj) + "\n").encode())
+                await writer.drain()
+                obj = json.loads(await reader.readline())
+                assert obj == {"type": "accepted", "id": 7}
+                while obj["type"] != "result":
+                    obj = json.loads(await reader.readline())
+                    assert obj["id"] == 7, obj
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        asyncio.run(scenario())
+
+
+#: integers the live property draws: small enough that an accepted line
+#: stays a cheap solve (``n_ants`` and ``iterations`` scale its work, and
+#: the wire bounds neither), wide enough to cross every lower bound
+LIVE_INTS = st.integers(-3, 300)
+
+
+class TestWireSchemaLive:
+    @settings(
+        max_examples=200 if DEEP else 20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(field=st.sampled_from(FIELDS), value=json_values(LIVE_INTS))
+    # Lines the wire once admitted and then failed at batch time (or
+    # answered under an id no client sent).
+    @example(field="params.seed", value=None)
+    @example(field="params.seed", value=-1)
+    @example(field="params.seed", value=2**64)
+    @example(field="params.n_ants", value=True)
+    @example(field="construction", value=0)
+    @example(field="pheromone", value=9)
+    @example(field="id", value={"a": 1})
+    def test_any_json_value_in_any_field(self, port, field, value):
+        """One error line, or a solve that runs to its result; then the
+        connection still answers."""
+        obj = place(base_line_obj("live"), field, value)
+        sent_id = obj.get("id")
+
+        async def read(reader) -> dict:
+            return json.loads(await asyncio.wait_for(reader.readline(), 60))
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write((json.dumps(obj) + "\n").encode())
+                await writer.drain()
+                resp = await read(reader)
+                if resp["type"] == "accepted":
+                    assert resp["id"] == sent_id
+                    while resp["type"] == "accepted" or resp["type"] == "update":
+                        resp = await read(reader)
+                    # A request the wire admits never fails at batch time;
+                    # only its own wall-clock budget may end it.
+                    assert resp["type"] == "result" or (
+                        resp["error"] == "ServeTimeoutError"
+                    ), resp
+                else:
+                    assert resp["type"] == "error", resp
+                    assert resp["id"] in (sent_id, None), resp
+                writer.write(b'{"op": "health", "id": "next"}\n')
+                await writer.drain()
+                assert (await read(reader))["id"] == "next"
             finally:
                 writer.close()
                 await writer.wait_closed()

@@ -19,6 +19,7 @@ from repro.serve.protocol import (
 )
 from repro.shard import ShardConfig, ShardRouter
 from repro.tsp import uniform_instance
+from tests.serve.test_wire_schema import PARAM_FIELDS, TOP_FIELDS
 
 
 def run_async(coro):
@@ -104,25 +105,100 @@ class TestEncodeDecode:
         [
             "iterations", "report_every", "priority", "target_length",
             "construction", "pheromone", "ls_passes",
+            "params.n_ants", "params.nn", "params.seed",
         ],
     )
     @pytest.mark.parametrize("value", [1.9, 8.0, True, False, "3", [3]])
     def test_int_fields_take_json_integers_only(self, field, value):
-        obj = {"id": "i", "instance": {"suite": "att48"}, field: value}
+        obj = {"id": "i", "instance": {"suite": "att48"}}
+        if field.startswith("params."):
+            obj["params"] = {field.removeprefix("params."): value}
+        else:
+            obj[field] = value
         if field == "ls_passes":
             obj["local_search"] = "2opt"
         with pytest.raises(ServeError, match=field) as err:
             decode_request(json.dumps(obj), default_id="d")
         assert err.value.req_id == "i"
 
-    @pytest.mark.parametrize("field", ["deadline", "timeout"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "deadline", "timeout",
+            "params.alpha", "params.beta", "params.rho", "params.eta_shift",
+        ],
+    )
     @pytest.mark.parametrize(
         "raw", ["NaN", "Infinity", "-Infinity", "true", '"2"', "1e999", "1" * 400]
     )
     def test_second_fields_must_be_finite_numbers(self, field, raw):
-        line = '{"instance": {"suite": "att48"}, "%s": %s}' % (field, raw)
+        if field.startswith("params."):
+            name = field.removeprefix("params.")
+            line = '{"instance": {"suite": "att48"}, "params": {"%s": %s}}' % (name, raw)
+        else:
+            line = '{"instance": {"suite": "att48"}, "%s": %s}' % (field, raw)
         with pytest.raises(ServeError, match=field):
             decode_request(line, default_id="d")
+
+    @pytest.mark.parametrize("field", ["variant", "local_search", "ls_target"])
+    @pytest.mark.parametrize("value", [5, None, True, ["as"], {"a": 1}])
+    def test_string_fields_take_json_strings_only(self, field, value):
+        obj = {"id": "s", "instance": {"suite": "att48"}, field: value}
+        if field == "ls_target":
+            obj["local_search"] = "2opt"
+        with pytest.raises(ServeError, match=f"'{field}' must be a JSON string") as err:
+            decode_request(json.dumps(obj), default_id="d")
+        assert err.value.req_id == "s"
+
+    @pytest.mark.parametrize("value", [{"a": 1}, None, 2.5, True, ["r"]])
+    def test_id_is_a_json_string_or_integer(self, value):
+        line = json.dumps({"id": value, "instance": {"suite": "att48"}})
+        with pytest.raises(ServeError, match="'id' must be") as err:
+            decode_request(line, default_id="d")
+        assert getattr(err.value, "req_id", None) is None
+        for good in ("r1", 7, -3):
+            line = json.dumps({"id": good, "instance": {"suite": "att48"}})
+            assert decode_request(line, default_id="d")[0] == good
+
+    @pytest.mark.parametrize(
+        "field, default",
+        [(name, default) for name, (_, default) in TOP_FIELDS.items()]
+        + [(f"params.{name}", default) for name, (_, default) in PARAM_FIELDS.items()],
+    )
+    def test_null_only_where_the_default_is_none(self, field, default):
+        obj = {"instance": {"suite": "att48"}, "local_search": "2opt"}
+        if field.startswith("params."):
+            obj["params"] = {field.removeprefix("params."): None}
+        else:
+            obj[field] = None
+        line = json.dumps(obj)
+        if default is None:
+            _, req = decode_request(line, default_id="d")
+            record = req.params if field.startswith("params.") else req
+            assert getattr(record, field.removeprefix("params.")) is None
+        else:
+            with pytest.raises(ServeError, match=field):
+                decode_request(line, default_id="d")
+
+    def test_integer_valued_float_runs_bit_identical(self):
+        """``"alpha": 1`` decodes to the float ``1.0`` and solves exactly
+        as ``"alpha": 1.0`` does."""
+        line = (
+            '{"instance": {"suite": "att48"}, "iterations": 3,'
+            ' "params": {"alpha": %s, "seed": 7, "n_ants": null}}'
+        )
+        requests = [decode_request(line % a, default_id="d")[1] for a in ("1", "1.0")]
+        assert type(requests[0].params.alpha) is float
+        assert requests[0].params == requests[1].params
+
+        async def drive():
+            async with SolveService(max_batch=1) as service:
+                return [await (await service.submit(r)).result() for r in requests]
+
+        as_int, as_float = run_async(drive())
+        np.testing.assert_array_equal(as_int.best_tour, as_float.best_tour)
+        assert as_int.best_length == as_float.best_length
+        assert as_int.iteration_best_lengths == as_float.iteration_best_lengths
 
     def test_numeric_fields_accept_their_json_types(self):
         _, req = decode_request(
