@@ -96,15 +96,6 @@ class LintConfig:
             ),
         }
     )
-    #: module -> reason; seeded private RNG streams pinned as exceptions.
-    seeded_rng_allowlist: dict[str, str] = field(
-        default_factory=lambda: {
-            "obs/metrics.py": (
-                "ReservoirHistogram's private seeded random.Random — "
-                "sampling noise isolated from engine streams by design"
-            ),
-        }
-    )
     #: Modules exempt from the time-source check entirely (the one place
     #: wall clocks are supposed to live, plus observability).
     time_source_exempt_prefixes: frozenset[str] = frozenset(

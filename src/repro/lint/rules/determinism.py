@@ -4,10 +4,8 @@ Inside ``core/``, ``rng/`` and ``tsp/`` the bit-exact parity suites own
 every random bit — engine randomness flows through the seeded
 ``DeviceRNG``/LCG streams.  This rule flags:
 
-* any stdlib ``random`` usage (global stream or ``random.Random``) —
-  the engine has no business near it; ``obs.metrics``' private *seeded*
-  ``random.Random`` is the pinned exception (see
-  ``LintConfig.seeded_rng_allowlist``);
+* any stdlib ``random`` usage (global stream or ``random.Random``,
+  seeded or not) — the engine has no business near it;
 * global-stream ``numpy.random.*`` calls (``np.random.rand`` /
   ``np.random.seed`` …) — they mutate hidden process-wide state;
 * *unseeded* numpy RNG construction (``np.random.default_rng()`` with no
@@ -71,10 +69,7 @@ class DeterminismRule(Rule):
             qual = ctx.qualified(node.func)
             if qual is None:
                 continue
-            seeded = bool(node.args or node.keywords)
             if qual == "random.Random" or qual.startswith("random."):
-                if seeded and ctx.module in config.seeded_rng_allowlist:
-                    continue  # documented exception (see LintConfig)
                 yield self.finding(
                     ctx,
                     node,
@@ -82,7 +77,7 @@ class DeterminismRule(Rule):
                     "from the seeded DeviceRNG/LCG streams",
                 )
             elif qual in _NP_RNG_CONSTRUCTORS:
-                if not seeded:
+                if not (node.args or node.keywords):
                     yield self.finding(
                         ctx,
                         node,

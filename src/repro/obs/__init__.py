@@ -2,10 +2,10 @@
 
 The telemetry spine of the reproduction.  Three pieces:
 
-* :class:`MetricsRegistry` — named counters, gauges and reservoir
-  histograms (p50/p95/p99), cheap enough to be always-on;
-  :class:`NullRegistry` (shared instance :data:`NULL_REGISTRY`) is the
-  true no-op disabled path.
+* :class:`MetricsRegistry` — named counters, gauges and log-bucket
+  histograms (p50/p95/p99 within 1%, merged exactly), cheap enough to be
+  always-on; :class:`NullRegistry` (shared instance
+  :data:`NULL_REGISTRY`) is the true no-op disabled path.
 * :class:`PhaseClock` / :data:`PHASES` — per-phase wall-clock of the
   batch engine (construct / fold / local-search / update / host-sync),
   surfaced per ``report_every`` block and per run.
@@ -21,9 +21,9 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
     Gauge,
+    LogHistogram,
     MetricsRegistry,
     NullRegistry,
-    ReservoirHistogram,
 )
 from repro.obs.phases import PHASE_HISTOGRAMS, PHASES, PhaseClock
 from repro.obs.trace import TraceRecorder, TraceSpan
@@ -34,10 +34,10 @@ __all__ = [
     "PHASE_HISTOGRAMS",
     "Counter",
     "Gauge",
+    "LogHistogram",
     "MetricsRegistry",
     "NullRegistry",
     "PhaseClock",
-    "ReservoirHistogram",
     "TraceRecorder",
     "TraceSpan",
 ]

@@ -1,4 +1,4 @@
-"""Always-on metrics primitives: counters, gauges, reservoir histograms.
+"""Always-on metrics primitives: counters, gauges, log-bucket histograms.
 
 The paper's whole argument is a per-phase time breakdown (Tables II-IV);
 this module is the substrate that breakdown — and every serve-tier signal
@@ -6,8 +6,7 @@ the scaling roadmap needs (queue waits, latency percentiles, flush causes)
 — is published into.  Two design rules keep it safe on the hot path:
 
 * **Bit-exactness.**  Metrics only *observe* wall-clock floats and integer
-  counts; nothing here touches engine arrays or the engine RNG (the
-  reservoir's sampling randomness is a private :mod:`random` stream), so
+  counts; nothing here touches engine arrays or any RNG, so
   instrumentation cannot perturb numerics.  The parity suites pin this.
 * **True no-op when disabled.**  :class:`NullRegistry` hands out shared
   do-nothing metric objects and never stores a name, so a disabled path
@@ -20,18 +19,16 @@ shared between the asyncio loop thread and engine worker threads), and
 
 from __future__ import annotations
 
-import random
+import math
 import threading
-
-from repro.util.timer import Timer
 
 __all__ = [
     "Counter",
     "Gauge",
+    "LogHistogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
-    "ReservoirHistogram",
 ]
 
 
@@ -79,60 +76,52 @@ class Gauge:
         return self._value
 
 
-class ReservoirHistogram:
-    """Streaming distribution summary over an unbounded observation stream.
+#: bucket growth factor: bucket ``k`` holds the values in
+#: ``(GAMMA**(k-1), GAMMA**k]``, and its representative ``2 GAMMA**k /
+#: (GAMMA + 1)`` lies within 1% of each of them
+GAMMA = 1.01 / 0.99
+_INV_LOG_GAMMA = 1.0 / math.log(GAMMA)
 
-    Exact ``count``/``total``/``min``/``max`` plus percentile estimates
-    from a fixed-size uniform reservoir (Vitter's algorithm R): the first
-    ``max_samples`` observations are kept verbatim, after which each new
-    observation replaces a random slot with probability
-    ``max_samples / count`` — every observation ever seen is equally likely
-    to be in the reservoir, so sorted-reservoir quantiles are unbiased
-    estimates at O(1) memory.  The reservoir itself is a
-    :class:`~repro.util.timer.Timer`, whose ``percentile`` rule this class
-    therefore shares with plain lap timers.
 
-    The replacement randomness is a private seeded :class:`random.Random`
-    stream — deterministic per histogram, and entirely separate from the
-    engine's RNG (instrumentation must never consume engine draws).
+class LogHistogram:
+    """Streaming distribution summary with a fixed relative error.
+
+    Exact ``count``/``total``/``min``/``max`` plus quantiles from
+    logarithmic buckets (DDSketch, Masson et al., VLDB 2019): a positive
+    value ``v`` counts in bucket ``ceil(log(v) / log(GAMMA))``, and zero,
+    which has no bucket, is the count the buckets do not hold.  A quantile
+    is the nearest-rank value's bucket representative, so it lies within
+    1% of the exact order statistic whatever the stream length.  Memory is
+    bounded by the span of the values (about 115 buckets per decade), and
+    :meth:`merge` is a bucket-wise add: folding per-thread or per-shard
+    histograms gives exactly the histogram of the union.
     """
 
-    __slots__ = (
-        "name", "max_samples", "_reservoir", "_count", "_total",
-        "_min", "_max", "_rng", "_lock",
-    )
+    __slots__ = ("name", "_buckets", "_count", "_total", "_min", "_max", "_lock")
 
-    def __init__(
-        self, name: str = "", max_samples: int = 512, seed: int = 0x5EED
-    ) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.max_samples = max_samples
-        self._reservoir = Timer()  # guarded-by: _lock
+        self._buckets: dict[int, int] = {}  # guarded-by: _lock
         self._count = 0  # guarded-by: _lock
         self._total = 0.0  # guarded-by: _lock
-        self._min: float | None = None  # guarded-by: _lock
-        self._max: float | None = None  # guarded-by: _lock
-        self._rng = random.Random(seed)
+        self._min = math.inf  # guarded-by: _lock
+        self._max = -math.inf  # guarded-by: _lock
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"observations must be finite and >= 0, got {value}")
+        key = math.ceil(math.log(value) * _INV_LOG_GAMMA) if value else None
         with self._lock:
             self._count += 1
             self._total += value
-            if self._min is None or value < self._min:
+            if value < self._min:
                 self._min = value
-            if self._max is None or value > self._max:
+            if value > self._max:
                 self._max = value
-            laps = self._reservoir.laps
-            if len(laps) < self.max_samples:
-                laps.append(value)
-            else:
-                slot = self._rng.randrange(self._count)
-                if slot < self.max_samples:
-                    laps[slot] = value
+            if key is not None:
+                self._buckets[key] = self._buckets.get(key, 0) + 1
 
     # ------------------------------------------------------------- summaries
 
@@ -150,17 +139,35 @@ class ReservoirHistogram:
 
     @property
     def min(self) -> float:
-        return self._min if self._min is not None else 0.0
+        return self._min if self._count else 0.0
 
     @property
     def max(self) -> float:
-        return self._max if self._max is not None else 0.0
+        return self._max if self._count else 0.0
+
+    def _percentile(self, p: float) -> float:
+        """:meth:`percentile` for a caller that holds ``_lock``."""
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if not self._count:
+            return 0.0
+        rank = max(1, math.ceil(p * self._count / 100.0))
+        seen = self._count - sum(self._buckets.values())  # the zeros
+        if seen >= rank:
+            return 0.0
+        for key in sorted(self._buckets):
+            seen += self._buckets[key]
+            if seen >= rank:
+                break
+        value = 2.0 * GAMMA**key / (GAMMA + 1.0)
+        return min(max(value, self._min), self._max)
 
     def percentile(self, p: float) -> float:
-        """Estimated ``p``-th percentile (exact while ``count`` is within
-        the reservoir size)."""
+        """The ``p``-th percentile (``0 <= p <= 100``): the bucket
+        representative of the nearest-rank observation ``ceil(p/100 *
+        count)``, clamped to ``[min, max]``; 0.0 when empty."""
         with self._lock:
-            return self._reservoir.percentile(p)
+            return self._percentile(p)
 
     @property
     def p50(self) -> float:
@@ -174,75 +181,64 @@ class ReservoirHistogram:
     def p99(self) -> float:
         return self.percentile(99.0)
 
-    def merge(self, other: "ReservoirHistogram") -> "ReservoirHistogram":
-        """Fold ``other`` into this histogram (combining per-thread or
-        per-shard instances); exact fields (``count``/``total``/``min``/
-        ``max``) combine exactly, reservoirs concatenate and truncate to
-        ``self.max_samples`` (slightly over-weighting whichever side
-        sampled less — acceptable for merge use).  Aggregators that must
-        keep every source sample (the shard router) are built with a
-        ``max_samples`` large enough to hold the union.  Returns ``self``."""
+    def merge(self, other: "LogHistogram") -> "LogHistogram":
+        """Fold ``other`` into this histogram: exact fields combine
+        exactly and bucket counts add, so the result is the histogram of
+        both streams.  Returns ``self``."""
         with other._lock:
             count, total = other._count, other._total
             omin, omax = other._min, other._max
-            laps = list(other._reservoir.laps)
+            buckets = list(other._buckets.items())
         with self._lock:
             self._count += count
             self._total += total
-            if omin is not None and (self._min is None or omin < self._min):
-                self._min = omin
-            if omax is not None and (self._max is None or omax > self._max):
-                self._max = omax
-            self._reservoir.laps.extend(laps)
-            del self._reservoir.laps[self.max_samples:]
+            self._min = min(self._min, omin)
+            self._max = max(self._max, omax)
+            for key, n in buckets:
+                self._buckets[key] = self._buckets.get(key, 0) + n
         return self
 
     def snapshot(self) -> dict:
         """JSON-friendly summary with the standard percentile triple.
 
-        ``samples`` carries the raw reservoir so a snapshot shipped over
-        the wire round-trips through :meth:`from_snapshot` without losing
-        the quantile substrate (full float precision — only the derived
-        summary fields are rounded for display).
+        ``buckets`` is the dense ``[offset, [counts...]]`` form of the
+        bucket map (the count of bucket ``offset + i`` at index ``i``), so
+        a snapshot shipped over the wire rebuilds exactly through
+        :meth:`from_snapshot`.  No field is rounded, so each quantile lies
+        in ``[min, max]`` as sent.
         """
         with self._lock:
-            reservoir = self._reservoir
+            buckets = self._buckets
+            lo = min(buckets, default=0)
+            hi = max(buckets, default=-1)
             return {
                 "count": self._count,
-                "total": round(self._total, 6),
-                "mean": round(self.mean, 6),
-                "min": round(self.min, 6),
-                "max": round(self.max, 6),
-                "p50": round(reservoir.percentile(50.0), 6),
-                "p95": round(reservoir.percentile(95.0), 6),
-                "p99": round(reservoir.percentile(99.0), 6),
-                "samples": list(reservoir.laps),
+                "total": self._total,
+                "mean": self.mean,
+                "min": self.min,
+                "max": self.max,
+                "p50": self._percentile(50.0),
+                "p95": self._percentile(95.0),
+                "p99": self._percentile(99.0),
+                "buckets": [lo, [buckets.get(k, 0) for k in range(lo, hi + 1)]],
             }
 
     @classmethod
-    def from_snapshot(
-        cls, snap: dict, *, name: str = "", max_samples: int | None = None
-    ) -> "ReservoirHistogram":
-        """Rebuild a histogram from a :meth:`snapshot` payload.
+    def from_snapshot(cls, snap: dict, *, name: str = "") -> "LogHistogram":
+        """Rebuild a histogram exactly from a :meth:`snapshot` payload.
 
-        The exact fields (``count``/``total``/``min``/``max``) and the
-        reservoir come back verbatim; this is how the shard router folds
-        per-worker histograms scraped off the ``{"op": "stats"}`` wire
-        into one aggregate (``from_snapshot`` each side, then
-        :meth:`merge`).  Snapshots predating the ``samples`` field
-        reconstruct with an empty reservoir (summaries stay exact,
-        quantiles degrade to 0).
+        This is how the shard router folds per-worker histograms scraped
+        off the ``{"op": "stats"}`` wire into one aggregate
+        (``from_snapshot`` each side, then :meth:`merge`).
         """
-        samples = [float(v) for v in snap.get("samples", ())]
-        if max_samples is None:
-            max_samples = max(len(samples), 512)
-        hist = cls(name=name, max_samples=max_samples)
+        hist = cls(name)
         hist._count = int(snap["count"])
         hist._total = float(snap["total"])
         if hist._count:
             hist._min = float(snap["min"])
             hist._max = float(snap["max"])
-        hist._reservoir.laps.extend(samples[:max_samples])
+        offset, counts = snap["buckets"]
+        hist._buckets = {offset + i: int(n) for i, n in enumerate(counts) if n}
         return hist
 
 
@@ -260,7 +256,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}  # guarded-by: _lock
         self._gauges: dict[str, Gauge] = {}  # guarded-by: _lock
-        self._histograms: dict[str, ReservoirHistogram] = {}  # guarded-by: _lock
+        self._histograms: dict[str, LogHistogram] = {}  # guarded-by: _lock
 
     # -------------------------------------------------------- get-or-create
 
@@ -278,15 +274,11 @@ class MetricsRegistry:
                 metric = self._gauges[name] = Gauge(name)
             return metric
 
-    def histogram(
-        self, name: str, max_samples: int = 512
-    ) -> ReservoirHistogram:
+    def histogram(self, name: str) -> LogHistogram:
         with self._lock:
             metric = self._histograms.get(name)
             if metric is None:
-                metric = self._histograms[name] = ReservoirHistogram(
-                    name, max_samples=max_samples
-                )
+                metric = self._histograms[name] = LogHistogram(name)
             return metric
 
     # ---------------------------------------------------------- convenience
@@ -332,7 +324,7 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullHistogram(ReservoirHistogram):
+class _NullHistogram(LogHistogram):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
@@ -358,7 +350,7 @@ class NullRegistry(MetricsRegistry):
     def gauge(self, name: str) -> Gauge:
         return self._null_gauge
 
-    def histogram(self, name: str, max_samples: int = 512) -> ReservoirHistogram:
+    def histogram(self, name: str) -> LogHistogram:
         return self._null_histogram
 
 

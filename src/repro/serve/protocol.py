@@ -14,7 +14,9 @@ Request (client -> server)::
 
 ``instance`` is either ``{"suite": NAME}`` (a paper-suite instance) or an
 inline coordinate instance ``{"name": ..., "coords": [[x, y], ...],
-"edge_weight_type": "EUC_2D"}``.  ``id`` is a JSON string or integer,
+"edge_weight_type": "EUC_2D"}``; ``suite``, ``name`` and
+``edge_weight_type`` take JSON strings, coords must be finite and the
+edge-weight type supported.  ``id`` is a JSON string or integer,
 echoed as sent (absent: a server-assigned ordinal).  Every other field,
 and every ``params`` field, is optional and typed by one field table built
 from :class:`~repro.serve.service.SolveRequest` and
@@ -107,9 +109,9 @@ __all__ = [
 DEFAULT_MAX_LINE_BYTES = 1 << 20
 
 #: cap on one response line a client (or the router's trunk to a worker)
-#: reads.  asyncio's 64 KiB default is too small: a stats payload carries
-#: up to 512 raw samples per histogram, and a result line grows with the
-#: city count and the iteration count.
+#: reads.  asyncio's 64 KiB default is too small: a result line grows with
+#: the city count (``best_tour``) and the iteration count
+#: (``iteration_best_lengths``).
 MAX_RESPONSE_LINE_BYTES = 1 << 26
 
 
@@ -154,6 +156,13 @@ def _field_table(cls, skip: tuple[str, ...] = ()) -> tuple:
 #: ``instance`` and ``params``) and the ``params`` object
 _REQUEST_FIELDS = _field_table(SolveRequest, skip=("instance", "params"))
 _PARAMS_FIELDS = _field_table(ACOParams)
+
+#: an instance object's string fields (``coords`` and the shard tier's
+#: ``shm`` stub are read on their own paths); ``suite`` has no default
+_INSTANCE_FIELDS = tuple(
+    (name, _WIRE_TYPES["str"], default)
+    for name, default in (("suite", ""), ("name", "inline"), ("edge_weight_type", "EUC_2D"))
+)
 
 
 def _read_fields(table: tuple, obj: dict, prefix: str = "") -> dict:
@@ -208,12 +217,18 @@ def instance_to_json(instance: TSPInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> TSPInstance:
+    """The instance a request names: a suite entry, inline coords, or a
+    shard-tier shared-memory stub.  Inline coords are checked by
+    :class:`~repro.tsp.instance.TSPInstance` itself (finite values, a
+    supported ``edge_weight_type``)."""
     if not isinstance(obj, dict):
         raise ServeError(f"instance must be an object, got {type(obj).__name__}")
+    fields = {name: default for name, _, default in _INSTANCE_FIELDS}
+    fields.update(_read_fields(_INSTANCE_FIELDS, obj, "instance."))
     if "suite" in obj:
         from repro.tsp.suite import load_instance
 
-        return load_instance(str(obj["suite"]))
+        return load_instance(fields["suite"])
     if "shm" in obj:
         # Shard-tier form: the router published the coords into a shared-
         # memory block keyed by content digest; resolve (and cache) it in
@@ -224,9 +239,9 @@ def instance_from_json(obj: dict) -> TSPInstance:
     if "coords" not in obj:
         raise ServeError("instance needs 'suite', 'coords' or 'shm'")
     return TSPInstance(
-        name=str(obj.get("name", "inline")),
+        name=fields["name"],
         coords=np.asarray(obj["coords"], dtype=np.float64),
-        edge_weight_type=str(obj.get("edge_weight_type", "EUC_2D")),
+        edge_weight_type=fields["edge_weight_type"],
     )
 
 

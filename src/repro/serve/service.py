@@ -330,7 +330,7 @@ class ServiceStats:
     for why summing shares across batches under-reports.
 
     Distributions (queue wait, batch wall, end-to-end request latency,
-    bucket occupancy at flush) live as reservoir histograms in
+    bucket occupancy at flush) live as log-bucket histograms in
     :attr:`registry` — a :class:`~repro.obs.MetricsRegistry` whose
     snapshot the ``{"op": "stats"}`` admin line returns.
 

@@ -29,7 +29,7 @@ Layers (one module each):
   single ``SolveService`` runs behind.
 * :mod:`repro.shard.stats` — fold per-shard
   :meth:`~repro.serve.service.ServiceStats.snapshot` payloads (exact
-  counter sums + lossless :class:`~repro.obs.ReservoirHistogram` merges)
+  counter sums + exact :class:`~repro.obs.LogHistogram` bucket merges)
   into one router-level ``{"op": "stats"}`` payload.
 
 ``gpu-aco serve --shards N`` is the CLI surface; ``N=0`` solves in

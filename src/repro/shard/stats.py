@@ -7,20 +7,22 @@ a sharded deployment unchanged (the ``source`` field is how they tell
 the tiers apart).  Counters sum exactly; per-bucket/per-variant/
 flush-cause maps merge key-wise; derived rates are recomputed from the
 summed numerators/denominators (never averaged averages); histograms
-merge **losslessly** via :meth:`~repro.obs.ReservoirHistogram.from_snapshot`
-+ :meth:`~repro.obs.ReservoirHistogram.merge` into an aggregator sized
-to hold every shard's reservoir, so the aggregate ``count``/``total``/
-``min``/``max`` equal the exact sums/extremes and quantiles are computed
-over the union of all per-shard samples.
+merge **exactly** via :meth:`~repro.obs.LogHistogram.from_snapshot` +
+:meth:`~repro.obs.LogHistogram.merge`: bucket counts add, so the
+aggregate is the histogram of every shard's observations together —
+``count``/``total``/``min``/``max`` are the exact sums/extremes, and
+each quantile lies within 1% of the fleet-wide order statistic however
+the traffic split across shards.
 
-The verbose ``samples`` arrays are stripped from the *output* payload
-(aggregate and per-shard alike) — they exist to make the fold lossless
-on the worker→router hop, not to bloat the client-facing answer.
+Per-shard snapshots pass through under ``per_shard`` with their
+``buckets``: a bucket map is bounded by the span of the values, not by
+the length of the run, so aggregate and per-shard histograms share one
+shape.
 """
 
 from __future__ import annotations
 
-from repro.obs import PHASE_HISTOGRAMS, ReservoirHistogram
+from repro.obs import PHASE_HISTOGRAMS, LogHistogram
 
 __all__ = ["COUNTER_KEYS", "HISTOGRAM_KEYS", "fold_health", "fold_stats"]
 
@@ -44,7 +46,7 @@ COUNTER_KEYS = (
 #: key-wise summed dict counters
 _DICT_KEYS = ("batches_per_variant", "rows_per_bucket", "flush_causes")
 
-#: reservoir-histogram distributions: the request lifecycle, then the
+#: log-bucket histogram distributions: the request lifecycle, then the
 #: engines' per-block phase seconds
 HISTOGRAM_KEYS = (
     "queue_wait_seconds",
@@ -52,12 +54,6 @@ HISTOGRAM_KEYS = (
     "request_latency_seconds",
     "batch_rows",
 ) + PHASE_HISTOGRAMS
-
-
-def _strip_samples(hist_snap: dict) -> dict:
-    out = dict(hist_snap)
-    out.pop("samples", None)
-    return out
 
 
 def fold_stats(per_shard: dict[int, dict], router: dict | None = None) -> dict:
@@ -87,21 +83,12 @@ def fold_stats(per_shard: dict[int, dict], router: dict | None = None) -> dict:
         agg["colony_iterations"] / engine_wall if engine_wall > 0.0 else 0.0, 3
     )
     for key in HISTOGRAM_KEYS:
-        snaps = [s[key] for s in shards if isinstance(s.get(key), dict)]
-        capacity = max(
-            512, sum(len(snap.get("samples", ())) for snap in snaps)
-        )
-        folded = ReservoirHistogram(key, max_samples=capacity)
-        for snap in snaps:
-            folded.merge(ReservoirHistogram.from_snapshot(snap))
-        agg[key] = _strip_samples(folded.snapshot())
-    agg["per_shard"] = {
-        str(sid): {
-            k: (_strip_samples(v) if k in HISTOGRAM_KEYS else v)
-            for k, v in per_shard[sid].items()
-        }
-        for sid in sorted(per_shard)
-    }
+        folded = LogHistogram(key)
+        for s in shards:
+            if isinstance(s.get(key), dict):
+                folded.merge(LogHistogram.from_snapshot(s[key]))
+        agg[key] = folded.snapshot()
+    agg["per_shard"] = {str(sid): dict(per_shard[sid]) for sid in sorted(per_shard)}
     agg["router"] = dict(router or {})
     return agg
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TSPError
-from repro.tsp.distances import distance_matrix_from_coords
+from repro.errors import TSPError, UnsupportedEdgeWeightError
+from repro.tsp.distances import EDGE_WEIGHT_FUNCTIONS, distance_matrix_from_coords
 
 __all__ = ["TSPInstance"]
 
@@ -63,6 +63,8 @@ class TSPInstance:
                 raise TSPError(f"coords must be (n, 2), got {self.coords.shape}")
             if self.coords.shape[0] < 3:
                 raise TSPError("a TSP instance needs at least 3 cities")
+            if not np.isfinite(self.coords).all():
+                raise TSPError("'coords' must all be finite numbers")
         if self.explicit_matrix is not None:
             m = np.asarray(self.explicit_matrix)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -71,6 +73,11 @@ class TSPInstance:
                 raise TSPError("explicit matrix size disagrees with coords")
             self.explicit_matrix = m.astype(np.int64, copy=False)
             self.edge_weight_type = "EXPLICIT"
+        elif str(self.edge_weight_type).upper() not in EDGE_WEIGHT_FUNCTIONS:
+            raise UnsupportedEdgeWeightError(
+                f"'edge_weight_type' {self.edge_weight_type!r} is not supported; "
+                f"supported: {sorted(EDGE_WEIGHT_FUNCTIONS)}"
+            )
 
     # ------------------------------------------------------------------ size
 

@@ -58,9 +58,10 @@ class Timer:
         """The ``p``-th percentile of the recorded laps (``0 <= p <= 100``).
 
         Linear interpolation between order statistics (numpy's default
-        ``"linear"`` method); 0.0 when no laps were recorded.  This is the
-        quantile rule the observability histograms
-        (:class:`repro.obs.ReservoirHistogram`) share.
+        ``"linear"`` method); 0.0 when no laps were recorded.  The value
+        is exact, since every lap is kept; the observability histograms
+        (:class:`repro.obs.LogHistogram`) keep bucket counts instead and
+        answer nearest-rank quantiles within 1%.
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")

@@ -198,6 +198,28 @@ STRING_FIELD_LINES = [
         "s2",
         "ls_target",
     ),
+    # Instance fields: coords that are not finite, an edge-weight type the
+    # distance table lacks, and string fields sent as numbers.
+    (b'{"id": "s3", "instance": {"coords": [[0, 0], [1e400, 0], [0, 4]]}}\n', "s3", "coords"),
+    (b'{"id": "s4", "instance": {"coords": [[0, 0], [NaN, 0], [0, 4]]}}\n', "s4", "coords"),
+    (
+        b'{"id": "s5", "instance": {"coords": [[0, 0], [3, 0], [0, 4]],'
+        b' "edge_weight_type": "FOO"}}\n',
+        "s5",
+        "edge_weight_type",
+    ),
+    (
+        b'{"id": "s6", "instance": {"coords": [[0, 0], [3, 0], [0, 4]],'
+        b' "edge_weight_type": 2}}\n',
+        "s6",
+        "instance.edge_weight_type",
+    ),
+    (
+        b'{"id": "s7", "instance": {"coords": [[0, 0], [3, 0], [0, 4]], "name": 5}}\n',
+        "s7",
+        "instance.name",
+    ),
+    (b'{"id": "s8", "instance": {"suite": 48}}\n', "s8", "instance.suite"),
 ]
 
 

@@ -21,9 +21,11 @@ from repro.serve import (
     ServiceStats,
     SolveRequest,
     SolveService,
+    request_over_tcp,
     serve_tcp,
     stats_over_tcp,
 )
+from repro.serve.protocol import MAX_RESPONSE_LINE_BYTES
 from repro.serve.service import FLUSH_CAUSES, REQUEST_OUTCOMES
 from repro.tsp import uniform_instance
 
@@ -216,16 +218,17 @@ class TestStatsWire:
         assert snap["engine.phase.construct"]["total"] > 0.0
         assert snap["engine.phase.local-search"]["count"] == 0
 
-    def test_full_reservoirs_fit_the_client_line(self):
-        """A long-lived server's stats line carries every histogram's full
-        reservoir, well past asyncio's 64 KiB default stream limit."""
+    def test_long_lived_stats_line_stays_small(self):
+        """Histogram payloads are bounded by the span of the values, not by
+        the run: 20,000 observations per histogram still fit well inside
+        asyncio's 64 KiB default stream limit."""
 
         async def drive():
             async with SolveService(max_batch=1) as service:
                 registry = service.stats.registry
                 for name in list(registry.snapshot()["histograms"]):
-                    for i in range(600):
-                        registry.observe(name, 0.001 * i + 1e-9 * hash(name))
+                    for i in range(20_000):
+                        registry.observe(name, 1e-4 * (1 + i % 5000))
                 server = await serve_tcp(service, "127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 try:
@@ -235,10 +238,44 @@ class TestStatsWire:
                     await server.wait_closed()
 
         snap = run_async(drive())
-        assert len(json.dumps(snap)) > 1 << 16
+        assert len(json.dumps(snap)) < 1 << 14
         for key in ("queue_wait_seconds",) + PHASE_HISTOGRAMS:
-            assert snap[key]["count"] == 600
-            assert len(snap[key]["samples"]) == 512
+            assert snap[key]["count"] == 20_000
+            assert sum(snap[key]["buckets"][1]) == 20_000
+            assert snap[key]["min"] == 1e-4 and snap[key]["max"] == 0.5
+
+    @pytest.mark.parametrize("client", ["stats", "request"])
+    def test_clients_read_response_lines_past_64_kib(self, client):
+        """Result lines grow with the city and iteration counts, so the
+        client helpers read lines up to ``MAX_RESPONSE_LINE_BYTES``: a stub
+        server answers with a 1 MiB line, 16 times asyncio's default
+        stream limit."""
+        pad = "x" * (1 << 20)
+
+        async def answer(reader, writer):
+            obj = json.loads(await reader.readline())
+            if client == "stats":
+                reply = {"type": "stats", "id": obj["id"], "stats": {"pad": pad}}
+            else:
+                reply = {"type": "result", "id": obj["id"], "pad": pad}
+            writer.write((json.dumps(reply) + "\n").encode())
+            await writer.drain()
+            writer.close()
+
+        async def drive():
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                if client == "stats":
+                    return await stats_over_tcp("127.0.0.1", port)
+                _, final = await request_over_tcp("127.0.0.1", port, _request())
+                return final
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        assert MAX_RESPONSE_LINE_BYTES > len(pad) > 1 << 16
+        assert run_async(drive())["pad"] == pad
 
     def test_stats_op_echoes_id_and_interleaves_with_solves(self):
         async def drive():

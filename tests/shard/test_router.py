@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,13 @@ from repro.tsp import uniform_instance
 
 ITERATIONS = 5
 SIZES = (20, 26)
+
+
+def _buckets(snap: dict) -> Counter:
+    """A histogram snapshot's dense ``[offset, counts]`` buckets, keyed by
+    bucket index."""
+    offset, counts = snap["buckets"]
+    return Counter({offset + i: n for i, n in enumerate(counts) if n})
 
 
 def _requests() -> list[SolveRequest]:
@@ -150,7 +158,10 @@ def test_sharded_burst_bit_identical_with_exact_stats_fold():
         assert stats[key]["count"] == sum(
             shard[key]["count"] for shard in per_shard.values()
         )
-        assert "samples" not in stats[key]
+        # ... and so does every bucket: the fold is a bucket-wise add.
+        assert _buckets(stats[key]) == sum(
+            (_buckets(shard[key]) for shard in per_shard.values()), Counter()
+        )
     assert stats["request_latency_seconds"]["count"] == len(reqs)
     assert sum(s["submitted"] for s in per_shard.values()) == len(reqs)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import TSPError
+from repro.errors import TSPError, UnsupportedEdgeWeightError
 from repro.tsp.instance import TSPInstance
 
 TRI = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
@@ -37,6 +37,26 @@ class TestConstruction:
     def test_non_square_matrix(self):
         with pytest.raises(TSPError):
             TSPInstance(name="bad", explicit_matrix=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coords(self, bad):
+        coords = TRI.copy()
+        coords[1, 0] = bad
+        with pytest.raises(TSPError, match="'coords'"):
+            TSPInstance(name="bad", coords=coords)
+
+    def test_unsupported_edge_weight_type(self):
+        with pytest.raises(UnsupportedEdgeWeightError, match="'FOO'"):
+            TSPInstance(name="bad", coords=TRI, edge_weight_type="FOO")
+
+    def test_edge_weight_type_is_case_insensitive(self):
+        # As the distance table looks it up.
+        assert TSPInstance(name="tri", coords=TRI, edge_weight_type="euc_2d").n == 3
+
+    def test_explicit_instance_is_exempt_from_the_type_check(self):
+        m = np.array([[0, 2, 3], [2, 0, 4], [3, 4, 0]])
+        inst = TSPInstance(name="ex", coords=TRI, explicit_matrix=m, edge_weight_type="FOO")
+        assert inst.edge_weight_type == "EXPLICIT"
 
 
 class TestDistanceMatrix:
