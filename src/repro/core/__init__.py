@@ -34,7 +34,6 @@ from repro.core.construction import (
 )
 from repro.core.params import ACOParams
 from repro.core.pheromone import PHEROMONE_VERSIONS, PheromoneUpdate, make_pheromone
-from repro.core.reference import ReferenceAntColonySystem, ReferenceMaxMinAntSystem
 from repro.core.report import IterationReport, StageReport
 from repro.core.state import ColonyState
 from repro.core.variant import (
@@ -75,8 +74,6 @@ __all__ = [
     "PHEROMONE_VERSIONS",
     "VARIANTS",
     "VariantStrategy",
-    "ReferenceAntColonySystem",
-    "ReferenceMaxMinAntSystem",
     "make_construction",
     "make_pheromone",
     "make_variant",

@@ -14,10 +14,9 @@ colonies, backend-resident and safe inside the device-resident K-loop.
 
 :class:`MaxMinAntSystem` here is the ``B = 1`` view of the engine, built
 on the same :class:`~repro.core.colony.EngineView` base as
-:class:`~repro.core.colony.AntSystem`; the pre-redesign solo loop is
-retained verbatim as
-:class:`~repro.core.reference.ReferenceMaxMinAntSystem`, the parity oracle
-``tests/property/test_variant_parity.py`` pins the engine against.
+:class:`~repro.core.colony.AntSystem`.  What the pre-redesign solo loop
+computed is kept as recorded trajectories
+(``tests/property/data/solo_golden.json``) the engine is pinned to.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ sweeps and micro-batching service the Ant System does.
 
 The defining invariant extends the engine's solo equivalence: batch row
 ``b`` under variant V is bit-identical (tours, lengths, pheromone) to the
-retained solo reference implementation of V
-(:mod:`repro.core.reference`) seeded like that row —
+pre-redesign solo loop of V seeded like that row, whose trajectories are
+recorded in ``tests/property/data/solo_golden.json`` —
 ``tests/property/test_variant_parity.py`` pins it across B and K.
 """
 
@@ -206,8 +206,8 @@ class PseudoProportionalChoice(ChoicePolicy):
 
     The batched implementation advances all ``B * m`` ants through each
     step in single ``xp`` operations; row ``b`` is bit-identical to the
-    solo reference loop (:class:`repro.core.reference.ReferenceAntColonySystem`)
-    seeded like that row.  ``tau0`` here is the ACS value
+    recorded pre-redesign solo ACS loop seeded like that row.  ``tau0``
+    here is the ACS value
     ``1 / (n * C_nn)`` per colony, also used to (re-)initialise the
     pheromone stack at bind time.
     """

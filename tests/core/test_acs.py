@@ -1,9 +1,11 @@
 """Tests for the Ant Colony System extension.
 
-Construction/update internals are exercised on the retained solo reference
-loop (:class:`~repro.core.reference.ReferenceAntColonySystem`); run-level
-behaviour is exercised on the engine-backed :class:`AntColonySystem` view,
-which the parity suite pins bit-identical to the reference.
+Construction/update internals are exercised on the engine's ACS policies
+(:class:`~repro.core.variant.PseudoProportionalChoice`,
+:class:`~repro.core.variant.GlobalBestUpdate`) through a B=1
+:class:`AntColonySystem` view; run-level behaviour on the view itself,
+which ``tests/property/test_solo_golden.py`` pins to the recorded solo
+ACS loop.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import pytest
 
 from repro.core import ACOParams
 from repro.core.acs import ACSParams, AntColonySystem
-from repro.core.reference import ReferenceAntColonySystem
+from repro.core.variant import IterationContext
 from repro.errors import ACOConfigError
 from repro.simt.device import TESLA_C1060
 from repro.tsp.generator import uniform_instance
@@ -23,6 +25,34 @@ from repro.tsp.tour import validate_tour
 @pytest.fixture(scope="module")
 def instance():
     return uniform_instance(35, seed=3535)
+
+
+def construct(view: AntColonySystem):
+    """One ACS construction pass (choice kernel + pseudo-random-proportional
+    picks with local updates) on the view's engine; row 0's tours and
+    construction report."""
+    engine = view.engine
+    tours, _, reports = engine.variant.choice.build_batch(
+        engine.state, engine.construction, engine.choice_kernel, engine.rng, True
+    )
+    return tours[0], reports[0]
+
+
+def global_update(view: AntColonySystem):
+    """The ACS global update on the view's best-so-far record; row 0's
+    report."""
+    bs = view.engine.state
+    ctx = IterationContext(
+        iteration=bs.iteration,
+        it_best=np.zeros(1, dtype=np.int64),
+        it_best_lengths=bs.best_lengths,
+        best_lengths=bs.best_lengths,
+        best_tours=bs.best_tours,
+        improved=np.zeros(1, dtype=bool),
+        edges=np.zeros((1, bs.m, bs.n), dtype=np.int64),
+    )
+    update = view.engine.variant.update
+    return update.update_batch(bs, view.engine.pheromone, None, None, ctx, True)[0]
 
 
 class TestParams:
@@ -55,50 +85,49 @@ class TestInitialisation:
 
 class TestConstruction:
     def test_valid_tours(self, instance):
-        acs = ReferenceAntColonySystem(instance, ACOParams(seed=2))
-        tours, report = acs.construct()
+        acs = AntColonySystem(instance, ACOParams(seed=2))
+        tours, report = construct(acs)
         for t in tours:
             validate_tour(t, instance.n)
         assert report.stage == "construction"
         assert report.stats.rng_lcg > 0
 
     def test_q0_one_is_greedy(self, instance):
-        """q0 = 1: every ant moves deterministically to the best candidate,
-        so two runs from the same pheromone state make identical choices
-        (starts differ by seed only)."""
-        acs = ReferenceAntColonySystem(instance, ACOParams(seed=7), ACSParams(q0=1.0))
-        choice = acs._choice_info()
-        tours, _ = acs.construct()
-        # verify the first step of ant 0 was the greedy argmax
-        start = int(tours[0, 0])
-        row = choice[start].copy()
-        row[start] = -np.inf
-        assert tours[0, 1] == int(np.argmax(row))
+        """q0 = 1: every ant's first move is the greedy argmax of its start
+        row (local updates touch the trails, never this iteration's
+        ``choice_info``)."""
+        acs = AntColonySystem(instance, ACOParams(seed=7), ACSParams(q0=1.0))
+        tours, _ = construct(acs)
+        choice = acs.engine.state.choice_info[0]
+        for t in tours:
+            row = choice[t[0]].copy()
+            row[t[0]] = -np.inf
+            assert t[1] == int(np.argmax(row))
 
     def test_local_update_decays_toward_tau0(self, instance):
-        acs = ReferenceAntColonySystem(instance, ACOParams(seed=3), ACSParams(xi=0.5))
-        # inflate one edge artificially, then run a construction pass
+        acs = AntColonySystem(instance, ACOParams(seed=3), ACSParams(xi=0.5))
+        # inflate every trail, then run a construction pass
         acs.state.pheromone[:, :] = acs.tau0 * 100
         np.fill_diagonal(acs.state.pheromone, 0.0)
         before = acs.state.pheromone.copy()
-        acs.construct()
+        construct(acs)
         # every visited edge moved toward tau0 (decreased)
         changed = acs.state.pheromone < before - 1e-18
         assert changed.any()
         assert np.all(acs.state.pheromone[changed] >= acs.tau0 - 1e-18)
 
     def test_local_update_preserves_symmetry(self, instance):
-        acs = ReferenceAntColonySystem(instance, ACOParams(seed=4))
-        acs.construct()
+        acs = AntColonySystem(instance, ACOParams(seed=4))
+        construct(acs)
         np.testing.assert_allclose(acs.state.pheromone, acs.state.pheromone.T)
 
 
 class TestGlobalUpdate:
     def test_only_best_edges_touched(self, instance):
-        acs = ReferenceAntColonySystem(instance, ACOParams(seed=5), ACSParams(xi=0.01))
-        best, _ = acs.run_iteration()
+        acs = AntColonySystem(instance, ACOParams(seed=5), ACSParams(xi=0.01))
+        acs.run_iteration()
         tau_before = acs.state.pheromone.copy()
-        report = acs.global_update()
+        report = global_update(acs)
         assert report.stage == "pheromone"
         diff = ~np.isclose(acs.state.pheromone, tau_before, rtol=1e-15, atol=0)
         # changed cells must be exactly the best tour's (symmetric) edges
@@ -106,17 +135,19 @@ class TestGlobalUpdate:
         expected = np.zeros_like(diff)
         for a, b in zip(bt[:-1], bt[1:]):
             expected[a, b] = expected[b, a] = True
+        assert diff.any()
         assert not np.any(diff & ~expected)
 
     def test_deposit_strength(self, instance):
-        acs = ReferenceAntColonySystem(instance, ACOParams(seed=6, rho=0.5))
+        acs = AntColonySystem(instance, ACOParams(seed=6, rho=0.5))
         acs.run_iteration()
         bt = acs.state.best_tour
         a, b = int(bt[0]), int(bt[1])
         tau_before = float(acs.state.pheromone[a, b])
-        acs.global_update()
+        global_update(acs)
         expected = 0.5 * tau_before + 0.5 / acs.state.best_length
         assert acs.state.pheromone[a, b] == pytest.approx(expected)
+        assert acs.state.pheromone[b, a] == acs.state.pheromone[a, b]
 
 
 class TestRuns:

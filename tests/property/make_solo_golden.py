@@ -1,8 +1,9 @@
 """Write the golden solo-path results ``test_solo_golden.py`` pins.
 
 The fixture records what the solo paths proved, taken from the solo code
-itself (``repro.core.reference`` and ``DataParallelConstruction.build``),
-so the engine can be pinned to it once that code is gone:
+itself (the frozen ``ReferenceAntColonySystem`` /
+``ReferenceMaxMinAntSystem`` loops and the per-tile
+``DataParallelConstruction.build``) before that code was deleted:
 
 * **ACS / MMAS trajectories** of the frozen solo loops
   (``ReferenceAntColonySystem`` / ``ReferenceMaxMinAntSystem``) for every
@@ -20,6 +21,11 @@ so the engine can be pinned to it once that code is gone:
   solo build recorded step by step, for versions 7 and 8 at tiles 32 /
   64 / 128 on a 120-city grid (C1060), the heuristic tile rule at tile 32,
   and two single-tile sizes on the M2050.
+
+The checked-in file was recorded from that solo code, so the test proves
+the engine's batch kernels compute what it did.  Regenerating it runs the
+engine (:func:`engine_record`) and only re-pins whatever the code does
+now: do it for an intended numerical change, never to make a refactor pass.
 
 Run from the repository root::
 
@@ -248,61 +254,6 @@ def engine_record(name: str) -> dict:
     return predicted_ledger(name)
 
 
-# ------------------------------------------------------ solo recording
-
-
-def solo_record(name: str) -> dict:
-    """One case recorded from the solo code paths."""
-    from repro.core.choice import ChoiceKernel
-    from repro.core.reference import (
-        ReferenceAntColonySystem,
-        ReferenceMaxMinAntSystem,
-    )
-    from repro.core.state import ColonyState
-    from repro.rng import ParkMillerLCG
-
-    if name.startswith(VARIANTS):
-        variant, instance, params, iterations, branching = trajectory_spec(name)
-        if variant == "acs":
-            ref = ReferenceAntColonySystem(instance, params)
-            result = ref.run(iterations)
-            reinits = 0
-        else:
-            ref = ReferenceMaxMinAntSystem(instance, params)
-            result = ref.run(iterations, reinit_branching=branching)
-            reinits = ref.trail_reinitialisations
-        return trajectory_record(variant, result, ref.state.pheromone, reinits)
-
-    if name.startswith("tiled-"):
-        zero = name == "tiled-zero-choice"
-        if zero:
-            engine, seed = zero_choice_engine(), 5
-        else:
-            n_key, s_key = name.split("-")[1:]
-            engine, seed = tiled_engine(int(n_key[1:]), int(s_key[1:])), int(s_key[1:])
-        kernel = engine.construction
-        solo = engine.state.colony_view(0)
-        engine.state.sync_colony_view(solo)  # choice_info: a view of row 0
-        rng = ParkMillerLCG(n_streams=kernel.rng_streams(solo.n, solo.m), seed=seed)
-        if zero:
-            res = kernel.build(solo, rng)
-            return {
-                "tours": res.tours.tolist(),
-                "fallback_steps": int(res.fallback_steps),
-            }
-        return {
-            "tours_sha256": [
-                digest(kernel.build(solo, rng).tours) for _ in range(TILED_BUILDS)
-            ]
-        }
-
-    strategy, instance, params, device = ledger_spec(name)
-    state = ColonyState.create(instance, params, device)
-    ChoiceKernel().run(state)
-    res = strategy.build(state, ParkMillerLCG(n_streams=state.m * state.n, seed=5))
-    return ledger_record(res.report.stats, res.report.launch)
-
-
 def main() -> None:
     meta = {
         "iterations": ITERATIONS,
@@ -311,7 +262,7 @@ def main() -> None:
         "tiled_builds": TILED_BUILDS,
     }
     rows = ",\n".join(
-        f'  "{name}": {json.dumps(solo_record(name), sort_keys=True)}'
+        f'  "{name}": {json.dumps(engine_record(name), sort_keys=True)}'
         for name in CASES
     )
     OUT.parent.mkdir(exist_ok=True)

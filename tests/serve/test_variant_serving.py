@@ -4,18 +4,14 @@ The serve-side half of the variant redesign: ``BatchKey`` carries the
 variant, so same-geometry requests running different algorithms bucket
 separately, each packed batch runs one
 :class:`~repro.core.variant.VariantStrategy`, and every rider's final is
-bit-identical to its solo reference run.
+bit-identical to its solo (B=1 view) run.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import ACOParams, AntSystem
-from repro.core.reference import (
-    ReferenceAntColonySystem,
-    ReferenceMaxMinAntSystem,
-)
+from repro.core import ACOParams, AntColonySystem, AntSystem, MaxMinAntSystem
 from repro.errors import ACOConfigError, ServeError
 from repro.experiments.harness import run_service
 from repro.serve import SolveRequest
@@ -25,18 +21,14 @@ from repro.tsp import uniform_instance
 ITERATIONS = 4
 
 
+#: the B=1 engine view of each variant (pinned to the recorded solo loops
+#: by tests/property/test_solo_golden.py)
+VIEWS = {"as": AntSystem, "acs": AntColonySystem, "mmas": MaxMinAntSystem}
+
+
 def _solo_best(request: SolveRequest) -> int:
-    if request.variant == "acs":
-        return ReferenceAntColonySystem(
-            request.instance, request.params
-        ).run(request.iterations).best_length
-    if request.variant == "mmas":
-        return ReferenceMaxMinAntSystem(
-            request.instance, request.params
-        ).run(request.iterations).best_length
-    return AntSystem(request.instance, request.params).run(
-        request.iterations
-    ).best_length
+    view = VIEWS[request.variant](request.instance, request.params)
+    return view.run(request.iterations).best_length
 
 
 class TestVariantBucketing:
@@ -70,7 +62,7 @@ class TestVariantBucketing:
     def test_mixed_variant_burst_packs_per_variant(self):
         """Six same-geometry requests, two per variant, max_batch=2: the
         service must pack exactly one batch per variant and resolve every
-        rider bit-identical to its solo reference."""
+        rider bit-identical to its solo run."""
         inst = uniform_instance(14, seed=33)
         requests = [
             SolveRequest(
