@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
 import pytest
 
-from repro.core import ACOParams
+from benchmarks.conftest import update_inputs
 from repro.core.pheromone import ScatterGatherTiledPheromone
-from repro.core.state import ColonyState
 from repro.experiments.harness import pheromone_model_time
 from repro.simt.device import TESLA_C1060
-from repro.tsp.tour import random_tour, tour_lengths
+from repro.tsp.tour import edge_indices
 from repro.util.tables import Table
 
 pytestmark = pytest.mark.benchmark(group="ablation-tiling")
@@ -53,10 +51,7 @@ def test_untiled_always_worst_at_scale():
 
 @pytest.mark.parametrize("theta", [64, 256])
 def test_functional_tiled_update(benchmark, att48, theta):
-    state = ColonyState.create(att48, ACOParams(seed=5), TESLA_C1060)
-    rng = np.random.default_rng(9)
-    tours = np.stack([random_tour(state.n, rng) for _ in range(state.m)])
-    lengths = tour_lengths(tours, state.dist)
+    state, tours, lengths = update_inputs(att48, TESLA_C1060, 9)
     strategy = ScatterGatherTiledPheromone(theta=theta)
     benchmark.extra_info["theta"] = theta
-    benchmark(strategy.update, state, tours, lengths)
+    benchmark(strategy.update_batch, state, edge_indices(tours[None]), lengths[None])

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import emit_result
-from repro.core import ACOParams
+from benchmarks.conftest import update_inputs as make_update_inputs
 from repro.core.pheromone import make_pheromone
-from repro.core.state import ColonyState
 from repro.experiments.harness import run_experiment
 from repro.seq import SequentialAntSystem
 from repro.simt.device import TESLA_M2050
-from repro.tsp.tour import random_tour, tour_lengths
+from repro.tsp.tour import edge_indices
 
 pytestmark = pytest.mark.benchmark(group="fig5")
 
@@ -31,17 +29,14 @@ def test_regenerate_fig5(benchmark):
 
 @pytest.fixture(scope="module")
 def update_inputs(a280):
-    state = ColonyState.create(a280, ACOParams(seed=5), TESLA_M2050)
-    rng = np.random.default_rng(44)
-    tours = np.stack([random_tour(state.n, rng) for _ in range(state.m)])
-    return state, tours, tour_lengths(tours, state.dist)
+    return make_update_inputs(a280, TESLA_M2050, 44)
 
 
 def test_gpu_atomic_update_a280(benchmark, update_inputs):
     state, tours, lengths = update_inputs
     strategy = make_pheromone(1)
     benchmark.extra_info["side"] = "gpu_v1"
-    benchmark(strategy.update, state, tours, lengths)
+    benchmark(strategy.update_batch, state, edge_indices(tours[None]), lengths[None])
 
 
 def test_sequential_update_a280(benchmark, a280, update_inputs):

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import emit_result
-from repro.core import ACOParams
+from benchmarks.conftest import update_inputs as make_update_inputs
 from repro.core.pheromone import make_pheromone
-from repro.core.state import ColonyState
 from repro.experiments.harness import run_experiment
+from repro.tsp.tour import edge_indices
 from repro.simt.device import TESLA_C1060
-from repro.tsp.tour import random_tour, tour_lengths
 
 pytestmark = pytest.mark.benchmark(group="table3")
 
@@ -25,11 +23,7 @@ def test_regenerate_table3(benchmark):
 
 @pytest.fixture(scope="module")
 def update_inputs(att48):
-    state = ColonyState.create(att48, ACOParams(seed=5), TESLA_C1060)
-    rng = np.random.default_rng(42)
-    tours = np.stack([random_tour(state.n, rng) for _ in range(state.m)])
-    lengths = tour_lengths(tours, state.dist)
-    return state, tours, lengths
+    return make_update_inputs(att48, TESLA_C1060, 42)
 
 
 @pytest.mark.parametrize("version", range(1, 6))
@@ -39,4 +33,4 @@ def test_pheromone_update_att48(benchmark, update_inputs, version):
     strategy = make_pheromone(version)
     benchmark.extra_info["version"] = version
     benchmark.extra_info["label"] = strategy.label
-    benchmark(strategy.update, state, tours, lengths)
+    benchmark(strategy.update_batch, state, edge_indices(tours[None]), lengths[None])

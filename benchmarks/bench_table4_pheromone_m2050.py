@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import emit_result
-from repro.core import ACOParams
+from benchmarks.conftest import update_inputs as make_update_inputs
 from repro.core.pheromone import make_pheromone
-from repro.core.state import ColonyState
 from repro.experiments.harness import run_experiment
+from repro.tsp.tour import edge_indices
 from repro.simt.device import TESLA_M2050
-from repro.tsp.tour import random_tour, tour_lengths
 
 pytestmark = pytest.mark.benchmark(group="table4")
 
@@ -36,11 +34,7 @@ def test_atomics_native_vs_emulated_model():
 
 @pytest.fixture(scope="module")
 def update_inputs(kroC100):
-    state = ColonyState.create(kroC100, ACOParams(seed=5), TESLA_M2050)
-    rng = np.random.default_rng(43)
-    tours = np.stack([random_tour(state.n, rng) for _ in range(state.m)])
-    lengths = tour_lengths(tours, state.dist)
-    return state, tours, lengths
+    return make_update_inputs(kroC100, TESLA_M2050, 43)
 
 
 @pytest.mark.parametrize("version", range(1, 6))
@@ -48,4 +42,4 @@ def test_pheromone_update_kroC100(benchmark, update_inputs, version):
     state, tours, lengths = update_inputs
     strategy = make_pheromone(version)
     benchmark.extra_info["version"] = version
-    benchmark(strategy.update, state, tours, lengths)
+    benchmark(strategy.update_batch, state, edge_indices(tours[None]), lengths[None])

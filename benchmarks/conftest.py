@@ -15,11 +15,13 @@ from __future__ import annotations
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from repro.core import ACOParams
+from repro.core import ACOParams, BatchColonyState
 from repro.experiments.harness import ExperimentResult
 from repro.tsp import load_instance
+from repro.tsp.tour import random_tour, tour_lengths
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -31,6 +33,17 @@ def emit_result(result: ExperimentResult) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{result.id}.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def update_inputs(instance, device, seed: int):
+    """One colony (a one-row batch state) and a random tour per ant:
+    ``(bstate, tours, lengths)``, the tours ``(m, n + 1)``.  A pheromone
+    update times as ``update_batch(bstate, edge_indices(tours[None]),
+    lengths[None])``."""
+    bstate = BatchColonyState.create([instance], [ACOParams(seed=5)], device)
+    rng = np.random.default_rng(seed)
+    tours = np.stack([random_tour(bstate.n, rng) for _ in range(bstate.m)])
+    return bstate, tours, tour_lengths(tours, bstate.dist[0])
 
 
 @pytest.fixture(scope="session")

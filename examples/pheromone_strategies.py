@@ -16,11 +16,11 @@ import argparse
 import numpy as np
 
 from repro import ACOParams, DEVICES, load_instance
+from repro.core import BatchColonyState
 from repro.core.pheromone import PHEROMONE_VERSIONS
-from repro.core.state import ColonyState
 from repro.experiments.harness import pheromone_model_time
 from repro.tsp.suite import PAPER_INSTANCE_NAMES
-from repro.tsp.tour import random_tour, tour_lengths
+from repro.tsp.tour import edge_indices, random_tour, tour_lengths
 from repro.util.tables import Table
 
 
@@ -32,12 +32,13 @@ def main() -> None:
     instance = load_instance(args.instance)
     c1060, m2050 = DEVICES["c1060"], DEVICES["m2050"]
 
-    # One set of tours shared by every strategy.
+    # One set of tours shared by every strategy, as the (B, m, n) edge table
+    # and (B, m) lengths a one-colony batch update reads.
     rng = np.random.default_rng(7)
     n = instance.n
     tours = np.stack([random_tour(n, rng) for _ in range(n)])
-    dist = instance.distance_matrix()
-    lengths = tour_lengths(tours, dist)
+    edges = edge_indices(tours[None])
+    lengths = tour_lengths(tours, instance.distance_matrix())[None]
 
     table = Table(
         ["v", "kernel", "C1060 model ms", "M2050 model ms", "matrix equal?"],
@@ -47,8 +48,8 @@ def main() -> None:
     reference = None
     for version in sorted(PHEROMONE_VERSIONS):
         strategy = PHEROMONE_VERSIONS[version]()
-        state = ColonyState.create(instance, ACOParams(seed=1), m2050)
-        strategy.update(state, tours, lengths)
+        state = BatchColonyState.create([instance], [ACOParams(seed=1)], m2050)
+        strategy.update_batch(state, edges, lengths)
 
         if reference is None:
             reference = state.pheromone.copy()

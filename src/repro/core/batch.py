@@ -12,12 +12,12 @@ distinct instances of equal size.
 
 The engine's defining invariant is **solo equivalence**: batch row ``b``
 produces bit-identical tours, lengths and pheromone matrices to a solo
-:class:`~repro.core.colony.AntSystem` run configured like that row.  The
-batched RNG (:func:`repro.rng.make_batched_rng`) seeds stream block ``b``
-exactly as a solo generator would be, and every batched kernel consumes
-draws in the same per-step lockstep as its solo counterpart.
-:class:`~repro.core.colony.AntSystem` itself is the ``B = 1`` view of this
-engine, so the whole existing test-suite pins the batched path.
+:class:`~repro.core.colony.AntSystem` run configured like that row.  Every
+kernel exists once, over the batch; the solo run is the ``B = 1`` view of
+this engine.  The batched RNG (:func:`repro.rng.make_batched_rng`) seeds
+stream block ``b`` exactly as a one-colony generator would be, and every
+kernel consumes each colony's draws in per-step lockstep, so a row never
+depends on how many rows share the batch.
 
 Examples
 --------
@@ -261,7 +261,6 @@ class BatchColonyState:
             pheromone=self.pheromone[b],
             nn_list=self.nn_list[b],
             tau0=float(self.tau0[b]),
-            backend=self.backend,
         )
 
     @property
@@ -625,8 +624,7 @@ class BatchEngine:
     def _seed_fold(self) -> None:
         """(Re-)seed the backend-resident best-so-far fold from the host
         records — sentinel-initialised when nothing has run yet, so the
-        first iteration seeds the records exactly as a first
-        ``record_tours`` call would."""
+        first iteration's fold seeds the records."""
         bs = self.state
         xp = self.backend.xp
         if bs.best_lengths is None:
@@ -650,12 +648,13 @@ class BatchEngine:
         """Fold this iteration's results into the best-so-far records.
 
         Runs on the backend with the strict-improvement / first-argmin rule
-        ``record_tours`` applies on the host, so the fold is bit-identical
-        to per-iteration host bookkeeping.  The returned
+        (a row's best changes only on a strictly shorter tour, the first
+        shortest of the iteration), so the fold is bit-identical to
+        per-iteration host bookkeeping.  The returned
         :class:`~repro.core.variant.IterationContext` is what best-so-far
         update policies (ACS global-best, MMAS schedules) consume — the
-        records already include the current iteration, exactly as the solo
-        loops see them after ``record_tours``.  They are fresh arrays: the
+        records already include the current iteration, as the classical
+        ACS/MMAS loops record before they deposit.  They are fresh arrays: the
         engine's fold adopts them only once the iteration completes (see
         :meth:`_step`).
         """
@@ -686,8 +685,8 @@ class BatchEngine:
         Table II construction families, ACS through its own
         pseudo-random-proportional rule), the engine evaluates lengths and
         folds the best-so-far records, then the variant's update policy
-        applies the trail update — the fold-then-update order every solo
-        loop uses, so best-so-far deposits see the current iteration.
+        applies the trail update — the fold-then-update order of the
+        classical loops, so best-so-far deposits see the current iteration.
 
         Returns ``(tours, lengths, ctx, stages)`` with tours/lengths still
         backend-resident; ``stages`` is the per-row stage-report list when

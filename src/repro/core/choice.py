@@ -12,44 +12,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.report import StageReport, cached_stage_reports
-from repro.core.state import ColonyState
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import Kernel, LaunchConfig, grid_for
 from repro.simt.memory import AccessPattern, GlobalMemory
 
-__all__ = ["ChoiceKernel", "compute_choice", "compute_choice_batch"]
-
-
-def compute_choice(tau, eta, alpha: float, beta: float, *, xp=np, out=None):
-    """``tau^alpha * eta^beta`` with identity-exponent fast paths.
-
-    ``pow(x, 1.0)`` is required (and verified by the test-suite) to return
-    ``x`` bit-for-bit, so skipping the ``powf`` pass for the paper's default
-    ``alpha = 1`` never changes an output.  ``out`` (an ``(n, n)`` float64
-    buffer) receives the product when given, letting callers reuse one
-    allocation across iterations; it doubles as the scratch for whichever
-    power pass actually runs, so the common ``alpha = 1`` case performs no
-    per-call allocation at all.
-    """
-    # lint: hot-region
-    tau_p = tau if alpha == 1.0 else xp.power(tau, alpha, out=out)
-    eta_scratch = out if tau_p is tau else None
-    eta_p = eta if beta == 1.0 else xp.power(eta, beta, out=eta_scratch)
-    if out is None:
-        return tau_p * eta_p
-    return xp.multiply(tau_p, eta_p, out=out)
+__all__ = ["ChoiceKernel", "compute_choice_batch"]
 
 
 def compute_choice_batch(tau, eta, alpha, beta, *, xp=np, out=None, eta_pow=None):
-    """Batched :func:`compute_choice` with per-row ``(B,)`` exponent vectors.
+    """``tau^alpha * eta^beta`` on ``(B, n, n)`` stacks with per-row
+    ``(B,)`` exponent vectors and identity-exponent fast paths.
 
-    The fast path applies only when *every* row uses the identity exponent;
-    mixed batches take the full ``power`` pass, which is still bit-identical
-    row-for-row (``pow(x, 1.0) == x`` exactly).  ``eta_pow`` optionally
-    supplies a precomputed ``eta ** beta`` — both factors are
-    engine-constant, so callers with an arena hoist the (expensive) power
-    pass out of the iteration entirely; the product is bit-identical.
+    ``pow(x, 1.0)`` is required (and verified by the test-suite) to return
+    ``x`` bit-for-bit, so skipping the ``powf`` pass for the paper's default
+    ``alpha = 1`` never changes an output.  The fast path applies only when
+    *every* row uses the identity exponent; mixed batches take the full
+    ``power`` pass, which is still bit-identical row-for-row.  ``out`` (a
+    ``(B, n, n)`` float64 buffer) receives the product when given and
+    doubles as the scratch for whichever power pass runs, so the common
+    ``alpha = 1`` case allocates nothing.  ``eta_pow`` optionally supplies
+    a precomputed ``eta ** beta`` — both factors are engine-constant, so
+    callers with an arena hoist the (expensive) power pass out of the
+    iteration entirely; the product is bit-identical.
     """
     # lint: hot-region
     # Engine-constant branch select: alpha/beta never change during a run,
@@ -88,38 +73,16 @@ class ChoiceKernel(Kernel):
 
     # ---------------------------------------------------------------- run
 
-    def run(self, state: ColonyState) -> StageReport:
-        """Compute ``state.choice_info`` in place and account the kernel.
-
-        The matrix lives in the state's arena: choice_info is rebound every
-        iteration and nothing retains the previous one, so recycling the
-        allocation removes an n² (or B·n² in :meth:`run_batch`) alloc per
-        iteration.
-        """
-        params = state.params
-        xp = state.backend.xp
-        choice = compute_choice(
-            state.pheromone,
-            state.eta,
-            params.alpha,
-            params.beta,
-            xp=xp,
-            out=state.work.get("choice.out", (state.n, state.n), np.float64),
-        )
-        diag = xp.arange(state.n)
-        choice[diag, diag] = 0.0
-        state.choice_info = choice
-
-        stats, launch = self.predict_stats(state.n, state.device)
-        return StageReport(stage="choice", kernel=self.name, stats=stats, launch=launch)
-
     def run_batch(self, bstate, collect: bool = True) -> list[StageReport]:
         """Refresh ``bstate.choice_info`` (``(B, n, n)``) for all colonies.
 
-        One elementwise pass with per-row exponents — row ``b`` is
-        bit-identical to the solo :meth:`run` on colony ``b``.
-        ``collect=False`` skips report materialization (iterations between
-        ``report_every`` boundaries) and returns an empty list.
+        One elementwise pass with per-row exponents, so row ``b`` depends
+        only on colony ``b``.  The matrix lives in the state's arena:
+        choice_info is rebound every iteration and nothing retains the
+        previous one, so recycling the allocation removes a B·n² alloc per
+        iteration.  ``collect=False`` skips report materialization
+        (iterations between ``report_every`` boundaries) and returns an
+        empty list.
         """
         xp = bstate.backend.xp
         wb = bstate.work

@@ -6,11 +6,7 @@ registry key, or pass a ready-made strategy through unchanged.
 
 from __future__ import annotations
 
-from repro.core.construction.base import (
-    ConstructionResult,
-    TourConstruction,
-    expected_fallback_steps,
-)
+from repro.core.construction.base import TourConstruction, expected_fallback_steps
 from repro.core.construction.dataparallel import (
     DataParallelConstruction,
     DataParallelTextureConstruction,
@@ -26,14 +22,13 @@ from repro.core.construction.taskbased import (
     BaselineTaskConstruction,
     ChoiceKernelTaskConstruction,
     DeviceRngTaskConstruction,
-    construct_exact,
+    construct_exact_batch,
 )
 
 __all__ = [
     "TourConstruction",
-    "ConstructionResult",
     "expected_fallback_steps",
-    "construct_exact",
+    "construct_exact_batch",
     "BaselineTaskConstruction",
     "ChoiceKernelTaskConstruction",
     "DeviceRngTaskConstruction",

@@ -2,12 +2,13 @@
 
 All eight Table II variants implement :class:`TourConstruction`:
 
-* :meth:`~TourConstruction.build` — the functional simulation: produce one
-  valid closed tour per ant and a :class:`~repro.core.report.StageReport`
-  whose ledger records the kernel work;
+* :meth:`~TourConstruction.build_batch` — the functional kernel: one valid
+  closed tour per ant for every colony of a
+  :class:`~repro.core.batch.BatchColonyState` (a single colony is a batch
+  of one), with one :class:`~repro.core.report.StageReport` per colony;
 * :meth:`~TourConstruction.predict_stats` — the closed-form ledger for a
-  problem size, used by the experiment harness at sizes where a functional
-  run is unnecessary and by tests to cross-check the simulation.
+  problem size: the reports' ledgers, and the experiment harness's at
+  sizes where a functional run is unnecessary.
 
 The task-based variants (1-6) share the *exact* random-proportional rule
 (they differ in where the data lives and how randoms are produced); the
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.report import StageReport, cached_stage_reports
-from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
 from repro.rng.streams import DeviceRNG
 from repro.simt.counters import KernelStats
@@ -34,7 +34,6 @@ from repro.simt.kernel import Kernel, LaunchConfig
 
 __all__ = [
     "TourConstruction",
-    "ConstructionResult",
     "BatchConstructionResult",
     "best_unvisited",
     "min_off_diagonal",
@@ -71,20 +70,12 @@ def min_off_diagonal(choice: np.ndarray, xp=np) -> float:
 
 
 @dataclass
-class ConstructionResult:
-    """Functional output of a construction build."""
-
-    tours: np.ndarray  # (m, n + 1) int32 closed tours
-    report: StageReport
-    fallback_steps: float = 0.0  # exhausted-row fallbacks (task-based rules)
-
-
-@dataclass
 class BatchConstructionResult:
-    """Functional output of a batched build over ``B`` independent colonies.
+    """Functional output of a build over ``B`` independent colonies.
 
-    Row ``b`` of every field is bit-identical to what a solo
-    :meth:`TourConstruction.build` with colony ``b``'s seed produces.
+    Row ``b`` of every field depends only on colony ``b`` (its trails,
+    its generator streams), never on how many rows share the batch: a
+    one-row batch seeded like row ``b`` builds the same row.
     """
 
     tours: np.ndarray  # (B, m, n + 1) int32 closed tours
@@ -97,10 +88,10 @@ class TourConstruction(Kernel, abc.ABC):
 
     Class attributes identify the paper row: ``version`` (1-8), ``key``
     (stable registry id) and ``label`` (the row label as printed in the
-    paper).  ``needs_choice_info`` tells the colony whether to run the
+    paper).  ``needs_choice_info`` tells the engine whether to run the
     Choice kernel first (version 1 famously does not, recomputing the
-    heuristic on the fly); ``rng_kind`` selects the random stream the colony
-    hands to :meth:`build`.
+    heuristic on the fly); ``rng_kind`` selects the random stream the engine
+    hands to :meth:`build_batch`.
     """
 
     version: int = 0
@@ -112,9 +103,6 @@ class TourConstruction(Kernel, abc.ABC):
     # ------------------------------------------------------------ interface
 
     @abc.abstractmethod
-    def build(self, state: ColonyState, rng: DeviceRNG) -> ConstructionResult:
-        """Construct one tour per ant, recording kernel work."""
-
     def build_batch(
         self, bstate, rng: DeviceRNG, collect: bool = True
     ) -> BatchConstructionResult:
@@ -123,16 +111,13 @@ class TourConstruction(Kernel, abc.ABC):
         ``bstate`` is a :class:`~repro.core.batch.BatchColonyState`; ``rng``
         must hold ``B * rng_streams(n, m)`` streams laid out colony-major
         (see :func:`repro.rng.make_batched_rng`).  Row ``b`` of the result is
-        bit-identical to a solo :meth:`build` on colony ``b`` alone.
+        bit-identical to a one-row build of colony ``b`` seeded alike.
 
         ``collect=False`` skips per-colony report materialization (the
         ``report_every=K`` run loop only reports at K-boundaries);
         the returned ``reports`` list is then empty.  The tours themselves
         are identical either way.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement batched construction"
-        )
 
     @abc.abstractmethod
     def predict_stats(
@@ -158,14 +143,6 @@ class TourConstruction(Kernel, abc.ABC):
         the data-parallel kernels override with one per (ant, city))."""
         return m
 
-    @staticmethod
-    def _validate_state(state: ColonyState) -> None:
-        if state.choice_info is None:
-            raise ACOConfigError(
-                "construction requires choice_info; run the Choice kernel first "
-                "(the colony does this automatically)"
-            )
-
     def _batch_reports(self, bstate, fallbacks) -> list[StageReport]:
         """Per-colony construction reports; rows and boundaries with equal
         fallback counts share one closed-form ledger (the stats are pure
@@ -183,6 +160,16 @@ class TourConstruction(Kernel, abc.ABC):
             bstate, self, (float(fb) for fb in fallbacks), build
         )
 
+    @staticmethod
+    def _choice_info(bstate) -> np.ndarray:
+        """``bstate.choice_info``, which the Choice kernel must have filled."""
+        if bstate.choice_info is None:
+            raise ACOConfigError(
+                "construction requires choice_info; run the Choice kernel "
+                "first (the engine does this automatically)"
+            )
+        return bstate.choice_info
+
     def _validate_batch_rng(self, rng: DeviceRNG, B: int, n: int, m: int) -> None:
         need = B * self.rng_streams(n, m)
         if rng.n_streams != need:
@@ -190,11 +177,6 @@ class TourConstruction(Kernel, abc.ABC):
                 f"batched {self.key} construction needs exactly {need} rng "
                 f"streams for B={B} colonies, got {rng.n_streams}"
             )
-
-    @staticmethod
-    def close_tours(tours_body: np.ndarray) -> np.ndarray:
-        """Append the closing city column to an ``(m, n)`` permutation set."""
-        return np.concatenate([tours_body, tours_body[:, :1]], axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} v{self.version} {self.label!r}>"

@@ -42,20 +42,17 @@ import numpy as np
 
 from repro.core.construction.base import (
     BatchConstructionResult,
-    ConstructionResult,
     TourConstruction,
     best_unvisited,
     min_off_diagonal,
 )
-from repro.core.report import StageReport
-from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
 from repro.rng.streams import BlockedDraws, DeviceRNG
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import LaunchConfig
-from repro.simt.memory import AccessPattern, GlobalMemory, TextureMemory
-from repro.simt.reduction import block_argmax, reduction_stage_count
+from repro.simt.memory import AccessPattern, GlobalMemory
+from repro.simt.reduction import reduction_stage_count
 
 __all__ = ["DataParallelConstruction", "DataParallelTextureConstruction"]
 
@@ -116,115 +113,23 @@ class DataParallelConstruction(TourConstruction):
 
     # ----------------------------------------------------------------- build
 
-    def build(self, state: ColonyState, rng: DeviceRNG) -> ConstructionResult:
-        self._validate_state(state)
-        assert state.choice_info is not None
-        n, m, device = state.n, state.m, state.device
-        xp = state.backend.xp
-        if rng.n_streams < m * n:
-            raise ACOConfigError(
-                f"data-parallel construction needs m*n={m * n} rng streams, "
-                f"got {rng.n_streams}"
-            )
-        choice = state.choice_info
-        theta = self.tile_width(device, n)
-        spans = self._tile_spans(n, theta)
-
-        stats = KernelStats()
-        launch = self.launch_config(device, n=n, m=m)
-        self.record_launch(stats, launch)
-        gmem = GlobalMemory(device, stats)
-        tex = TextureMemory(device, stats)
-
-        ant_idx = xp.arange(m)
-        tours = xp.empty((m, n + 1), dtype=np.int32)
-        visited = xp.zeros((m, n), dtype=bool)
-        fallbacks = 0
-
-        # One draw vector per step through BlockedDraws (bit-identical to
-        # per-step uniform() calls; the ledger charge below is unchanged).
-        draws = BlockedDraws(rng, n, work=state.work, key="dp_solo.rng")
-
-        start = xp.minimum((draws.next()[:m] * n).astype(np.int64), n - 1)
-        stats.rng_lcg += m
-        tours[:, 0] = start
-        visited[ant_idx, start] = True
-        cur = start
-
-        for step in range(1, n):
-            u = draws.next().reshape(m, n)
-            stats.rng_lcg += float(m) * n
-
-            rows = choice[cur]  # (m, n) coalesced row reads
-            if self.choice_via_texture:
-                tex.load(float(m) * n, 4)
-            else:
-                gmem.load(float(m) * n, 4, AccessPattern.COALESCED)
-
-            w = rows * u * ~visited
-            stats.flops += 2.0 * m * n  # two multiplies per thread
-            stats.int_ops += 2.0 * m * n  # register-tabu bit select + index
-            stats.smem_accesses += float(m) * n  # product written to shared
-
-            # Per-tile partial winners via the block reduction.
-            tile_city = xp.empty((m, len(spans)), dtype=np.int64)
-            tile_val = xp.empty((m, len(spans)), dtype=np.float64)
-            for t, (lo, hi) in enumerate(spans):
-                idx, val = block_argmax(w[:, lo:hi], stats, xp=xp)
-                tile_city[:, t] = idx + lo
-                tile_val[:, t] = val
-            stats.serial_barriers += float(
-                sum(reduction_stage_count(hi - lo) + 1 for lo, hi in spans)
-            )
-
-            # Final selection among tile winners.
-            stats.int_ops += float(m) * len(spans)
-            if self.tile_rule == "product" or len(spans) == 1:
-                pick = xp.argmax(tile_val, axis=1)
-            else:
-                # Heuristic rule: compare winners by raw choice value, but a
-                # tile whose every city is visited (value 0) cannot win.
-                winner_choice = choice[cur[:, None], tile_city]
-                winner_choice = xp.where(tile_val > 0.0, winner_choice, -np.inf)
-                pick = xp.argmax(winner_choice, axis=1)
-                stats.int_ops += float(m) * len(spans)
-            nxt = tile_city[ant_idx, pick]
-            # Every unvisited product 0: the argmax fell on a lowest index
-            # that may be visited; take the best unvisited city instead.
-            dead = xp.flatnonzero(w[ant_idx, nxt] == 0.0)
-            if dead.size:
-                nxt[dead] = best_unvisited(choice[cur[dead]], visited[dead], xp)
-                fallbacks += dead.size
-
-            visited[ant_idx, nxt] = True
-            tours[:, step] = nxt
-            gmem.store(float(m), 4, AccessPattern.RANDOM)
-            cur = nxt
-
-        tours[:, n] = tours[:, 0]
-        report = StageReport(
-            stage="construction", kernel=self.key, stats=stats, launch=launch
-        )
-        return ConstructionResult(
-            tours=tours, report=report, fallback_steps=float(fallbacks)
-        )
-
     def build_batch(
         self, bstate, rng: DeviceRNG, collect: bool = True
     ) -> BatchConstructionResult:
         """Batched I-Roulette: ``B`` colonies advance through every step in
         one set of vectorized array operations.
 
-        The per-step math is the solo :meth:`build` with a leading batch
-        axis; the per-row RNG draws, tile reductions and tie-breaks are
-        bit-identical to a solo run seeded like row ``b``.  The ledger is
-        deterministic for this kernel (``predict_stats`` mirrors ``build``
-        exactly), so per-colony reports come from the closed form.
+        Each row's RNG draws, tile reductions and tie-breaks depend only on
+        that colony: row ``b`` is bit-identical to a one-row build seeded
+        like it.  The ledger is deterministic for this kernel, so per-colony
+        reports come from the closed form (:meth:`predict_stats`).
 
         Under the default product rule the best tile winner is the row's
         argmax (lowest index on ties) at any tile count, so each step takes
         one argmax over the row; only the ``"heuristic"`` rule keeps
-        per-tile winners.
+        per-tile winners.  The tours equal those of the kernel that elects
+        per-tile winners by block reduction (pinned by
+        ``tests/property/test_solo_golden.py``).
 
         Each step does the kernel's own work and nothing else: seven calls,
         bound once per build, of which only the fill and the sign flip run
@@ -286,11 +191,7 @@ class DataParallelConstruction(TourConstruction):
         xp = bstate.backend.xp
         wb = bstate.work
         self._validate_batch_rng(rng, B, n, m)
-        if bstate.choice_info is None:
-            raise ACOConfigError(
-                "batched construction requires choice_info; run the Choice "
-                "kernel first (the engine does this automatically)"
-            )
+        choice_info = self._choice_info(bstate)
         theta = self.tile_width(device, n)
         spans = self._tile_spans(n, theta)
 
@@ -302,9 +203,9 @@ class DataParallelConstruction(TourConstruction):
             return wb.cached(f"dp.{key}.{B}x{m}x{n}", builder)
 
         # Flattened mega-colony layout: B * m ants, ant b*m+a reading choice
-        # rows b*n + city — every per-step op keeps the solo 2-D shape.
+        # rows b*n + city — every per-step op keeps a 2-D (ants, cities) shape.
         M = B * m
-        choice_rows = xp.ascontiguousarray(bstate.choice_info).reshape(B * n, n)
+        choice_rows = xp.ascontiguousarray(choice_info).reshape(B * n, n)
         row_off = _const(
             "row_off", lambda: xp.repeat(xp.arange(B, dtype=np.int64) * n, m)
         )  # (M,)
@@ -424,10 +325,11 @@ class DataParallelConstruction(TourConstruction):
         *,
         fallback_steps: float = 0.0,
     ) -> tuple[KernelStats, LaunchConfig]:
-        """Closed-form ledger mirroring :meth:`build` exactly.
+        """Closed-form ledger of one build, per colony.
 
         Derived independently from the kernel geometry (tiles, reduction
-        depths); ``tests/core`` asserts simulate == predict.
+        depths); ``tests/property/test_solo_golden.py`` holds it equal to
+        the ledgers a per-step simulation of the kernel measured.
         """
         stats = KernelStats()
         launch = self.launch_config(device, n=n, m=m)

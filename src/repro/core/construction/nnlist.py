@@ -24,19 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.construction.base import (
-    BatchConstructionResult,
-    ConstructionResult,
-    TourConstruction,
-)
+from repro.core.construction.base import BatchConstructionResult, TourConstruction
 from repro.core.construction.taskbased import (
     DIVERGENCE_FRACTION,
     WALK_LOADS_PER_CAND,
-    construct_exact,
     construct_exact_batch,
 )
-from repro.core.report import StageReport
-from repro.core.state import ColonyState
 from repro.rng.streams import DeviceRNG
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -132,36 +125,13 @@ class NNListConstruction(TourConstruction):
 
     # ----------------------------------------------------------------- build
 
-    def build(self, state: ColonyState, rng: DeviceRNG) -> ConstructionResult:
-        self._validate_state(state)
-        assert state.choice_info is not None
-        tours, fallbacks = construct_exact(
-            state.choice_info, state.nn_list, rng, state.m, state.n,
-            xp=state.backend.xp,
-            work=state.work,
-        )
-        stats, launch = self.predict_stats(
-            state.n, state.m, state.nn, state.device, fallback_steps=fallbacks
-        )
-        report = StageReport(
-            stage="construction", kernel=self.key, stats=stats, launch=launch
-        )
-        return ConstructionResult(tours=tours, report=report, fallback_steps=fallbacks)
-
     def build_batch(
         self, bstate, rng: DeviceRNG, collect: bool = True
     ) -> BatchConstructionResult:
         B, n, m = bstate.B, bstate.n, bstate.m
         self._validate_batch_rng(rng, B, n, m)
-        if bstate.choice_info is None:
-            from repro.errors import ACOConfigError
-
-            raise ACOConfigError(
-                "batched construction requires choice_info; run the Choice "
-                "kernel first (the engine does this automatically)"
-            )
         tours, fallbacks = construct_exact_batch(
-            bstate.choice_info,
+            self._choice_info(bstate),
             bstate.nn_list,
             rng,
             B,

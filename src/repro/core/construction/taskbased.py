@@ -42,12 +42,9 @@ import numpy as np
 from repro.backend import WorkBuffers
 from repro.core.construction.base import (
     BatchConstructionResult,
-    ConstructionResult,
     TourConstruction,
     best_unvisited,
 )
-from repro.core.report import StageReport
-from repro.core.state import ColonyState
 from repro.rng.streams import DeviceRNG
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -58,7 +55,6 @@ __all__ = [
     "BaselineTaskConstruction",
     "ChoiceKernelTaskConstruction",
     "DeviceRngTaskConstruction",
-    "construct_exact",
     "construct_exact_batch",
 ]
 
@@ -72,57 +68,6 @@ DIVERGENCE_FRACTION = 0.25
 WALK_LOADS_PER_CAND = 0.5
 
 
-def construct_exact(
-    choice: np.ndarray,
-    nn_list: np.ndarray | None,
-    rng: DeviceRNG,
-    m: int,
-    n: int,
-    xp=np,
-    *,
-    work: WorkBuffers,
-) -> tuple[np.ndarray, float]:
-    """Exact random-proportional construction, vectorised across ants.
-
-    This is the functional semantics shared by all task-based kernels
-    (versions 1-6): ants are placed randomly, then each step applies the
-    proportional rule over the candidate set — all cities (``nn_list is
-    None``) or the nearest-neighbour list.  Either rule falls back to the
-    best unvisited ``choice`` when its candidates carry no weight.
-
-    Parameters
-    ----------
-    choice:
-        ``(n, n)`` proportional weights (``tau^alpha * eta^beta``), zero
-        diagonal, finite and non-negative elsewhere.
-    nn_list:
-        ``(n, nn)`` candidate lists or ``None`` for the full rule.
-    rng:
-        Per-ant streams; must have at least ``m`` streams.
-    m, n:
-        Ants and cities.
-    work:
-        Scratch arena on ``xp``'s backend (see :func:`construct_exact_batch`).
-
-    Returns
-    -------
-    (tours, fallback_steps):
-        ``(m, n + 1)`` closed ``int32`` tours; number of exhausted-row
-        fallback steps.
-    """
-    tours, fallbacks = construct_exact_batch(
-        choice[None],
-        None if nn_list is None else nn_list[None],
-        rng,
-        1,
-        m,
-        n,
-        xp=xp,
-        work=work,
-    )
-    return tours[0], float(fallbacks[0])
-
-
 def construct_exact_batch(
     choice: np.ndarray,
     nn_list: np.ndarray | None,
@@ -134,15 +79,24 @@ def construct_exact_batch(
     *,
     work: WorkBuffers,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`construct_exact`: ``B`` colonies in one vectorized pass.
+    """Exact random-proportional construction for ``B`` colonies in one
+    vectorized pass.
 
-    ``choice`` is ``(B, n, n)`` and ``nn_list`` ``(B, n, nn)`` (either may be
-    a broadcast view with a length-1 batch axis); ``rng`` holds ``B * m``
-    streams laid out colony-major.  Row ``b`` of the returned tours and the
-    per-colony fallback counts are bit-identical to a solo
-    ``construct_exact(choice[b], nn_list[b], rng_b, m, n)`` with colony
-    ``b``'s own generator — the steps draw one dart vector per colony per
-    step in lockstep, exactly as the solo loop does.
+    This is the functional semantics shared by all task-based kernels
+    (versions 1-6): ants are placed randomly, then each step applies the
+    proportional rule over the candidate set — all cities (``nn_list is
+    None``) or the nearest-neighbour list.  Either rule falls back to the
+    best unvisited ``choice`` when its candidates carry no weight.
+
+    ``choice`` is ``(B, n, n)`` proportional weights (``tau^alpha *
+    eta^beta``, zero diagonal, finite and non-negative elsewhere) and
+    ``nn_list`` ``(B, n, nn)`` candidate lists or ``None`` (either may be a
+    broadcast view with a length-1 batch axis); ``rng`` holds ``B * m``
+    streams (or more per colony, of which each colony's leading ``m`` are
+    read) laid out colony-major.  The steps draw one dart vector per colony
+    per step in lockstep, so row ``b`` of the returned tours and the
+    per-colony fallback counts depend only on colony ``b``'s inputs and
+    generator, never on how many rows share the batch.
 
     Returns
     -------
@@ -154,9 +108,9 @@ def construct_exact_batch(
     -----
     The batch is executed as one flattened mega-colony of ``B * m`` ants
     over a block-diagonal choice structure: ant ``b * m + a`` reads choice
-    rows ``b * n + city``.  Every per-step operation then has exactly the
-    solo code's 2-D shape (rows = ants), which is both the fastest numpy
-    layout and trivially equivalent row-for-row.
+    rows ``b * n + city``.  Every per-step operation then has exactly a
+    one-colony 2-D shape (rows = ants), which is both the fastest numpy
+    layout and trivially independent row-for-row.
 
     Each step works on ``(k, B * m)`` tables — ``k`` candidates (``nn``, or
     ``n`` for the full rule) down, ants across — so every pass streams
@@ -234,9 +188,8 @@ def construct_exact_batch(
 
     # One colony-major dart vector per step.  With one stream per ant the
     # row already is the flat (M,) layout, larger stream counts slice the
-    # leading m streams of every colony block (what the solo code's
-    # ``[:m]`` does) — a view of the draw row, taken once and consumed in
-    # the (B, m) shape.
+    # leading m streams of every colony block — a view of the draw row,
+    # taken once and consumed in the (B, m) shape.
     draws = BlockedDraws(rng, n, work=work, key="taskexact.rng")
     darts = draws.row.reshape(B, -1)[:, :m]
 
@@ -403,25 +356,6 @@ class _TaskBasedFull(TourConstruction):
         block = min(TASK_BLOCK, device.max_threads_per_block)
         return LaunchConfig(grid=grid_for(m, block), block=block, regs_per_thread=24)
 
-    def build(self, state: ColonyState, rng: DeviceRNG) -> ConstructionResult:
-        choice = self._choice_matrix(state)
-        tours, fallbacks = construct_exact(
-            choice,
-            None,
-            rng,
-            state.m,
-            state.n,
-            xp=state.backend.xp,
-            work=state.work,
-        )
-        stats, launch = self.predict_stats(
-            state.n, state.m, state.nn, state.device, fallback_steps=fallbacks
-        )
-        report = StageReport(
-            stage="construction", kernel=self.key, stats=stats, launch=launch
-        )
-        return ConstructionResult(tours=tours, report=report, fallback_steps=fallbacks)
-
     def build_batch(
         self, bstate, rng: DeviceRNG, collect: bool = True
     ) -> BatchConstructionResult:
@@ -444,23 +378,10 @@ class _TaskBasedFull(TourConstruction):
             fallback_steps=fallbacks,
         )
 
-    def _choice_matrix(self, state: ColonyState) -> np.ndarray:
-        """Weights used by the proportional rule (versions 2-3 read
-        ``choice_info``; version 1 overrides to recompute on the fly)."""
-        self._validate_state(state)
-        assert state.choice_info is not None
-        return state.choice_info
-
     def _choice_matrix_batch(self, bstate) -> np.ndarray:
-        """Batched counterpart of :meth:`_choice_matrix`: ``(B, n, n)``."""
-        if bstate.choice_info is None:
-            from repro.errors import ACOConfigError
-
-            raise ACOConfigError(
-                "batched construction requires choice_info; run the Choice "
-                "kernel first (the engine does this automatically)"
-            )
-        return bstate.choice_info
+        """Weights used by the proportional rule, ``(B, n, n)``: versions
+        2-3 read ``choice_info``, version 1 overrides to recompute them."""
+        return self._choice_info(bstate)
 
     def predict_stats(
         self,
@@ -513,19 +434,9 @@ class BaselineTaskConstruction(_TaskBasedFull):
     flops_per_cand = 3.0
     int_per_cand = 3.0
 
-    def _choice_matrix(self, state: ColonyState) -> np.ndarray:
+    def _choice_matrix_batch(self, bstate) -> np.ndarray:
         # Functionally identical to the on-the-fly computation; the *cost*
         # of recomputation is charged per candidate in predict_stats.
-        from repro.core.choice import compute_choice
-
-        p = state.params
-        xp = state.backend.xp
-        w = compute_choice(state.pheromone, state.eta, p.alpha, p.beta, xp=xp)
-        diag = xp.arange(state.n)
-        w[diag, diag] = 0.0
-        return w
-
-    def _choice_matrix_batch(self, bstate) -> np.ndarray:
         from repro.core.choice import compute_choice_batch
 
         xp = bstate.backend.xp

@@ -7,7 +7,7 @@ registry key, or pass a ready-made strategy through unchanged.
 from __future__ import annotations
 
 from repro.core.pheromone.atomic import AtomicPheromone, AtomicSharedPheromone
-from repro.core.pheromone.base import PheromoneUpdate, deposit_all, evaporate
+from repro.core.pheromone.base import PheromoneUpdate
 from repro.core.pheromone.reduction import ReductionPheromone
 from repro.core.pheromone.scatter_gather import (
     ScatterGatherPheromone,
@@ -16,8 +16,6 @@ from repro.core.pheromone.scatter_gather import (
 
 __all__ = [
     "PheromoneUpdate",
-    "evaporate",
-    "deposit_all",
     "AtomicSharedPheromone",
     "AtomicPheromone",
     "ReductionPheromone",

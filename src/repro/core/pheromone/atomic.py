@@ -26,12 +26,9 @@ import numpy as np
 from repro.core.pheromone.base import (
     PheromoneUpdate,
     deposit_all_batch,
-    evaporate,
     evaporate_batch,
 )
 from repro.core.report import StageReport, cached_stage_reports
-from repro.core.state import ColonyState
-from repro.simt.atomics import AtomicModel
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import LaunchConfig, grid_for
@@ -82,27 +79,6 @@ class AtomicSharedPheromone(PheromoneUpdate):
 
     # ------------------------------------------------------------------ run
 
-    def update(
-        self, state: ColonyState, tours: np.ndarray, lengths: np.ndarray
-    ) -> StageReport:
-        evaporate(state)
-        # Deposit functionally, measuring real atomic contention.
-        stats_probe = KernelStats()
-        atomics = AtomicModel(state.device, stats_probe)
-        n = state.n
-        frm = tours[:, :-1].astype(np.int64)
-        to = tours[:, 1:].astype(np.int64)
-        values = np.broadcast_to(
-            (1.0 / lengths.astype(np.float64))[:, None], frm.shape
-        ).ravel()
-        atomics.add_float(state.pheromone, (frm * n + to).ravel(), values)
-        atomics.add_float(state.pheromone, (to * n + frm).ravel(), values)
-
-        stats, launch = self.predict_stats(
-            state.n, state.m, state.device, hot_degree=stats_probe.atomic_hot_degree
-        )
-        return StageReport(stage="pheromone", kernel=self.key, stats=stats, launch=launch)
-
     def update_batch(
         self, bstate, edges: np.ndarray, lengths: np.ndarray, collect: bool = True
     ) -> list[StageReport]:
@@ -110,8 +86,9 @@ class AtomicSharedPheromone(PheromoneUpdate):
 
         The hottest-cell multiplicity is measured once per row, on the
         forward edges of the edge table: the backward counts are their
-        transpose, so the maximum equals the solo path's two ``add_float``
-        probes' accumulated hot degree.  The hot degree feeds only the
+        transpose, so the maximum is also the hot degree of the backward
+        deposits' atomics (see :func:`_row_hot_degree`).  The hot degree
+        feeds only the
         report's cost model, so ``collect=False`` skips the
         (bincount-heavy) measurement along with report materialization —
         the pheromone stack itself is updated identically.

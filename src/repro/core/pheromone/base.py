@@ -9,12 +9,12 @@ All five Table III/IV variants compute the *same* mathematical update
 
 They differ only in the execution strategy — atomics vs scatter-to-gather,
 tiling, symmetric thread halving — i.e. in the *ledger* they record.  The
-functional arithmetic therefore lives here once, and the test-suite asserts
-all variants leave bit-identical pheromone matrices.  Float addition order
-is fixed: the batched deposit sums each cell's deposits in ant-major input
-order with one weighted ``bincount`` (``np.add.at`` on huge instances), and
-the solo :func:`deposit_all` folds them one by one through the backend's
-``scatter_add``.
+functional arithmetic therefore lives here once (:func:`evaporate_batch`,
+:func:`deposit_all_batch`, on a ``(B, n, n)`` stack of which a single
+colony is a batch of one), and the test-suite asserts all variants leave
+bit-identical pheromone matrices.  Float addition order is fixed: the
+deposit sums each cell's deposits in ant-major input order with one
+weighted ``bincount`` (``scatter_add`` on huge instances).
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ import abc
 import numpy as np
 
 from repro.core.report import StageReport, cached_stage_reports
-from repro.core.state import ColonyState
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import Kernel, LaunchConfig
 
 __all__ = [
     "PheromoneUpdate",
-    "evaporate",
-    "deposit_all",
     "evaporate_batch",
     "deposit_all_batch",
 ]
@@ -47,39 +44,16 @@ _BINCOUNT_CELL_LIMIT = 1 << 22
 _BINCOUNT_SCRATCH_LIMIT = 1 << 24
 
 
-def evaporate(state: ColonyState) -> None:
-    """In-place evaporation ``tau *= (1 - rho)`` (paper eq. 2)."""
-    state.pheromone *= 1.0 - state.params.rho
-
-
 def evaporate_batch(bstate) -> None:
-    """Per-colony evaporation on a ``(B, n, n)`` pheromone stack.
-
-    Elementwise multiply with a per-row ``(1 - rho)`` — bit-identical to the
-    solo scalar multiply on each row.
-    """
+    """In-place evaporation ``tau *= (1 - rho)`` (paper eq. 2) on a
+    ``(B, n, n)`` pheromone stack, with a per-row ``(1 - rho)``."""
     # lint: hot-region
     bstate.pheromone *= (1.0 - bstate.rho)[:, None, None]
 
 
-def deposit_all(state: ColonyState, tours: np.ndarray, lengths: np.ndarray) -> None:
-    """Symmetric deposit of every ant's ``1/C_k`` (paper eqs. 3-4), in place."""
-    bk = state.backend
-    xp = bk.xp
-    n = state.n
-    frm = tours[:, :-1].astype(np.int64)
-    to = tours[:, 1:].astype(np.int64)
-    deltas = (1.0 / lengths.astype(np.float64))[:, None]
-    values = xp.broadcast_to(deltas, frm.shape).ravel()
-    flat_fw = (frm * n + to).ravel()
-    flat_bw = (to * n + frm).ravel()
-    flat_tau = state.pheromone.reshape(-1)
-    bk.scatter_add(flat_tau, flat_fw, values)
-    bk.scatter_add(flat_tau, flat_bw, values)
-
-
 def deposit_all_batch(bstate, edges: np.ndarray, lengths: np.ndarray) -> None:
-    """Batched symmetric deposit over the iteration's edge table, in place.
+    """Symmetric deposit of every ant's ``1/C_k`` (paper eqs. 3-4) over the
+    iteration's edge table, in place.
 
     ``edges`` is the ``(B, m, n)`` ant-major table of global flat indices
     from :func:`~repro.tsp.tour.tour_lengths_batch`.  One weighted
@@ -88,9 +62,8 @@ def deposit_all_batch(bstate, edges: np.ndarray, lengths: np.ndarray) -> None:
     ``(j, i)`` are the forward ones into ``(i, j)``, in the same order, so
     ``Sᵀ`` is bit-identical to a backward ``bincount``.  The path taken
     depends only on per-colony quantities, so a row's result is independent
-    of how many rows share the batch.  Folding cell totals can differ in
-    the last ulp from :func:`deposit_all`'s per-deposit folding.  Deposit
-    values live in the ``work`` arena (keys ``"dep.delta"``, ``"dep.vals"``).
+    of how many rows share the batch.  Deposit values live in the ``work``
+    arena (keys ``"dep.delta"``, ``"dep.vals"``).
     """
     # lint: hot-region
     bk = bstate.backend
@@ -148,12 +121,6 @@ class PheromoneUpdate(Kernel, abc.ABC):
     version: int = 0
     key: str = ""
     label: str = ""
-
-    @abc.abstractmethod
-    def update(
-        self, state: ColonyState, tours: np.ndarray, lengths: np.ndarray
-    ) -> StageReport:
-        """Apply the update in place, returning the stage report."""
 
     def update_batch(
         self, bstate, edges: np.ndarray, lengths: np.ndarray, collect: bool = True

@@ -15,10 +15,8 @@ occupancy effect the cost model reproduces through the grid-fill throttle.
 
 from __future__ import annotations
 
-from repro.core.pheromone.base import PheromoneUpdate, deposit_all, evaporate
+from repro.core.pheromone.base import PheromoneUpdate
 from repro.core.pheromone.scatter_gather import SCAN_INT_OPS
-from repro.core.report import StageReport
-from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -46,16 +44,6 @@ class ReductionPheromone(PheromoneUpdate):
         return LaunchConfig(
             grid=grid_for(cells_half, block), block=block, smem_per_block=4 * block
         )
-
-    # ------------------------------------------------------------------ run
-
-    def update(
-        self, state: ColonyState, tours: np.ndarray, lengths: np.ndarray
-    ) -> StageReport:
-        evaporate(state)
-        deposit_all(state, tours, lengths)
-        stats, launch = self.predict_stats(state.n, state.m, state.device)
-        return StageReport(stage="pheromone", kernel=self.key, stats=stats, launch=launch)
 
     # --------------------------------------------------------------- ledger
 

@@ -24,11 +24,7 @@ natural way to write this kernel on CC 1.x, and what the ledger assumes.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.pheromone.base import PheromoneUpdate, deposit_all, evaporate
-from repro.core.report import StageReport
-from repro.core.state import ColonyState
+from repro.core.pheromone.base import PheromoneUpdate
 from repro.errors import ACOConfigError
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
@@ -61,16 +57,6 @@ class ScatterGatherPheromone(PheromoneUpdate):
         return LaunchConfig(
             grid=grid_for(n * n, block), block=block, smem_per_block=smem
         )
-
-    # ------------------------------------------------------------------ run
-
-    def update(
-        self, state: ColonyState, tours: np.ndarray, lengths: np.ndarray
-    ) -> StageReport:
-        evaporate(state)
-        deposit_all(state, tours, lengths)
-        stats, launch = self.predict_stats(state.n, state.m, state.device)
-        return StageReport(stage="pheromone", kernel=self.key, stats=stats, launch=launch)
 
     # --------------------------------------------------------------- ledger
 

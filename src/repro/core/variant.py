@@ -134,9 +134,9 @@ class IterationContext:
 
     Produced by the engine **after** the tour evaluation and the
     backend-resident best-so-far fold of the current iteration, **before**
-    the pheromone update — exactly the point where the solo ACS/MMAS loops
-    call ``record_tours`` and then deposit.  All arrays live on the
-    engine's backend.
+    the pheromone update — exactly the point where the classical ACS/MMAS
+    loops record the iteration's best and then deposit.  All arrays live on
+    the engine's backend.
     """
 
     iteration: int  #: engine iteration counter (pre-increment, 0-based)
@@ -502,8 +502,8 @@ class TrailLimitsUpdate(UpdatePolicy):
         B, n = bstate.B, bstate.n
         assert self.tau_max is not None and self.tau_min is not None
 
-        # Limits follow a freshly improved best-so-far (the solo loop's
-        # _set_limits call after record_tours).  Masked math instead of an
+        # Limits follow a freshly improved best-so-far (recomputed as soon
+        # as the best is recorded).  Masked math instead of an
         # index gate: no host sync inside the device-resident K-loop, and
         # bit-identical — unimproved rows keep their tau_max verbatim, and
         # tau_min recomputed from an unchanged tau_max reproduces the same

@@ -16,7 +16,7 @@ there are flagged, except:
   builds on the host *by design*);
 * ``numpy.random.*`` — that is the determinism rule's jurisdiction.
 
-Host-side setup code (``create()``, solo reference paths) has no ``xp``
+Host-side setup code (``create()``, pure-host helpers) has no ``xp``
 in sight and is naturally out of scope.
 """
 

@@ -8,8 +8,8 @@ import pytest
 from repro.backend import get_backend
 from repro.backend.registry import ENV_VAR
 from repro.core import ACOParams, AntSystem, BatchEngine, ChoiceKernel
-from repro.core.choice import compute_choice, compute_choice_batch
-from repro.core.state import ColonyState
+from repro.core.batch import BatchColonyState
+from repro.core.choice import compute_choice_batch
 from repro.errors import BackendError
 from repro.simt.device import TESLA_M2050
 from repro.tsp import uniform_instance
@@ -55,9 +55,9 @@ class TestEngineBackendParameter:
         engine = BatchEngine(instance, ACOParams(seed=1))
         assert engine.backend.name == "numpy"
 
-    def test_colony_state_create_accepts_backend(self, instance):
-        st = ColonyState.create(
-            instance, ACOParams(seed=1), TESLA_M2050, backend="numpy"
+    def test_batch_state_create_accepts_backend(self, instance):
+        st = BatchColonyState.create(
+            [instance], [ACOParams(seed=1)], TESLA_M2050, backend="numpy"
         )
         assert st.backend.name == "numpy"
         assert isinstance(st.pheromone, np.ndarray)
@@ -98,10 +98,11 @@ class TestChoiceFastPath:
         assert a.state.choice_info is not b.state.choice_info
 
     def test_compute_choice_identity_exponents_alias_inputs(self):
-        tau = np.random.default_rng(1).random((6, 6))
-        eta = np.random.default_rng(2).random((6, 6))
-        out = np.empty((6, 6))
-        got = compute_choice(tau, eta, 1.0, 1.0, out=out)
+        tau = np.random.default_rng(1).random((1, 6, 6))
+        eta = np.random.default_rng(2).random((1, 6, 6))
+        out = np.empty((1, 6, 6))
+        ones = np.ones(1)
+        got = compute_choice_batch(tau, eta, ones, ones, out=out)
         assert got is out
         np.testing.assert_array_equal(out, tau * eta)
 

@@ -7,29 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchEngine
-from repro.core.choice import ChoiceKernel
 from repro.core.construction.dataparallel import (
     DataParallelConstruction,
     DataParallelTextureConstruction,
 )
 from repro.core.params import ACOParams
-from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
-from repro.rng import ParkMillerLCG
+from repro.rng import ParkMillerLCG, make_batched_rng
 from repro.simt.device import TESLA_C1060
-from repro.tsp import uniform_instance
 from repro.tsp.tour import validate_tour
+from tests.helpers import one_row_state
 
 
 def make_state(instance, device=TESLA_C1060, nn=10, seed=3):
-    st = ColonyState.create(instance, ACOParams(seed=seed, nn=nn), device)
-    ChoiceKernel().run(st)
-    return st
+    return one_row_state(instance, ACOParams(seed=seed, nn=nn), device)
 
 
 def make_rng(state, seed=5):
     return ParkMillerLCG(n_streams=state.m * state.n, seed=seed)
+
+
+def build(strategy, state, rng):
+    """One collected build of the one-row state: row 0's tours and report."""
+    res = strategy.build_batch(state, rng)
+    return res.tours[0], res.reports[0]
 
 
 class TestConfig:
@@ -57,101 +58,78 @@ class TestConfig:
 class TestFunctional:
     def test_valid_tours_single_tile(self, small_instance):
         st = make_state(small_instance)
-        res = DataParallelConstruction(tile=64).build(st, make_rng(st))
-        for t in res.tours:
+        tours, _ = build(DataParallelConstruction(tile=64), st, make_rng(st))
+        for t in tours:
             validate_tour(t, st.n)
 
     def test_valid_tours_multi_tile(self, medium_instance):
         st = make_state(medium_instance)
-        res = DataParallelConstruction(tile=64).build(st, make_rng(st))
+        tours, _ = build(DataParallelConstruction(tile=64), st, make_rng(st))
         assert st.n > 64  # really tiled
-        for t in res.tours:
+        for t in tours:
             validate_tour(t, st.n)
 
     def test_texture_variant_same_tours(self, small_instance):
         st = make_state(small_instance)
-        a = DataParallelConstruction(tile=64).build(st, make_rng(st, 9)).tours
-        b = DataParallelTextureConstruction(tile=64).build(st, make_rng(st, 9)).tours
+        a, _ = build(DataParallelConstruction(tile=64), st, make_rng(st, 9))
+        b, _ = build(DataParallelTextureConstruction(tile=64), st, make_rng(st, 9))
         np.testing.assert_array_equal(a, b)
 
     def test_product_rule_tile_invariant(self, medium_instance):
         """With the product rule, the winner is the global argmax — the tile
         partition must not change the tours."""
         st = make_state(medium_instance)
-        a = DataParallelConstruction(tile=32).build(st, make_rng(st, 4)).tours
-        b = DataParallelConstruction(tile=128).build(st, make_rng(st, 4)).tours
+        a, _ = build(DataParallelConstruction(tile=32), st, make_rng(st, 4))
+        b, _ = build(DataParallelConstruction(tile=128), st, make_rng(st, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_heuristic_rule_differs_under_tiling(self, medium_instance):
         st = make_state(medium_instance)
         prod = DataParallelConstruction(tile=32, tile_rule="product")
         heur = DataParallelConstruction(tile=32, tile_rule="heuristic")
-        a = prod.build(st, make_rng(st, 4)).tours
-        b = heur.build(st, make_rng(st, 4)).tours
+        a, _ = build(prod, st, make_rng(st, 4))
+        b, _ = build(heur, st, make_rng(st, 4))
         assert not np.array_equal(a, b)
 
     def test_insufficient_streams_raises(self, small_instance):
         st = make_state(small_instance)
         with pytest.raises(ACOConfigError, match="rng streams"):
-            DataParallelConstruction().build(st, ParkMillerLCG(st.m, 1))
+            DataParallelConstruction().build_batch(st, ParkMillerLCG(st.m, 1))
 
     def test_prefers_high_choice(self, small_instance):
         st = make_state(small_instance)
-        st.choice_info[:, :] = 1e-9
-        st.choice_info[:, 7] = 1e9
-        np.fill_diagonal(st.choice_info, 0.0)
-        res = DataParallelConstruction(tile=64).build(st, make_rng(st, 11))
-        for t in res.tours:
+        choice = st.choice_info[0]
+        choice[:, :] = 1e-9
+        choice[:, 7] = 1e9
+        np.fill_diagonal(choice, 0.0)
+        tours, _ = build(DataParallelConstruction(tile=64), st, make_rng(st, 11))
+        for t in tours:
             if t[0] != 7:
                 assert t[1] == 7
+
+    def test_rows_independent_of_batch(self, small_instance):
+        """Row b of a two-colony build equals a one-row build seeded like it."""
+        from repro.core.batch import BatchColonyState
+        from repro.core.choice import ChoiceKernel
+
+        params = [ACOParams(seed=s, nn=10) for s in (3, 8)]
+        pair = BatchColonyState.create([small_instance] * 2, params, TESLA_C1060)
+        ChoiceKernel().run_batch(pair, collect=False)
+        strategy = DataParallelConstruction(tile=32)
+        streams = strategy.rng_streams(pair.n, pair.m)
+        both = strategy.build_batch(pair, make_batched_rng("lcg", streams, [5, 9]))
+        for b, seed in enumerate((5, 9)):
+            lone = make_state(small_instance, seed=params[b].seed)
+            tours, _ = build(strategy, lone, make_rng(lone, seed))
+            np.testing.assert_array_equal(both.tours[b], tours)
+            assert both.fallback_steps[b] == 0
 
 
 class TestSingleTileFastPath:
     """Under the product rule ``build_batch`` takes one argmax over the
-    whole row at any tile count; it must pick the same cities as the solo
-    tiled ``build``, which still elects per-tile winners (block_argmax)."""
-
-    @staticmethod
-    def _pair(n, seed):
-        """A B=1 engine at tile=32 and its row as a solo state + RNG."""
-        engine = BatchEngine(
-            uniform_instance(n, seed=n), ACOParams(seed=seed, nn=10),
-            construction=8, construction_options={"tile": 32},
-        )
-        kernel = engine.construction
-        assert kernel.tile_width(engine.state.device, n) < n  # really tiled
-        engine.choice_kernel.run_batch(engine.state, collect=False)
-        solo = engine.state.colony_view(0)
-        engine.state.sync_colony_view(solo)  # choice_info: a view of row 0
-        rng = ParkMillerLCG(n_streams=kernel.rng_streams(n, solo.m), seed=seed)
-        return engine, solo, rng
-
-    @pytest.mark.parametrize("seed", [2, 17])
-    @pytest.mark.parametrize("n", [33, 48, 64, 300])
-    def test_row_argmax_equals_solo_tiled_build(self, n, seed):
-        engine, solo, rng = self._pair(n, seed)
-        kernel = engine.construction
-        for _ in range(3):  # the RNG advances: three different tour sets
-            batch = kernel.build_batch(engine.state, engine.rng, collect=False)
-            tiled = kernel.build(solo, rng).tours
-            np.testing.assert_array_equal(batch.tours[0], tiled)
-        for t in tiled:
-            validate_tour(t, n)
-
-    def test_zero_choice_ties_resolve_alike(self):
-        """Tied +0.0 products and all-zero rows: both paths take the best
-        unvisited city (the lowest, as all remaining weights are 0), count
-        the same fallbacks and build valid tours."""
-        engine, solo, rng = self._pair(48, 5)
-        # Cities 20+ always tie at +0.0; once an ant has visited the first
-        # 20, its whole product row is zero.
-        engine.state.choice_info[:, :, 20:] = 0.0
-        batch = engine.construction.build_batch(engine.state, engine.rng, collect=False)
-        tiled = engine.construction.build(solo, rng)
-        np.testing.assert_array_equal(batch.tours[0], tiled.tours)
-        assert batch.fallback_steps[0] == tiled.fallback_steps > 0
-        for t in tiled.tours:
-            validate_tour(t, 48)
+    whole row at any tile count; the tours it must build — those of the
+    per-tile (block_argmax) kernel — are pinned by
+    ``tests/property/test_solo_golden.py``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -173,25 +151,17 @@ class TestSingleTileFastPath:
         )
 
 
-class TestPredictMatchesSimulate:
-    """The core cross-validation: independent closed forms == recorded runs."""
-
-    @pytest.mark.parametrize("tile", [32, 64, 128])
-    @pytest.mark.parametrize("cls", [DataParallelConstruction, DataParallelTextureConstruction])
-    def test_exact_ledger_match(self, cls, tile, medium_instance):
+class TestPredictMatchesReports:
+    def test_report_is_closed_form(self, medium_instance):
+        """Per-colony reports carry the closed-form ledger, which
+        ``tests/property/test_solo_golden.py`` holds equal to the ledgers a
+        per-step simulation measured."""
         st = make_state(medium_instance)
-        strategy = cls(tile=tile)
-        res = strategy.build(st, make_rng(st))
+        strategy = DataParallelConstruction(tile=64)
+        _, report = build(strategy, st, make_rng(st))
         pred, launch = strategy.predict_stats(st.n, st.m, st.nn, TESLA_C1060)
-        assert res.report.stats.approx_equal(pred), res.report.stats.diff(pred)
-        assert res.report.launch == launch
-
-    def test_heuristic_rule_ledger_match(self, medium_instance):
-        st = make_state(medium_instance)
-        strategy = DataParallelConstruction(tile=32, tile_rule="heuristic")
-        res = strategy.build(st, make_rng(st))
-        pred, _ = strategy.predict_stats(st.n, st.m, st.nn, TESLA_C1060)
-        assert res.report.stats.approx_equal(pred), res.report.stats.diff(pred)
+        assert report.stats == pred
+        assert report.launch == launch
 
 
 class TestLedgers:

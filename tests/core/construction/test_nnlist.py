@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.core.choice import ChoiceKernel
 from repro.core.construction.base import expected_fallback_steps
 from repro.core.construction.nnlist import (
     NNListConstruction,
@@ -15,17 +14,15 @@ from repro.core.construction.nnlist import (
     tabu_layout,
 )
 from repro.core.params import ACOParams
-from repro.core.state import ColonyState
 from repro.rng import ParkMillerLCG
 from repro.simt.device import TESLA_C1060, TESLA_M2050
 from repro.tsp.tour import validate_tour
+from tests.helpers import one_row_state
 
 
 @pytest.fixture
 def state(small_instance):
-    st = ColonyState.create(small_instance, ACOParams(seed=3, nn=10), TESLA_C1060)
-    ChoiceKernel().run(st)
-    return st
+    return one_row_state(small_instance, ACOParams(seed=3, nn=10), TESLA_C1060)
 
 
 class TestTabuLayout:
@@ -60,8 +57,8 @@ class TestFunctional:
         "cls", [NNListConstruction, NNListSharedConstruction, NNListTextureConstruction]
     )
     def test_valid_tours(self, cls, state):
-        res = cls().build(state, ParkMillerLCG(state.m, 5))
-        for t in res.tours:
+        res = cls().build_batch(state, ParkMillerLCG(state.m, 5))
+        for t in res.tours[0]:
             validate_tour(t, state.n)
 
     def test_all_three_versions_same_tours(self, state):
@@ -69,15 +66,15 @@ class TestFunctional:
         import numpy as np
 
         tours = [
-            cls().build(state, ParkMillerLCG(state.m, 77)).tours
+            cls().build_batch(state, ParkMillerLCG(state.m, 77)).tours
             for cls in (NNListConstruction, NNListSharedConstruction, NNListTextureConstruction)
         ]
         np.testing.assert_array_equal(tours[0], tours[1])
         np.testing.assert_array_equal(tours[1], tours[2])
 
     def test_fallbacks_counted(self, state):
-        res = NNListConstruction().build(state, ParkMillerLCG(state.m, 5))
-        assert res.fallback_steps > 0  # nn=10 on n=40 always exhausts eventually
+        res = NNListConstruction().build_batch(state, ParkMillerLCG(state.m, 5))
+        assert res.fallback_steps[0] > 0  # nn=10 on n=40 always exhausts eventually
 
 
 class TestLedgers:
@@ -119,11 +116,13 @@ class TestLedgers:
 
     def test_build_matches_prediction(self, state):
         strategy = NNListSharedConstruction()
-        res = strategy.build(state, ParkMillerLCG(state.m, 5))
+        res = strategy.build_batch(state, ParkMillerLCG(state.m, 5))
         pred, _ = strategy.predict_stats(
-            state.n, state.m, state.nn, TESLA_C1060, fallback_steps=res.fallback_steps
+            state.n, state.m, state.nn, TESLA_C1060,
+            fallback_steps=float(res.fallback_steps[0]),
         )
-        assert res.report.stats.approx_equal(pred), res.report.stats.diff(pred)
+        report = res.reports[0]
+        assert report.stats.approx_equal(pred), report.stats.diff(pred)
 
     def test_shared_block_sized_by_tabu(self):
         _, launch = NNListSharedConstruction().predict_stats(1002, 1002, 30, TESLA_C1060)
@@ -141,8 +140,8 @@ class TestFallbackModel:
         rng = ParkMillerLCG(state.m, 5)
         measured = []
         for _ in range(4):
-            res = strategy.build(state, rng)
-            measured.append(res.fallback_steps)
+            res = strategy.build_batch(state, rng, collect=False)
+            measured.append(float(res.fallback_steps[0]))
         mean = float(np.mean(measured[1:]))
         model = expected_fallback_steps(state.n, state.m, state.nn)
         assert 0.3 * model <= mean <= 3.0 * model

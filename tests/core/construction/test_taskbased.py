@@ -10,52 +10,51 @@ from repro.core.construction.taskbased import (
     BaselineTaskConstruction,
     ChoiceKernelTaskConstruction,
     DeviceRngTaskConstruction,
-    construct_exact,
+    construct_exact_batch,
 )
-from repro.core.choice import ChoiceKernel
 from repro.core.params import ACOParams
-from repro.core.state import ColonyState
 from repro.rng import ParkMillerLCG, XorwowRNG
 from repro.simt.device import TESLA_C1060
 from repro.tsp.tour import validate_tour
+from tests.helpers import one_row_state
 
 
 @pytest.fixture
 def state(small_instance):
-    st = ColonyState.create(small_instance, ACOParams(seed=3, nn=10), TESLA_C1060)
-    ChoiceKernel().run(st)
-    return st
+    return one_row_state(small_instance, ACOParams(seed=3, nn=10), TESLA_C1060)
+
+
+def construct(choice, nn_list, rng, m, n):
+    """One colony through the task-based kernel: ``(m, n + 1)`` tours and
+    its fallback count."""
+    tours, fallbacks = construct_exact_batch(
+        choice[None], None if nn_list is None else nn_list[None], rng, 1, m, n,
+        work=WorkBuffers(),
+    )
+    return tours[0], float(fallbacks[0])
 
 
 class TestConstructExact:
     def test_full_rule_valid_tours(self, state):
         rng = ParkMillerLCG(n_streams=state.m, seed=1)
-        tours, fb = construct_exact(
-            state.choice_info, None, rng, state.m, state.n, work=WorkBuffers()
-        )
+        tours, fb = construct(state.choice_info[0], None, rng, state.m, state.n)
         assert fb == 0.0
         for t in tours:
             validate_tour(t, state.n)
 
     def test_nnlist_rule_valid_tours(self, state):
         rng = ParkMillerLCG(n_streams=state.m, seed=1)
-        tours, fb = construct_exact(
-            state.choice_info, state.nn_list, rng, state.m, state.n,
-            work=WorkBuffers(),
+        tours, fb = construct(
+            state.choice_info[0], state.nn_list[0], rng, state.m, state.n
         )
         assert fb >= 0.0
         for t in tours:
             validate_tour(t, state.n)
 
     def test_deterministic(self, state):
-        a, _ = construct_exact(
-            state.choice_info, None, ParkMillerLCG(state.m, 7), state.m, state.n,
-            work=WorkBuffers(),
-        )
-        b, _ = construct_exact(
-            state.choice_info, None, ParkMillerLCG(state.m, 7), state.m, state.n,
-            work=WorkBuffers(),
-        )
+        choice = state.choice_info[0]
+        a, _ = construct(choice, None, ParkMillerLCG(state.m, 7), state.m, state.n)
+        b, _ = construct(choice, None, ParkMillerLCG(state.m, 7), state.m, state.n)
         np.testing.assert_array_equal(a, b)
 
     def test_full_rule_falls_back_on_zero_weight_rows(self):
@@ -65,9 +64,7 @@ class TestConstructExact:
         choice = np.random.default_rng(1).uniform(0.5, 1.5, (n, n))
         np.fill_diagonal(choice, 0.0)
         choice[:, 5:] = 0.0
-        tours, fb = construct_exact(
-            choice, None, ParkMillerLCG(n, 3), n, n, work=WorkBuffers()
-        )
+        tours, fb = construct(choice, None, ParkMillerLCG(n, 3), n, n)
         fallbacks = 0
         for t in tours:
             validate_tour(t, n)
@@ -82,9 +79,7 @@ class TestConstructExact:
         np.fill_diagonal(choice, 0.0)
         choice[:, 5] = 1e6  # city 5 overwhelms from everywhere
         rng = ParkMillerLCG(n_streams=state.m, seed=2)
-        tours, _ = construct_exact(
-            choice, None, rng, state.m, state.n, work=WorkBuffers()
-        )
+        tours, _ = construct(choice, None, rng, state.m, state.n)
         # Every ant that does not start at 5 must visit 5 second.
         for t in tours:
             if t[0] != 5:
@@ -99,25 +94,25 @@ class TestVersions:
     def test_build_produces_valid_tours(self, cls, state):
         strategy = cls()
         rng_cls = XorwowRNG if strategy.rng_kind == "curand" else ParkMillerLCG
-        res = strategy.build(state, rng_cls(n_streams=state.m, seed=5))
-        assert res.tours.shape == (state.m, state.n + 1)
-        for t in res.tours:
+        res = strategy.build_batch(state, rng_cls(n_streams=state.m, seed=5))
+        assert res.tours.shape == (1, state.m, state.n + 1)
+        for t in res.tours[0]:
             validate_tour(t, state.n)
-        assert res.report.stage == "construction"
+        assert res.reports[0].stage == "construction"
 
     def test_v1_works_without_choice_info(self, small_instance):
-        st = ColonyState.create(small_instance, ACOParams(seed=3), TESLA_C1060)
+        st = one_row_state(small_instance, ACOParams(seed=3), TESLA_C1060, choice=False)
         assert st.choice_info is None
-        res = BaselineTaskConstruction().build(st, XorwowRNG(st.m, 1))
-        for t in res.tours:
+        res = BaselineTaskConstruction().build_batch(st, XorwowRNG(st.m, 1))
+        for t in res.tours[0]:
             validate_tour(t, st.n)
 
     def test_v2_requires_choice_info(self, small_instance):
         from repro.errors import ACOConfigError
 
-        st = ColonyState.create(small_instance, ACOParams(seed=3), TESLA_C1060)
+        st = one_row_state(small_instance, ACOParams(seed=3), TESLA_C1060, choice=False)
         with pytest.raises(ACOConfigError, match="choice_info"):
-            ChoiceKernelTaskConstruction().build(st, XorwowRNG(st.m, 1))
+            ChoiceKernelTaskConstruction().build_batch(st, XorwowRNG(st.m, 1))
 
 
 class TestLedgers:
@@ -152,11 +147,13 @@ class TestLedgers:
 
     def test_build_records_prediction(self, state):
         strategy = DeviceRngTaskConstruction()
-        res = strategy.build(state, ParkMillerLCG(state.m, 5))
+        res = strategy.build_batch(state, ParkMillerLCG(state.m, 5))
         pred, _ = strategy.predict_stats(
-            state.n, state.m, state.nn, TESLA_C1060, fallback_steps=res.fallback_steps
+            state.n, state.m, state.nn, TESLA_C1060,
+            fallback_steps=float(res.fallback_steps[0]),
         )
-        assert res.report.stats.approx_equal(pred), res.report.stats.diff(pred)
+        report = res.reports[0]
+        assert report.stats.approx_equal(pred), report.stats.diff(pred)
 
     def test_launch_one_thread_per_ant(self):
         _, launch = DeviceRngTaskConstruction().predict_stats(

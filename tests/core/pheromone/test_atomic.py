@@ -7,72 +7,84 @@ import pytest
 
 from repro.core.params import ACOParams
 from repro.core.pheromone.atomic import AtomicPheromone, AtomicSharedPheromone
-from repro.core.state import ColonyState
 from repro.simt.device import TESLA_C1060, TESLA_M2050
-from repro.tsp.tour import random_tour, tour_lengths
+from repro.tsp.tour import edge_indices, random_tour, tour_lengths
+from tests.helpers import one_row_state
+
+
+def colony(instance, **params):
+    return one_row_state(instance, ACOParams(seed=3, **params), TESLA_M2050, choice=False)
+
+
+def update(strategy, state, tours, lengths):
+    """One update of the one-row state from an ``(m, n + 1)`` tour set;
+    row 0's report."""
+    return strategy.update_batch(state, edge_indices(tours[None]), lengths[None])[0]
 
 
 @pytest.fixture
 def state(small_instance):
-    return ColonyState.create(small_instance, ACOParams(seed=3, rho=0.5), TESLA_M2050)
+    return colony(small_instance, rho=0.5)
 
 
 @pytest.fixture
 def tours_and_lengths(state):
     rng = np.random.default_rng(8)
     tours = np.stack([random_tour(state.n, rng) for _ in range(state.m)])
-    return tours, tour_lengths(tours, state.dist)
+    return tours, tour_lengths(tours, state.dist[0])
 
 
 class TestFunctional:
     def test_update_changes_matrix(self, state, tours_and_lengths):
         tours, lengths = tours_and_lengths
         before = state.pheromone.copy()
-        AtomicSharedPheromone().update(state, tours, lengths)
+        update(AtomicSharedPheromone(), state, tours, lengths)
         assert not np.allclose(state.pheromone, before)
 
     def test_symmetry_preserved(self, state, tours_and_lengths):
         tours, lengths = tours_and_lengths
-        AtomicSharedPheromone().update(state, tours, lengths)
-        np.testing.assert_allclose(state.pheromone, state.pheromone.T)
+        update(AtomicSharedPheromone(), state, tours, lengths)
+        np.testing.assert_allclose(state.pheromone[0], state.pheromone[0].T)
 
     def test_exact_update_semantics(self, state, tours_and_lengths):
         tours, lengths = tours_and_lengths
-        rho = state.params.rho
-        expected = state.pheromone * (1 - rho)
+        rho = state.params[0].rho
+        expected = state.pheromone[0] * (1 - rho)
         for k in range(state.m):
             delta = 1.0 / lengths[k]
             for a, b in zip(tours[k, :-1], tours[k, 1:]):
                 expected[a, b] += delta
                 expected[b, a] += delta
-        AtomicSharedPheromone().update(state, tours, lengths)
-        np.testing.assert_allclose(state.pheromone, expected, rtol=1e-12)
+        update(AtomicSharedPheromone(), state, tours, lengths)
+        np.testing.assert_allclose(state.pheromone[0], expected, rtol=1e-12)
 
     def test_v1_v2_functionally_identical(self, small_instance, tours_and_lengths):
         tours, lengths = tours_and_lengths
-        s1 = ColonyState.create(small_instance, ACOParams(seed=3), TESLA_M2050)
-        s2 = ColonyState.create(small_instance, ACOParams(seed=3), TESLA_M2050)
-        AtomicSharedPheromone().update(s1, tours, lengths)
-        AtomicPheromone().update(s2, tours, lengths)
-        np.testing.assert_allclose(s1.pheromone, s2.pheromone)
+        s1, s2 = colony(small_instance), colony(small_instance)
+        update(AtomicSharedPheromone(), s1, tours, lengths)
+        update(AtomicPheromone(), s2, tours, lengths)
+        np.testing.assert_array_equal(s1.pheromone, s2.pheromone)
 
     def test_nonnegative(self, state, tours_and_lengths):
         tours, lengths = tours_and_lengths
         for _ in range(5):
-            AtomicSharedPheromone().update(state, tours, lengths)
+            update(AtomicSharedPheromone(), state, tours, lengths)
         assert np.all(state.pheromone >= 0)
 
 
 class TestLedgers:
     def test_atomics_counted(self, state, tours_and_lengths):
         tours, lengths = tours_and_lengths
-        rep = AtomicSharedPheromone().update(state, tours, lengths)
+        rep = update(AtomicSharedPheromone(), state, tours, lengths)
         assert rep.stats.atomics_fp == pytest.approx(2.0 * state.m * state.n)
 
     def test_hot_degree_from_functional_run(self, state, tours_and_lengths):
+        """The report's hot degree is the measured hottest-cell multiplicity
+        of this update's deposits (forward and backward alike)."""
         tours, lengths = tours_and_lengths
-        rep = AtomicSharedPheromone().update(state, tours, lengths)
-        assert rep.stats.atomic_hot_degree >= 1.0
+        rep = update(AtomicSharedPheromone(), state, tours, lengths)
+        counts = np.bincount(edge_indices(tours).ravel(), minlength=state.n**2)
+        assert rep.stats.atomic_hot_degree == counts.max() >= 1.0
 
     def test_v1_uses_smem_v2_does_not(self):
         s1, _ = AtomicSharedPheromone().predict_stats(100, 100, TESLA_C1060)

@@ -11,22 +11,18 @@ from repro.core.pheromone.scatter_gather import (
     ScatterGatherPheromone,
     ScatterGatherTiledPheromone,
 )
-from repro.core.state import ColonyState
 from repro.errors import ACOConfigError
 from repro.simt.device import TESLA_C1060, TESLA_M2050
-from repro.tsp.tour import random_tour, tour_lengths
+from repro.tsp.tour import edge_indices, random_tour, tour_lengths
+from tests.helpers import one_row_state
 
 
 @pytest.fixture
-def state(small_instance):
-    return ColonyState.create(small_instance, ACOParams(seed=3), TESLA_C1060)
-
-
-@pytest.fixture
-def tours_and_lengths(state):
+def tours_and_lengths(small_instance):
     rng = np.random.default_rng(4)
-    tours = np.stack([random_tour(state.n, rng) for _ in range(state.m)])
-    return tours, tour_lengths(tours, state.dist)
+    n = small_instance.n
+    tours = np.stack([random_tour(n, rng) for _ in range(n)])
+    return tours, tour_lengths(tours, small_instance.distance_matrix())
 
 
 class TestPaperFormulas:
@@ -81,10 +77,13 @@ class TestFunctionalEquivalence:
         from repro.core.pheromone import PHEROMONE_VERSIONS
 
         tours, lengths = tours_and_lengths
+        edges = edge_indices(tours[None])
         results = []
         for _version, cls in sorted(PHEROMONE_VERSIONS.items()):
-            st = ColonyState.create(small_instance, ACOParams(seed=3), TESLA_M2050)
-            cls().update(st, tours, lengths)
+            st = one_row_state(
+                small_instance, ACOParams(seed=3), TESLA_M2050, choice=False
+            )
+            cls().update_batch(st, edges, lengths[None])
             results.append(st.pheromone)
         for other in results[1:]:
             np.testing.assert_allclose(results[0], other, rtol=1e-12)

@@ -7,39 +7,40 @@ import pytest
 
 from repro.core.choice import ChoiceKernel
 from repro.core.params import ACOParams
-from repro.core.state import ColonyState
 from repro.simt.device import TESLA_C1060, TESLA_M2050
+from tests.helpers import one_row_state
 
 
 @pytest.fixture
 def state(small_instance):
-    return ColonyState.create(small_instance, ACOParams(alpha=1.0, beta=2.0), TESLA_C1060)
+    return one_row_state(
+        small_instance, ACOParams(alpha=1.0, beta=2.0), TESLA_C1060, choice=False
+    )
 
 
 class TestFunctional:
     def test_fills_choice_info(self, state):
-        ChoiceKernel().run(state)
+        ChoiceKernel().run_batch(state)
         assert state.choice_info is not None
         i, j = 3, 7
-        expected = state.pheromone[i, j] ** 1.0 * state.eta[i, j] ** 2.0
-        assert state.choice_info[i, j] == pytest.approx(expected)
+        expected = state.pheromone[0, i, j] ** 1.0 * state.eta[0, i, j] ** 2.0
+        assert state.choice_info[0, i, j] == pytest.approx(expected)
 
     def test_diagonal_zero(self, state):
-        ChoiceKernel().run(state)
-        assert np.all(np.diag(state.choice_info) == 0)
+        ChoiceKernel().run_batch(state)
+        assert np.all(np.diagonal(state.choice_info, axis1=1, axis2=2) == 0)
 
     def test_respects_exponents(self, small_instance):
-        st = ColonyState.create(
+        st = one_row_state(
             small_instance, ACOParams(alpha=2.0, beta=3.0), TESLA_C1060
         )
-        ChoiceKernel().run(st)
-        expected = st.pheromone[1, 2] ** 2.0 * st.eta[1, 2] ** 3.0
-        assert st.choice_info[1, 2] == pytest.approx(expected)
+        expected = st.pheromone[0, 1, 2] ** 2.0 * st.eta[0, 1, 2] ** 3.0
+        assert st.choice_info[0, 1, 2] == pytest.approx(expected)
 
 
 class TestLedger:
     def test_report_stage(self, state):
-        rep = ChoiceKernel().run(state)
+        (rep,) = ChoiceKernel().run_batch(state)
         assert rep.stage == "choice"
         assert rep.stats.kernel_launches == 1
 

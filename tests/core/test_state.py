@@ -1,55 +1,47 @@
-"""Tests for ColonyState."""
+"""Tests for the ACOTSP derivation of a colony's state (one-row batches)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchColonyState
 from repro.core.params import ACOParams
-from repro.core.state import ColonyState
 from repro.simt.device import TESLA_C1060
+
+
+def create(instance, params=None):
+    return BatchColonyState.create([instance], [params or ACOParams()], TESLA_C1060)
 
 
 class TestCreate:
     def test_dimensions(self, small_instance):
-        st = ColonyState.create(small_instance, ACOParams(), TESLA_C1060)
-        assert st.n == 40
-        assert st.m == 40  # m = n
-        assert st.nn == 30
-        assert st.dist.shape == (40, 40)
-        assert st.nn_list.shape == (40, 30)
+        st = create(small_instance)
+        assert (st.B, st.n, st.m, st.nn) == (1, 40, 40, 30)  # m = n
+        assert st.dist.shape == (1, 40, 40)
+        assert st.nn_list.shape == (1, 40, 30)
 
     def test_tau0_matches_acotsp_rule(self, small_instance):
         from repro.tsp.tour import nearest_neighbor_tour, tour_length
 
-        st = ColonyState.create(small_instance, ACOParams(), TESLA_C1060)
+        st = create(small_instance)
         d = small_instance.distance_matrix()
         c_nn = tour_length(nearest_neighbor_tour(d), d)
-        assert st.tau0 == pytest.approx(st.m / c_nn)
+        assert st.c_nn[0] == c_nn
+        assert st.tau0[0] == pytest.approx(st.m / c_nn)
 
     def test_pheromone_uniform_off_diagonal(self, small_instance):
-        st = ColonyState.create(small_instance, ACOParams(), TESLA_C1060)
-        off = st.pheromone[~np.eye(40, dtype=bool)]
-        assert np.allclose(off, st.tau0)
-        assert np.all(np.diag(st.pheromone) == 0)
+        st = create(small_instance)
+        tau = st.pheromone[0]
+        off = tau[~np.eye(40, dtype=bool)]
+        assert np.allclose(off, st.tau0[0])
+        assert np.all(np.diag(tau) == 0)
 
     def test_explicit_ants(self, small_instance):
-        st = ColonyState.create(small_instance, ACOParams(n_ants=8), TESLA_C1060)
+        st = create(small_instance, ACOParams(n_ants=8))
         assert st.m == 8
 
-
-class TestBookkeeping:
-    def test_record_tours_tracks_best(self, small_instance):
-        st = ColonyState.create(small_instance, ACOParams(), TESLA_C1060)
-        tours = np.tile(np.r_[np.arange(40), 0].astype(np.int32), (40, 1))
-        lengths = np.arange(100, 140, dtype=np.int64)
-        st.record_tours(tours, lengths)
-        assert st.best_length == 100
-        lengths2 = lengths + 50
-        st.record_tours(tours, lengths2)
-        assert st.best_length == 100  # not worsened
-
     def test_footprint_positive_and_scales(self, small_instance, medium_instance):
-        a = ColonyState.create(small_instance, ACOParams(), TESLA_C1060)
-        b = ColonyState.create(medium_instance, ACOParams(), TESLA_C1060)
+        a = create(small_instance)
+        b = create(medium_instance)
         assert 0 < a.gpu_footprint_bytes < b.gpu_footprint_bytes

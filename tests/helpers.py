@@ -1,7 +1,9 @@
-"""Test helpers: brute-force TSP ground truth for tiny instances.
+"""Test helpers: brute-force TSP ground truth and one-colony batch states.
 
 Several tests validate heuristics against the *optimal* tour; for n <= 9 an
-exhaustive permutation search is instant and unarguable.
+exhaustive permutation search is instant and unarguable.  Kernel tests run
+the batch kernels on a one-row :class:`~repro.core.batch.BatchColonyState`
+(:func:`one_row_state`), since a single colony is a batch of one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,20 @@ import numpy as np
 
 from repro.tsp.tour import close_tour, tour_length
 
-__all__ = ["brute_force_optimum"]
+__all__ = ["brute_force_optimum", "one_row_state"]
+
+
+def one_row_state(instance, params, device, *, choice: bool = True):
+    """A ``B = 1`` :class:`~repro.core.batch.BatchColonyState` of one
+    colony, its ``choice_info`` computed by the Choice kernel when
+    ``choice``."""
+    from repro.core.batch import BatchColonyState
+    from repro.core.choice import ChoiceKernel
+
+    bstate = BatchColonyState.create([instance], [params], device)
+    if choice:
+        ChoiceKernel().run_batch(bstate, collect=False)
+    return bstate
 
 
 def brute_force_optimum(dist: np.ndarray) -> tuple[np.ndarray, int]:

@@ -12,15 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ACOParams
-from repro.core.choice import ChoiceKernel
 from repro.core.construction.dataparallel import DataParallelConstruction
-from repro.core.construction.taskbased import construct_exact
+from repro.core.construction.taskbased import construct_exact_batch
 from repro.core.pheromone import PHEROMONE_VERSIONS
-from repro.core.state import ColonyState
 from repro.rng import ParkMillerLCG
 from repro.simt.device import TESLA_M2050
 from repro.tsp.generator import uniform_instance
-from repro.tsp.tour import tour_lengths, validate_tour
+from repro.tsp.tour import tour_lengths_batch, validate_tour
+from tests.helpers import one_row_state
 
 SLOW = settings(
     max_examples=12,
@@ -29,11 +28,19 @@ SLOW = settings(
 )
 
 
-def _state(n, seed, nn):
+def _state(n, seed, nn=30, rho=0.5):
     inst = uniform_instance(n, seed=seed)
-    stt = ColonyState.create(inst, ACOParams(seed=seed, nn=nn), TESLA_M2050)
-    ChoiceKernel().run(stt)
-    return stt
+    return one_row_state(inst, ACOParams(seed=seed, nn=nn, rho=rho), TESLA_M2050)
+
+
+def _exact_tours(stt, seed, nn_list=None):
+    """One exact-rule build of the one-row state: ``(1, m, n + 1)`` tours
+    and the colony's fallback count."""
+    rng = ParkMillerLCG(n_streams=stt.m, seed=seed)
+    tours, fb = construct_exact_batch(
+        stt.choice_info, nn_list, rng, 1, stt.m, stt.n, work=stt.work
+    )
+    return tours, float(fb[0])
 
 
 class TestConstructionInvariants:
@@ -46,13 +53,9 @@ class TestConstructionInvariants:
     )
     def test_exact_rule_always_yields_hamiltonian_tours(self, n, seed, nn, use_nn):
         stt = _state(n, seed, nn)
-        rng = ParkMillerLCG(n_streams=stt.m, seed=seed + 1)
-        tours, fb = construct_exact(
-            stt.choice_info, stt.nn_list if use_nn else None, rng, stt.m, stt.n,
-            work=stt.work,
-        )
+        tours, fb = _exact_tours(stt, seed + 1, stt.nn_list if use_nn else None)
         assert fb >= 0
-        for t in tours:
+        for t in tours[0]:
             validate_tour(t, n)
 
     @SLOW
@@ -61,19 +64,9 @@ class TestConstructionInvariants:
         stt = _state(n, seed, 5)
         strategy = DataParallelConstruction(tile=tile)
         rng = ParkMillerLCG(n_streams=stt.m * stt.n, seed=seed + 2)
-        res = strategy.build(stt, rng)
-        for t in res.tours:
+        res = strategy.build_batch(stt, rng, collect=False)
+        for t in res.tours[0]:
             validate_tour(t, n)
-
-    @SLOW
-    @given(n=st.integers(8, 30), seed=st.integers(0, 10_000))
-    def test_dataparallel_predict_equals_simulate(self, n, seed):
-        stt = _state(n, seed, 5)
-        strategy = DataParallelConstruction(tile=32)
-        rng = ParkMillerLCG(n_streams=stt.m * stt.n, seed=seed + 3)
-        res = strategy.build(stt, rng)
-        pred, _ = strategy.predict_stats(stt.n, stt.m, stt.nn, TESLA_M2050)
-        assert res.report.stats.approx_equal(pred), res.report.stats.diff(pred)
 
 
 class TestPheromoneInvariants:
@@ -85,34 +78,25 @@ class TestPheromoneInvariants:
         rho=st.floats(0.05, 1.0),
     )
     def test_update_preserves_symmetry_and_positivity(self, n, seed, version, rho):
-        inst = uniform_instance(n, seed=seed)
-        stt = ColonyState.create(inst, ACOParams(seed=seed, rho=rho), TESLA_M2050)
-        ChoiceKernel().run(stt)
-        rng = ParkMillerLCG(n_streams=stt.m, seed=seed)
-        tours, _ = construct_exact(
-            stt.choice_info, None, rng, stt.m, stt.n, work=stt.work
-        )
-        lengths = tour_lengths(tours, stt.dist)
-        PHEROMONE_VERSIONS[version]().update(stt, tours, lengths)
-        assert np.all(stt.pheromone >= 0)
-        assert np.all(np.isfinite(stt.pheromone))
-        np.testing.assert_allclose(stt.pheromone, stt.pheromone.T, rtol=1e-12)
+        stt = _state(n, seed, rho=rho)
+        tours, _ = _exact_tours(stt, seed)
+        lengths, edges = tour_lengths_batch(tours, stt.dist, work=stt.work)
+        PHEROMONE_VERSIONS[version]().update_batch(stt, edges, lengths)
+        tau = stt.pheromone[0]
+        assert np.all(tau >= 0)
+        assert np.all(np.isfinite(tau))
+        np.testing.assert_allclose(tau, tau.T, rtol=1e-12)
 
     @SLOW
     @given(n=st.integers(8, 24), seed=st.integers(0, 10_000))
     def test_total_deposit_mass_conserved(self, n, seed):
         """After evaporation, total pheromone rises by exactly
         2 * sum_k (n edges * 1/C_k) — eq. 3 aggregated."""
-        inst = uniform_instance(n, seed=seed)
-        stt = ColonyState.create(inst, ACOParams(seed=seed, rho=0.5), TESLA_M2050)
-        ChoiceKernel().run(stt)
-        rng = ParkMillerLCG(n_streams=stt.m, seed=seed)
-        tours, _ = construct_exact(
-            stt.choice_info, None, rng, stt.m, stt.n, work=stt.work
-        )
-        lengths = tour_lengths(tours, stt.dist)
+        stt = _state(n, seed, rho=0.5)
+        tours, _ = _exact_tours(stt, seed)
+        lengths, edges = tour_lengths_batch(tours, stt.dist, work=stt.work)
         before = stt.pheromone.sum()
-        PHEROMONE_VERSIONS[1]().update(stt, tours, lengths)
+        PHEROMONE_VERSIONS[1]().update_batch(stt, edges, lengths)
         expected = before * 0.5 + 2.0 * n * (1.0 / lengths.astype(float)).sum()
         assert stt.pheromone.sum() == pytest.approx(expected, rel=1e-9)
 
