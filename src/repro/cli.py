@@ -814,7 +814,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.shards:
             print("drained; fleet stopped.")
         else:
-            print(f"drained. stats: {front.stats.snapshot()}")
+            s = front.stats
+            print(
+                f"drained. submitted={s.submitted} completed={s.completed} "
+                f"failed={s.failed} timed_out={s.requests_timed_out} "
+                f"shed={s.requests_shed}"
+            )
 
     try:
         asyncio.run(_main())

@@ -93,5 +93,5 @@ def test_serve_cli_roundtrip_and_graceful_sigint_drain():
     assert rc == 0, out
     assert "draining" in out
     assert "drained" in out
-    assert "'completed': 1" in out
+    assert "drained. submitted=1 completed=1 failed=0 timed_out=0 shed=0" in out
     assert "Traceback" not in out
