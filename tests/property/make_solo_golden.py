@@ -10,9 +10,12 @@ itself (the frozen ``ReferenceAntColonySystem`` /
   case of ``test_variant_parity.py``: the grid (n in {14, 18} x row seeds
   {3, 4, 5, 6, 11, 12, 13, 14}, nn = 7, 6 iterations), the B=1 view case,
   the MMAS stagnation case (20 iterations, ``reinit_branching=2.5``) and
-  the three heterogeneous n = 15 rows.  Each keeps the iteration-best
-  lengths, the best tour and length, and a sha256 of the final pheromone;
-  MMAS cases also keep ``trail_reinitialisations``.
+  the three heterogeneous n = 15 rows, plus one 20-iteration MMAS run
+  (``mmas-long``, recorded later from the same loop in git history: in
+  the 6-iteration runs few deposited edges decay below ``tau_min``, so few
+  of them tell a clamp-before-deposit reorder apart).  Each keeps the
+  iteration-best lengths, the best tour and length, and a sha256 of the
+  final pheromone; MMAS cases also keep ``trail_reinitialisations``.
 * **The tiled data-parallel build** (version 8 at tile 32, so the solo
   kernel elects per-tile winners): a tour sha256 for each of three
   successive builds on n in {33, 48, 64, 300} x seeds {2, 17}, and the
@@ -59,6 +62,7 @@ ROW_SEEDS = tuple(s + b for s in SEEDS for b in range(4))
 
 STAGNATION_ITERATIONS = 20
 STAGNATION_BRANCHING = 2.5
+LONG_ITERATIONS = 20
 HETERO_ITERATIONS = 4
 HETERO_SEEDS = (51, 52, 53)
 
@@ -90,7 +94,7 @@ CASES = (
         grid_case(v, n, s) for v in VARIANTS for n in SIZES for s in ROW_SEEDS
     )
     + tuple(f"{v}-view" for v in VARIANTS)
-    + ("mmas-stagnation",)
+    + ("mmas-stagnation", "mmas-long")
     + tuple(f"{v}-hetero-{b}" for v in VARIANTS for b in range(3))
     + tuple(f"tiled-n{n}-s{s}" for n in TILED_SIZES for s in TILED_SEEDS)
     + ("tiled-zero-choice",)
@@ -132,6 +136,8 @@ def trajectory_spec(name: str):
             variant, uniform_instance(16, seed=99), params,
             STAGNATION_ITERATIONS, STAGNATION_BRANCHING,
         )
+    if kind == "long":
+        return variant, uniform_instance(16, seed=1016), ACOParams(seed=7, nn=7), LONG_ITERATIONS, None
     if kind == "hetero":
         instances, params = hetero_rows()
         b = int(rest[0])
