@@ -38,7 +38,7 @@ GOLDEN = json.loads(OUT.read_text())["cases"]
 @pytest.mark.parametrize("variant", ["acs", "mmas"])
 @pytest.mark.parametrize("B", [1, 4])
 @pytest.mark.parametrize("report_every", [1, 3])
-def test_batched_variant_rows_match_solo_golden(variant, B, report_every):
+def test_batched_variant_rows_match_recorded_solo_runs(variant, B, report_every):
     for n in SIZES:
         for seed in SEEDS:
             engine = BatchEngine.replicas(
