@@ -250,16 +250,10 @@ class BatchColonyState:
         if not 0 <= b < self.B:
             raise ACOConfigError(f"batch row {b} outside [0, {self.B})")
         return ColonyState(
-            instance=self.instances[b],
-            params=self.params[b],
-            device=self.device,
             n=self.n,
             m=self.m,
-            nn=self.nn,
             dist=self.dist[b],
-            eta=self.eta[b],
             pheromone=self.pheromone[b],
-            nn_list=self.nn_list[b],
             tau0=float(self.tau0[b]),
         )
 

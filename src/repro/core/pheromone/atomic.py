@@ -88,8 +88,7 @@ class AtomicSharedPheromone(PheromoneUpdate):
         forward edges of the edge table: the backward counts are their
         transpose, so the maximum is also the hot degree of the backward
         deposits' atomics (see :func:`_row_hot_degree`).  The hot degree
-        feeds only the
-        report's cost model, so ``collect=False`` skips the
+        feeds only the report's cost model, so ``collect=False`` skips the
         (bincount-heavy) measurement along with report materialization —
         the pheromone stack itself is updated identically.
         """

@@ -3,9 +3,9 @@
 Every kernel runs on the batch state; a single colony is a batch of one.
 :class:`ColonyState` is the ``B = 1`` view the engine views
 (:class:`~repro.core.colony.AntSystem` and the ACS/MMAS views) expose as
-``.state``: the row's arrays — distance and heuristic matrices, the
-pheromone matrix, ``choice_info``, candidate lists — plus its
-iteration-level bookkeeping (last tours, best tour so far).  Build it with
+``.state``: the row's distance and pheromone matrices and
+``choice_info``, plus its iteration-level bookkeeping (last tours, best
+tour so far).  Build it with
 :meth:`~repro.core.batch.BatchColonyState.colony_view` and refresh it with
 :meth:`~repro.core.batch.BatchColonyState.sync_colony_view`.
 """
@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.core.params import ACOParams
-from repro.simt.device import DeviceSpec
-from repro.tsp.instance import TSPInstance
 
 __all__ = ["ColonyState"]
 
@@ -32,16 +28,10 @@ class ColonyState:
     :meth:`~repro.core.batch.BatchColonyState.sync_colony_view`.
     """
 
-    instance: TSPInstance
-    params: ACOParams
-    device: DeviceSpec
     n: int
     m: int
-    nn: int
     dist: np.ndarray  # (n, n) int64 distances
-    eta: np.ndarray  # (n, n) float64 heuristic 1/(d + shift)
     pheromone: np.ndarray  # (n, n) float64 tau
-    nn_list: np.ndarray  # (n, nn) int32 candidate lists
     tau0: float  # the ACOTSP trail start m / C_nn
     choice_info: np.ndarray | None = None  # (n, n) float64, refreshed per iter
     tours: np.ndarray | None = None  # (m, n + 1) int32, last iteration

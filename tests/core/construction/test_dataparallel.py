@@ -13,7 +13,7 @@ from repro.core.construction.dataparallel import (
 )
 from repro.core.params import ACOParams
 from repro.errors import ACOConfigError
-from repro.rng import ParkMillerLCG, make_batched_rng
+from repro.rng import ParkMillerLCG
 from repro.simt.device import TESLA_C1060
 from repro.tsp.tour import validate_tour
 from tests.helpers import one_row_state
@@ -106,23 +106,6 @@ class TestFunctional:
         for t in tours:
             if t[0] != 7:
                 assert t[1] == 7
-
-    def test_rows_independent_of_batch(self, small_instance):
-        """Row b of a two-colony build equals a one-row build seeded like it."""
-        from repro.core.batch import BatchColonyState
-        from repro.core.choice import ChoiceKernel
-
-        params = [ACOParams(seed=s, nn=10) for s in (3, 8)]
-        pair = BatchColonyState.create([small_instance] * 2, params, TESLA_C1060)
-        ChoiceKernel().run_batch(pair, collect=False)
-        strategy = DataParallelConstruction(tile=32)
-        streams = strategy.rng_streams(pair.n, pair.m)
-        both = strategy.build_batch(pair, make_batched_rng("lcg", streams, [5, 9]))
-        for b, seed in enumerate((5, 9)):
-            lone = make_state(small_instance, seed=params[b].seed)
-            tours, _ = build(strategy, lone, make_rng(lone, seed))
-            np.testing.assert_array_equal(both.tours[b], tours)
-            assert both.fallback_steps[b] == 0
 
 
 class TestSingleTileFastPath:

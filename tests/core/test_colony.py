@@ -94,9 +94,10 @@ class TestRun:
         colony = AntSystem(small_instance, ACOParams(seed=5, nn=10))
         result = colony.run(iterations=5)
         assert len(result.iteration_best_lengths) == 5
-        assert result.best_length == min(
-            result.best_length, min(result.iteration_best_lengths)
-        )
+        # The best-so-far record keeps the shortest tour seen and is never
+        # worsened by a later, longer iteration.
+        assert result.best_length == min(result.iteration_best_lengths)
+        assert max(result.iteration_best_lengths) > result.best_length
         validate_tour(result.best_tour, small_instance.n)
 
     def test_run_invalid_iterations(self, small_instance):
