@@ -219,13 +219,6 @@ def ledger_spec(name: str):
     return strategy, uniform_instance(inst, seed=inst), ACOParams(seed=inst, nn=5), DEVICES[device]
 
 
-def ledger_record(stats, launch) -> dict:
-    return {
-        "stats": stats.as_dict(),
-        "launch": {f.name: getattr(launch, f.name) for f in fields(launch)},
-    }
-
-
 def predicted_ledger(name: str) -> dict:
     """A ledger case's closed form (``predict_stats``)."""
     strategy, instance, params, device = ledger_spec(name)
@@ -233,7 +226,10 @@ def predicted_ledger(name: str) -> dict:
     stats, launch = strategy.predict_stats(
         n, params.resolve_ants(n), params.resolve_nn(n), device
     )
-    return ledger_record(stats, launch)
+    return {
+        "stats": stats.as_dict(),
+        "launch": {f.name: getattr(launch, f.name) for f in fields(launch)},
+    }
 
 
 def engine_record(name: str) -> dict:
