@@ -10,8 +10,8 @@ simulator (no GPU required):
 * :mod:`repro.rng` — device-function LCG and CURAND-style XORWOW generators;
 * :mod:`repro.backend` — pluggable array backends (numpy host execution,
   optional CuPy GPU execution) behind one :class:`ArrayBackend` seam;
-* :mod:`repro.simt` — the simulated GPUs (Tesla C1060 / M2050), memory and
-  atomic models, occupancy, and the analytical cost model;
+* :mod:`repro.simt` — the simulated GPUs (Tesla C1060 / M2050), the memory
+  model, occupancy, and the analytical cost model;
 * :mod:`repro.seq` — the sequential ACOTSP baseline;
 * :mod:`repro.core` — the GPU Ant System: 8 tour-construction kernels,
   5 pheromone-update kernels, the Choice kernel, and the colony;

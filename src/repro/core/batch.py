@@ -257,13 +257,6 @@ class BatchColonyState:
             tau0=float(self.tau0[b]),
         )
 
-    @property
-    def gpu_footprint_bytes(self) -> int:
-        """Rough device footprint of the whole batch (4-byte GPU words)."""
-        n, m, nn = self.n, self.m, self.nn
-        per_colony = 4 * (4 * n * n) + 4 * (n * nn) + 4 * (m * (n + 1)) + 4 * m * n
-        return self.B * per_colony
-
 
 @dataclass(frozen=True)
 class BoundaryUpdate:

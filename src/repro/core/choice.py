@@ -108,13 +108,10 @@ class ChoiceKernel(Kernel):
         if not collect:
             return []
 
-        def build(_) -> StageReport:
-            stats, launch = self.predict_stats(bstate.n, bstate.device)
-            return StageReport(
-                stage="choice", kernel=self.name, stats=stats, launch=launch
-            )
-
-        return cached_stage_reports(bstate, self, [None] * bstate.B, build)
+        return cached_stage_reports(
+            bstate, self, [None] * bstate.B, "choice", self.name,
+            lambda _: self.predict_stats(bstate.n, bstate.device),
+        )
 
     def predict_stats(
         self, n: int, device: DeviceSpec

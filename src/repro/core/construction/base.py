@@ -147,17 +147,12 @@ class TourConstruction(Kernel, abc.ABC):
         """Per-colony construction reports; rows and boundaries with equal
         fallback counts share one closed-form ledger (the stats are pure
         functions of the problem size and the fallback count)."""
-
-        def build(fb: float) -> StageReport:
-            stats, launch = self.predict_stats(
-                bstate.n, bstate.m, bstate.nn, bstate.device, fallback_steps=fb
-            )
-            return StageReport(
-                stage="construction", kernel=self.key, stats=stats, launch=launch
-            )
-
         return cached_stage_reports(
-            bstate, self, (float(fb) for fb in fallbacks), build
+            bstate, self, (float(fb) for fb in fallbacks), "construction",
+            self.key,
+            lambda fb: self.predict_stats(
+                bstate.n, bstate.m, bstate.nn, bstate.device, fallback_steps=fb
+            ),
         )
 
     @staticmethod

@@ -38,6 +38,8 @@ Version 8 reads ``choice_info`` through the texture path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.construction.base import (
@@ -52,11 +54,21 @@ from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.kernel import LaunchConfig
 from repro.simt.memory import AccessPattern, GlobalMemory
-from repro.simt.reduction import reduction_stage_count
 
-__all__ = ["DataParallelConstruction", "DataParallelTextureConstruction"]
+__all__ = [
+    "DataParallelConstruction",
+    "DataParallelTextureConstruction",
+    "reduction_stage_count",
+]
 
 _TILE_RULES = ("product", "heuristic")
+
+
+def reduction_stage_count(width: int) -> int:
+    """Number of tree stages for a block of ``width`` threads (ceil log2)."""
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    return max(1, math.ceil(math.log2(width))) if width > 1 else 0
 
 
 def _round_up(value: int, multiple: int) -> int:
@@ -272,9 +284,9 @@ class DataParallelConstruction(TourConstruction):
                 if not per_tile:
                     argmax_bits(1, nxt)
                 else:
-                    # Per-tile winners: block_argmax inlined (same argmax +
-                    # value gather, minus its per-call index scratch; ties
-                    # resolve to the lowest lane).
+                    # Per-tile winners: each tile's argmax and its value
+                    # (ties resolve to the lowest lane, as a tree reduction
+                    # that keeps the left operand on equality does).
                     for t, (lo, hi) in enumerate(spans):
                         idx = w_bits[:, lo:hi].argmax(1)
                         add(idx, lo, win_idx)
@@ -355,7 +367,9 @@ class DataParallelConstruction(TourConstruction):
         stats.int_ops += steps * 2.0 * mn
         stats.smem_accesses += steps * mn
 
-        # Reductions: replicate simt.reduction's accounting per tile.
+        # Reductions: a ceil(log2 width)-stage tree per tile; each stage
+        # charges one shared read+write pair and one compare per
+        # participating lane, plus its barrier.
         red_flops = red_smem = red_sync = red_steps = serial = 0.0
         for lo, hi in spans:
             width = hi - lo

@@ -314,32 +314,6 @@ def construct_exact_batch(
     return tours, fallbacks
 
 
-def _roulette(weights: np.ndarray, sums: np.ndarray, darts: np.ndarray) -> np.ndarray:
-    """Row-wise roulette selection (rows must have positive mass)."""
-    return _roulette_t(weights.T, sums, darts)
-
-
-def _roulette_t(
-    weights_t: np.ndarray, sums: np.ndarray, darts: np.ndarray
-) -> np.ndarray:
-    """Roulette selection over a transposed ``(candidates, ants)`` matrix.
-
-    Columns must have positive mass.  The cumulative sum runs down the
-    candidate axis — sequential accumulation, so every ant's selection is
-    independent of how many ants share the batch.
-    """
-    return _pick_from_cum(np.add.accumulate(weights_t, axis=0), sums, darts)
-
-
-def _pick_from_cum(
-    cum_t: np.ndarray, sums: np.ndarray, darts: np.ndarray
-) -> np.ndarray:
-    """Winning candidate index per ant from a transposed cumulative sum."""
-    r = darts * sums
-    idx = np.count_nonzero(cum_t < r[None, :], axis=0)
-    return np.minimum(idx, cum_t.shape[0] - 1)
-
-
 class _TaskBasedFull(TourConstruction):
     """Shared scaffolding for the full-scan task-based versions 1-3."""
 

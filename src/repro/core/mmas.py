@@ -125,20 +125,6 @@ class MaxMinAntSystem(EngineView):
         assert self._policy.reinit_count is not None
         return int(self.backend.to_host(self._policy.reinit_count)[0])
 
-    def reinitialise_trails(self) -> None:
-        """Reset all trails to ``tau_max`` (stagnation escape)."""
-        self._policy.reinitialise(self.engine.state)
-
-    def branching_factor(self, lam: float = 0.05) -> float:
-        """Mean λ-branching factor — the classical MMAS stagnation gauge.
-
-        For each city, counts edges whose trail exceeds
-        ``tau_min_row + lam * (tau_max_row - tau_min_row)``; values near 2
-        mean the colony has converged onto a single tour.
-        """
-        factors = self._policy.branching_factors(self.engine.state, lam)
-        return float(self.backend.to_host(factors)[0])
-
     def _wrap(self, row: RunResult, wall_seconds: float) -> MMASRunResult:
         return MMASRunResult(
             best_tour=row.best_tour,

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 from repro.errors import ACOConfigError
 
-__all__ = ["ACOParams"]
+__all__ = ["ACOParams", "MAX_ANTS"]
+
+#: largest explicit colony size ``ACOParams`` admits: above every ``m = n``
+#: the paper runs (pr2392), so that a request cannot ask for per-ant
+#: ``(B, m, n)`` tables of unbounded size
+MAX_ANTS = 4096
 
 
 @dataclass(frozen=True)
@@ -27,7 +32,8 @@ class ACOParams:
     rho:
         Evaporation rate in (0, 1] (paper eq. 2).
     n_ants:
-        Colony size; ``None`` means the paper's ``m = n``.
+        Colony size, at most :data:`MAX_ANTS`; ``None`` means the paper's
+        ``m = n``.
     nn:
         Nearest-neighbour candidate-list width (paper: 30; the book
         recommends 15-40).
@@ -62,6 +68,8 @@ class ACOParams:
             )
         if self.n_ants is not None and self.n_ants < 1:
             raise ACOConfigError(f"n_ants must be >= 1, got {self.n_ants}")
+        if self.n_ants is not None and self.n_ants > MAX_ANTS:
+            raise ACOConfigError(f"n_ants must be <= {MAX_ANTS}, got {self.n_ants}")
         if self.nn < 1:
             raise ACOConfigError(f"nn must be >= 1, got {self.nn}")
         if self.eta_shift <= 0.0:

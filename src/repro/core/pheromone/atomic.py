@@ -14,9 +14,8 @@ straight from global memory.
 
 On the Tesla C1060 (CC 1.3) the float ``atomicAdd`` does not exist in
 hardware and is emulated with an integer CAS loop — the cost model charges
-:data:`~repro.simt.atomics.AtomicModel.EMULATION_COST_FACTOR` per op on such
-devices, which is exactly the paper's Figure 5 asymmetry between the two
-GPUs.
+:data:`~repro.simt.timing.EMULATION_COST_FACTOR` per op on such devices,
+which is exactly the paper's Figure 5 asymmetry between the two GPUs.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ def _row_hot_degree(edges: np.ndarray, n_cells: int, bk) -> np.ndarray:
     """Hottest-cell update multiplicity per row of a ``(B, k)`` edge table.
 
     ``edges`` holds global flat indices on backend ``bk`` (rows disjoint, so
-    one pass covers the batch).  Row ``b``'s value is ``AtomicModel``'s
-    contention record for that colony's forward deposits, and so for its
+    one pass covers the batch).  Row ``b``'s value is the hottest cell's
+    update count among that colony's forward deposits, and so among its
     backward ones (their counts are the forward counts transposed).
     Integer counting, so every backend returns identical values.
     """
@@ -99,16 +98,12 @@ class AtomicSharedPheromone(PheromoneUpdate):
         hot = _row_hot_degree(
             edges.reshape(bstate.B, -1), bstate.n * bstate.n, bstate.backend
         )
-
-        def build(h: float) -> StageReport:
-            stats, launch = self.predict_stats(
+        return cached_stage_reports(
+            bstate, self, (float(h) for h in hot), "pheromone", self.key,
+            lambda h: self.predict_stats(
                 bstate.n, bstate.m, bstate.device, hot_degree=h
-            )
-            return StageReport(
-                stage="pheromone", kernel=self.key, stats=stats, launch=launch
-            )
-
-        return cached_stage_reports(bstate, self, (float(h) for h in hot), build)
+            ),
+        )
 
     # --------------------------------------------------------------- ledger
 

@@ -143,13 +143,10 @@ class PheromoneUpdate(Kernel, abc.ABC):
         if not collect:
             return []
 
-        def build(_) -> StageReport:
-            stats, launch = self.predict_stats(bstate.n, bstate.m, bstate.device)
-            return StageReport(
-                stage="pheromone", kernel=self.key, stats=stats, launch=launch
-            )
-
-        return cached_stage_reports(bstate, self, [None] * bstate.B, build)
+        return cached_stage_reports(
+            bstate, self, [None] * bstate.B, "pheromone", self.key,
+            lambda _: self.predict_stats(bstate.n, bstate.m, bstate.device),
+        )
 
     @abc.abstractmethod
     def predict_stats(

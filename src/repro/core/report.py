@@ -28,12 +28,14 @@ __all__ = ["StageReport", "IterationReport", "cached_stage_reports"]
 STAGE_REPORT_CACHE_SIZE = 64
 
 
-def cached_stage_reports(bstate, kernel, keys, build) -> list["StageReport"]:
-    """Per-colony reports of ``kernel``, one per *distinct* key, shared for
-    the engine's lifetime.
+def cached_stage_reports(
+    bstate, kernel, keys, stage: str, name: str, predict
+) -> list["StageReport"]:
+    """Per-colony ``stage`` reports of ``kernel`` (reported as ``name``),
+    one per *distinct* key, shared for the engine's lifetime.
 
-    ``build(key)`` must return the :class:`StageReport` for that key.  A
-    ledger is a pure function of the kernel, the problem size ``(n, m,
+    ``predict(key)`` returns the ``(stats, launch)`` ledger for that key.
+    A ledger is a pure function of the kernel, the problem size ``(n, m,
     nn)``, the device and the key (fallback steps, hot degree; ``None`` for
     a kernel whose ledger has no measured input), and nothing mutates a
     report downstream, so rows and report boundaries with equal keys share
@@ -47,7 +49,10 @@ def cached_stage_reports(bstate, kernel, keys, build) -> list["StageReport"]:
         full = base + (key,)
         report = cache.get(full)
         if report is None:
-            report = cache[full] = build(key)
+            stats, launch = predict(key)
+            report = cache[full] = StageReport(
+                stage=stage, kernel=name, stats=stats, launch=launch
+            )
             if len(cache) > STAGE_REPORT_CACHE_SIZE:
                 cache.popitem(last=False)
         else:
@@ -125,23 +130,6 @@ class IterationReport:
                 return s
         raise KeyError(f"no stage {name!r} in iteration report; have "
                        f"{[s.stage for s in self.stages]}")
-
-    def construction_time(
-        self, device: DeviceSpec, params: CostParams, *, include_choice: bool = True
-    ) -> float:
-        """Modeled seconds of the construction stage (the paper's Table II
-        rows include the choice kernel's cost where one is used)."""
-        total = 0.0
-        for s in self.stages:
-            if s.stage == "construction" or (include_choice and s.stage == "choice"):
-                total += s.modeled_time(device, params)
-        return total
-
-    def pheromone_time(self, device: DeviceSpec, params: CostParams) -> float:
-        """Modeled seconds of the pheromone-update stage."""
-        return sum(
-            s.modeled_time(device, params) for s in self.stages if s.stage == "pheromone"
-        )
 
     def total_time(self, device: DeviceSpec, params: CostParams) -> float:
         return sum(s.modeled_time(device, params) for s in self.stages)

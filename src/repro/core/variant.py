@@ -200,9 +200,10 @@ class PseudoProportionalChoice(ChoicePolicy):
     ``choice_info`` candidate; otherwise it applies the usual proportional
     roulette.  Immediately after crossing an edge the ant decays it toward
     ``tau0``: ``tau <- (1 - xi) tau + xi tau0`` (both directions).  Local
-    updates within one step are applied once per *unique* directed edge,
-    matching a GPU execution where colliding same-step writers are
-    idempotent decays toward the same target.
+    updates within one step decay each crossed directed edge once: ants
+    sharing an edge write the same value, matching a GPU execution where
+    colliding same-step writers are idempotent decays toward the same
+    target.
 
     The batched implementation advances all ``B * m`` ants through each
     step in single ``xp`` operations; row ``b`` is bit-identical to the
@@ -326,18 +327,14 @@ class PseudoProportionalChoice(ChoicePolicy):
                         choice_rows[rows_idx[dead]], visited[dead], xp
                     )
 
-            # Local pheromone update, once per unique directed edge per
-            # colony (colony offsets keep rows disjoint in the flat view;
-            # the symmetric copy reads the freshly written cells).
+            # Local pheromone update (colony offsets keep rows disjoint in
+            # the flat view).  The decayed values are gathered before any
+            # write, so ants sharing a directed edge write the same value
+            # and the edge decays once; the mirror gets the same values.
             gk = col_of_ant * nn2 + cur * n + nxt
-            uk = xp.unique(gk)
-            col = uk // nn2
-            rem = uk - col * nn2
-            a = rem // n
-            b = rem - a * n
-            bw = col * nn2 + b * n + a
-            flat_tau[uk] = (1.0 - xi) * flat_tau[uk] + xi * self.tau0[col]
-            flat_tau[bw] = flat_tau[uk]
+            decayed = (1.0 - xi) * flat_tau[gk] + xi * self.tau0[col_of_ant]
+            flat_tau[gk] = decayed
+            flat_tau[col_of_ant * nn2 + nxt * n + cur] = decayed
 
             visited[ant_idx, nxt] = True
             tours[:, step] = nxt
@@ -347,13 +344,10 @@ class PseudoProportionalChoice(ChoicePolicy):
         tours = tours.reshape(B, m, n + 1)
         reports = []
         if collect:
-            def build(_) -> StageReport:
-                stats, launch = self.predict_stats(n, m, bstate.device)
-                return StageReport(
-                    stage="construction", kernel="acs", stats=stats, launch=launch
-                )
-
-            reports = cached_stage_reports(bstate, self, [None] * B, build)
+            reports = cached_stage_reports(
+                bstate, self, [None] * B, "construction", "acs",
+                lambda _: self.predict_stats(n, m, bstate.device),
+            )
         return tours, choice_reports, reports
 
     def predict_stats(
@@ -429,13 +423,10 @@ class GlobalBestUpdate(UpdatePolicy):
         if not collect:
             return []
 
-        def build(_) -> StageReport:
-            stats, launch = self.predict_stats(n, bstate.device)
-            return StageReport(
-                stage="pheromone", kernel="acs_global", stats=stats, launch=launch
-            )
-
-        return cached_stage_reports(bstate, self, [None] * B, build)
+        return cached_stage_reports(
+            bstate, self, [None] * B, "pheromone", "acs_global",
+            lambda _: self.predict_stats(n, bstate.device),
+        )
 
     def predict_stats(
         self, n: int, device: DeviceSpec
@@ -549,13 +540,10 @@ class TrailLimitsUpdate(UpdatePolicy):
         if not collect:
             return []
 
-        def build(_) -> StageReport:
-            stats, launch = self.predict_stats(n, bstate.device)
-            return StageReport(
-                stage="pheromone", kernel="mmas_update", stats=stats, launch=launch
-            )
-
-        return cached_stage_reports(bstate, self, [None] * B, build)
+        return cached_stage_reports(
+            bstate, self, [None] * B, "pheromone", "mmas_update",
+            lambda _: self.predict_stats(n, bstate.device),
+        )
 
     # ------------------------------------------------------------ stagnation
 
@@ -576,23 +564,6 @@ class TrailLimitsUpdate(UpdatePolicy):
         threshold = row_min + lam * (row_max - row_min)
         counts = xp.nansum(rows >= threshold, axis=2)
         return counts.mean(axis=1)
-
-    def reinitialise(self, bstate, rows: np.ndarray | None = None) -> None:
-        """Reset the given rows' trails to ``tau_max`` (all rows if None)."""
-        xp = bstate.backend.xp
-        assert self.tau_max is not None and self.reinit_count is not None
-        # Host-side row indices by design (callers pass python/host lists);
-        # shipped across the seam via backend.from_host below.
-        if rows is None:
-            rows = np.arange(bstate.B)  # lint: ignore[backend-purity]
-        rows = np.asarray(rows, dtype=np.int64)  # lint: ignore[backend-purity]
-        if rows.size == 0:
-            return
-        sel = bstate.backend.from_host(rows)
-        bstate.pheromone[sel] = self.tau_max[sel][:, None, None]
-        diag = xp.arange(bstate.n)
-        bstate.pheromone[:, diag, diag] = 0.0
-        self.reinit_count[sel] += 1
 
     def _maybe_reinitialise(self, bstate) -> None:
         """Masked stagnation reset, fully backend-resident.

@@ -17,7 +17,6 @@ __all__ = [
     "LaunchConfigError",
     "OccupancyError",
     "MemoryModelError",
-    "DeviceFeatureError",
     "ACOConfigError",
     "BackendError",
     "BackendUnavailableError",
@@ -88,15 +87,6 @@ class OccupancyError(SimtError):
 
 class MemoryModelError(SimtError):
     """Illegal interaction with a simulated memory space."""
-
-
-class DeviceFeatureError(SimtError):
-    """A kernel requires a device capability the target device lacks.
-
-    The C1060 (CC 1.3) famously lacks hardware float atomics; kernels that
-    require them either raise this error or fall back to software emulation,
-    depending on their ``strict`` setting.
-    """
 
 
 # --------------------------------------------------------------------------- ACO

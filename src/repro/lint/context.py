@@ -23,7 +23,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 #: ``# lint: ignore[rule-a, rule-b]`` or a bare ``# lint: ignore``

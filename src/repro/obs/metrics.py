@@ -286,9 +286,6 @@ class MetricsRegistry:
     def inc(self, name: str, delta: int = 1) -> None:
         self.counter(name).inc(delta)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 

@@ -199,15 +199,6 @@ class DeviceRNG(abc.ABC):
                 f"holds {self.n_streams} streams"
             )
 
-    def uniform_scalar(self, stream: int = 0) -> float:
-        """Draw one vector but return only ``stream``'s sample.
-
-        Convenience for scalar consumers (e.g. the sequential code path);
-        note that *all* streams still advance, mirroring a warp in which one
-        lane's value is used.
-        """
-        return float(self.uniform()[stream])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"{type(self).__name__}(n_streams={self.n_streams}, seed={self.seed}, "

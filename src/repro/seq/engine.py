@@ -346,15 +346,6 @@ class SequentialAntSystem:
         tours[:, step] = nxt
         return nxt
 
-    def predict_construction_ops(
-        self, mode: str, *, fallback_steps: float = 0.0
-    ) -> CpuOps:
-        """Closed-form ledger of one construction pass (see module function
-        :func:`predict_construction_ops_for`)."""
-        return predict_construction_ops_for(
-            self.n, self.m, self.nn, mode, fallback_steps=fallback_steps
-        )
-
     # ------------------------------------------------------ pheromone update
 
     def update_pheromone(

@@ -99,11 +99,6 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._next = 0
 
-    @property
-    def batches_started(self) -> int:
-        with self._lock:
-            return self._next
-
     def start_batch(self, instance_names: list[str]) -> int:
         """Claim the next ordinal and fire any batch-start faults.
 

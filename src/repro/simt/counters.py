@@ -134,12 +134,6 @@ class KernelStats:
             if not f.name.startswith("_")
         }
 
-    def total_atomics(self) -> float:
-        return self.atomics_fp + self.atomics_int
-
-    def total_gmem_bytes(self) -> float:
-        return self.gmem_load_bytes + self.gmem_store_bytes
-
     def approx_equal(self, other: "KernelStats", *, rtol: float = 1e-9) -> bool:
         """Field-wise closeness test used by predict-vs-simulate checks."""
         for f in fields(self):

@@ -8,14 +8,14 @@ that plus the two per-block resources the occupancy calculator needs.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import LaunchConfigError
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.occupancy import Occupancy, occupancy_for
 
-__all__ = ["LaunchConfig", "KernelLaunch", "Kernel", "grid_for"]
+__all__ = ["LaunchConfig", "Kernel", "grid_for"]
 
 
 def grid_for(total_threads: int, block: int) -> int:
@@ -77,18 +77,6 @@ class LaunchConfig:
             smem_per_block=self.smem_per_block,
             total_blocks=self.grid,
         )
-
-
-@dataclass
-class KernelLaunch:
-    """Record of one launch: who ran, with what shape, and what it did."""
-
-    name: str
-    config: LaunchConfig
-    stats: KernelStats = field(default_factory=KernelStats)
-
-    def effective_parallelism(self, device: DeviceSpec) -> float:
-        return self.config.occupancy(device).effective_parallelism
 
 
 class Kernel(abc.ABC):

@@ -8,8 +8,8 @@ simulated thread — with real barrier synchronisation: every ``yield`` is a
 lock-step between barriers.
 
 This is intentionally slow and only used on tiny problems in the test-suite
-(e.g. validating the tree reduction, the bit-packed tabu list and the tiled
-next-city selection against their vectorised equivalents).
+(e.g. validating the bit-packed tabu list and the data-parallel next-city
+selection against their vectorised equivalents).
 
 Examples
 --------

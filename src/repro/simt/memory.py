@@ -4,30 +4,24 @@ The paper's pheromone-update study is, at heart, a story about memory
 traffic: the scatter-to-gather kernel trades ``c = n^2`` atomics for
 ``l = 2 n^4`` four-byte loads, tiling divides the global share by the tile
 size θ, and the symmetric "reduction" kernel halves everything.  To reproduce
-those trade-offs the simulator routes every access through one of the space
-objects below, which maintain a :class:`~repro.simt.counters.KernelStats`
-ledger:
-
-* :class:`GlobalMemory` — records logical bytes **and** estimated DRAM
-  traffic after coalescing.  The coalescing model is per-access-pattern:
-  a warp's worth of contiguous 4-byte accesses moves exactly its own bytes;
-  a random-per-lane pattern moves a full 32-byte segment per lane.
-* :class:`SharedMemory` — capacity-checked against the device, counts word
-  accesses (the tiled kernels push the 2n^4 access stream here).
-* :class:`TextureMemory` — read-only path with a locality knob; the cost
-  model charges only estimated cache misses to DRAM.
+those trade-offs the simulator routes every global access through
+:class:`GlobalMemory`, which records logical bytes **and** estimated DRAM
+traffic after coalescing into a :class:`~repro.simt.counters.KernelStats`
+ledger.  The coalescing model is per-access-pattern: a warp's worth of
+contiguous 4-byte accesses moves exactly its own bytes; a random-per-lane
+pattern moves a full 32-byte segment per lane.  Kernels count shared-memory
+and texture traffic straight on the ledger (``smem_accesses``,
+``tex_bytes``).
 
 The functional data itself lives in ordinary numpy arrays owned by kernels;
-the spaces' ``load``/``store`` methods are *accounting* calls, either with an
-explicit element count (closed-form, for O(n^4) streams that must not be
-materialised) or wrapping an actual gather.
+the ``load``/``store`` methods are *accounting* calls with an explicit
+element count (closed-form, for O(n^4) streams that must not be
+materialised).
 """
 
 from __future__ import annotations
 
 import enum
-
-import numpy as np
 
 from repro.errors import MemoryModelError
 from repro.simt.counters import KernelStats
@@ -36,8 +30,6 @@ from repro.simt.device import DeviceSpec
 __all__ = [
     "AccessPattern",
     "GlobalMemory",
-    "SharedMemory",
-    "TextureMemory",
     "TRAFFIC_MULTIPLIER",
 ]
 
@@ -90,7 +82,7 @@ class GlobalMemory:
     Parameters
     ----------
     device:
-        The target device (for the capacity check).
+        The target device.
     stats:
         Ledger that receives the counts.
 
@@ -107,31 +99,6 @@ class GlobalMemory:
     def __init__(self, device: DeviceSpec, stats: KernelStats) -> None:
         self.device = device
         self.stats = stats
-        self._allocated = 0
-
-    # ------------------------------------------------------------ allocation
-
-    def alloc(self, nbytes: int) -> None:
-        """Track an allocation; raises when the device would be out of memory."""
-        if nbytes < 0:
-            raise MemoryModelError(f"allocation size must be >= 0, got {nbytes}")
-        if self._allocated + nbytes > self.device.global_mem_bytes:
-            raise MemoryModelError(
-                f"device OOM: {self._allocated + nbytes} bytes exceeds "
-                f"{self.device.name}'s {self.device.global_mem_bytes}"
-            )
-        self._allocated += nbytes
-
-    def free(self, nbytes: int) -> None:
-        if nbytes < 0 or nbytes > self._allocated:
-            raise MemoryModelError(
-                f"freeing {nbytes} bytes with only {self._allocated} allocated"
-            )
-        self._allocated -= nbytes
-
-    @property
-    def allocated_bytes(self) -> int:
-        return self._allocated
 
     # -------------------------------------------------------------- accesses
 
@@ -153,17 +120,6 @@ class GlobalMemory:
         """Record ``count`` element stores with the given warp access pattern."""
         self._record(count, element_bytes, pattern, store=True)
 
-    def gather(
-        self,
-        array: np.ndarray,
-        index: np.ndarray,
-        pattern: AccessPattern = AccessPattern.RANDOM,
-    ) -> np.ndarray:
-        """Functionally gather ``array[index]`` while recording the loads."""
-        out = array[index]
-        self.load(float(np.size(index)), array.dtype.itemsize, pattern)
-        return out
-
     def _record(
         self, count: float, element_bytes: int, pattern: AccessPattern, store: bool
     ) -> None:
@@ -176,56 +132,3 @@ class GlobalMemory:
             self.stats.gmem_load_bytes += nbytes
         field = _PATTERN_FIELD[pattern]
         setattr(self.stats, field, getattr(self.stats, field) + nbytes)
-
-
-class SharedMemory:
-    """Per-block shared memory: capacity check plus access counting.
-
-    The paper's tiled kernels stage tour segments here; kernel version 5 of
-    the construction study keeps the tabu list here.  ``nbytes`` is the
-    *per-block* footprint used by the occupancy calculator.
-    """
-
-    def __init__(self, device: DeviceSpec, stats: KernelStats, nbytes: int) -> None:
-        if nbytes < 0:
-            raise MemoryModelError(f"shared size must be >= 0, got {nbytes}")
-        if nbytes > device.shared_mem_per_sm:
-            raise MemoryModelError(
-                f"block needs {nbytes} B shared, {device.name} has "
-                f"{device.shared_mem_per_sm} B per SM"
-            )
-        self.device = device
-        self.stats = stats
-        self.nbytes = int(nbytes)
-
-    def access(self, count: float) -> None:
-        """Record ``count`` 32-bit shared-memory accesses (read or write)."""
-        if count < 0:
-            raise MemoryModelError(f"access count must be >= 0, got {count}")
-        self.stats.smem_accesses += float(count)
-
-
-class TextureMemory:
-    """Read-only texture path with a locality-based hit-rate estimate.
-
-    Kernel versions 6 and 8 read random-number streams / ``choice_info``
-    through textures.  The texture cache turns spatially local reads into
-    on-chip hits; the cost model charges DRAM only for the estimated misses,
-    which is where the paper's ~25 % improvement comes from.
-    """
-
-    def __init__(self, device: DeviceSpec, stats: KernelStats) -> None:
-        self.device = device
-        self.stats = stats
-
-    def load(self, count: float, element_bytes: int = 4) -> None:
-        """Record ``count`` texture fetches."""
-        if count < 0:
-            raise MemoryModelError(f"fetch count must be >= 0, got {count}")
-        self.stats.tex_bytes += float(count) * element_bytes
-
-    def gather(self, array: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Functionally gather through the texture path, recording fetches."""
-        out = array[index]
-        self.load(float(np.size(index)), array.dtype.itemsize)
-        return out

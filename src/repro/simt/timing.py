@@ -30,12 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.simt.atomics import AtomicModel
 from repro.simt.counters import KernelStats
 from repro.simt.device import DeviceSpec
 from repro.simt.memory import TRAFFIC_MULTIPLIER, AccessPattern
 
 __all__ = ["CostParams", "estimate_time", "throughput_throttle"]
+
+#: cost multiplier for a CAS-emulated float atomic relative to native (a
+#: CC 1.x device has no float ``atomicAdd``): the CAS loop retries under
+#: contention; 1 CAS + 1 read + loop overhead.
+EMULATION_COST_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def estimate_time(
     smem_s = stats.smem_accesses / smem_rate
 
     # --- atomics -------------------------------------------------------------
-    fp_factor = 1.0 if device.has_fp32_global_atomics else AtomicModel.EMULATION_COST_FACTOR
+    fp_factor = 1.0 if device.has_fp32_global_atomics else EMULATION_COST_FACTOR
     atomic_ops_eff = stats.atomics_int + stats.atomics_fp * fp_factor
     atomic_s = atomic_ops_eff * params.atomic_ns * 1e-9
     atomic_s += stats.atomic_hot_degree * params.atomic_hot_latency_ns * 1e-9

@@ -1,4 +1,4 @@
-"""Small shared utilities: tables, statistics, timing, validation.
+"""Small shared utilities: tables, statistics, timing.
 
 These helpers are deliberately dependency-light (numpy only) and are used by
 every other subpackage.  Nothing in here knows about ACO, TSP or GPUs.
@@ -6,35 +6,14 @@ every other subpackage.  Nothing in here knows about ACO, TSP or GPUs.
 
 from __future__ import annotations
 
-from repro.util.stats import (
-    geometric_mean,
-    mean_and_std,
-    monotone_fraction,
-    relative_error,
-    spearman_rank_correlation,
-)
-from repro.util.tables import Table, format_float, format_ms
-from repro.util.timer import Timer, WallClock
-from repro.util.validation import (
-    check_in_range,
-    check_positive,
-    check_probability,
-    check_square_matrix,
-)
+from repro.util.stats import monotone_fraction, spearman_rank_correlation
+from repro.util.tables import Table, format_ms
+from repro.util.timer import WallClock
 
 __all__ = [
     "Table",
-    "format_float",
     "format_ms",
-    "Timer",
     "WallClock",
-    "geometric_mean",
-    "mean_and_std",
     "monotone_fraction",
-    "relative_error",
     "spearman_rank_correlation",
-    "check_in_range",
-    "check_positive",
-    "check_probability",
-    "check_square_matrix",
 ]

@@ -3,8 +3,8 @@
 The reproduction promises *shape* agreement with the paper rather than
 absolute timing parity, so the primitives here are the ones shape checks
 need: rank correlations between version orderings, relative errors in log
-space, monotonicity fractions for trend assertions, and geometric means for
-aggregating speed-up factors.
+space, monotonicity fractions for trend assertions, and crossover points of
+speed-up curves.
 """
 
 from __future__ import annotations
@@ -14,56 +14,11 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
-    "geometric_mean",
-    "mean_and_std",
-    "relative_error",
     "log_ratio",
     "spearman_rank_correlation",
     "monotone_fraction",
     "crossover_index",
 ]
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values.
-
-    Speed-up factors multiply, so aggregating them with a geometric mean is
-    the standard choice (arithmetic means over-weight large ratios).
-
-    Raises
-    ------
-    ValueError
-        If ``values`` is empty or contains non-positive entries.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric_mean of empty sequence")
-    if np.any(arr <= 0.0):
-        raise ValueError("geometric_mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
-
-
-def mean_and_std(values: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and (ddof=1) standard deviation; std is 0 for n < 2."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("mean_and_std of empty sequence")
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """``|measured - reference| / |reference|``.
-
-    Raises
-    ------
-    ValueError
-        If ``reference`` is zero — a relative error is undefined there.
-    """
-    if reference == 0.0:
-        raise ValueError("relative_error undefined for reference == 0")
-    return abs(measured - reference) / abs(reference)
 
 
 def log_ratio(measured: float, reference: float) -> float:

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-__all__ = ["Table", "format_ms", "format_float", "format_speedup"]
-
-
-def format_float(value: float, digits: int = 2) -> str:
-    """Render a float with ``digits`` decimals, trimming '-0.00' artefacts."""
-    text = f"{value:.{digits}f}"
-    return "0." + "0" * digits if text == "-" + "0." + "0" * digits else text
+__all__ = ["Table", "format_ms"]
 
 
 def format_ms(value_s: float) -> str:
@@ -31,11 +25,6 @@ def format_ms(value_s: float) -> str:
     if ms >= 10.0:
         return f"{ms:.1f}"
     return f"{ms:.2f}"
-
-
-def format_speedup(value: float) -> str:
-    """Render a speed-up factor, e.g. ``'2.65x'``."""
-    return f"{value:.2f}x"
 
 
 class Table:

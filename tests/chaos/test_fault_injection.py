@@ -60,7 +60,6 @@ class TestInjectorUnit:
     def test_ordinals_assigned_in_launch_order(self):
         injector = FaultInjector(FaultPlan())
         assert [injector.start_batch([]) for _ in range(3)] == [0, 1, 2]
-        assert injector.batches_started == 3
 
     def test_schedule_is_explicit_and_reproducible(self):
         plan = FaultPlan(seed=5, fail_batches=(1,), poison_instances=("bad",))

@@ -291,7 +291,8 @@ class TestStrictNumbers:
 
 #: integers the live property draws: small enough that an accepted line
 #: stays a cheap solve (``n_ants`` and ``iterations`` scale its work, and
-#: the wire bounds neither), wide enough to cross every lower bound
+#: the wire bounds only ``n_ants``, at ``MAX_ANTS``), wide enough to cross
+#: every lower bound
 LIVE_INTS = st.integers(-3, 300)
 
 
@@ -308,6 +309,7 @@ class TestWireSchemaLive:
     @example(field="params.seed", value=-1)
     @example(field="params.seed", value=2**64)
     @example(field="params.n_ants", value=True)
+    @example(field="params.n_ants", value=1099511627776)
     @example(field="construction", value=0)
     @example(field="pheromone", value=9)
     @example(field="id", value={"a": 1})

@@ -111,7 +111,7 @@ class TestFunctional:
 class TestSingleTileFastPath:
     """Under the product rule ``build_batch`` takes one argmax over the
     whole row at any tile count; the tours it must build — those of the
-    per-tile (block_argmax) kernel — are pinned by
+    per-tile argmax kernel — are pinned by
     ``tests/property/test_solo_golden.py``."""
 
     @settings(max_examples=60, deadline=None)

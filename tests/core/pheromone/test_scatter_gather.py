@@ -66,7 +66,7 @@ class TestPaperFormulas:
     def test_no_atomics_in_any_gather_version(self):
         for cls in (ReductionPheromone, ScatterGatherTiledPheromone, ScatterGatherPheromone):
             s, _ = cls().predict_stats(100, 100, TESLA_C1060)
-            assert s.total_atomics() == 0
+            assert s.atomics_fp == 0 and s.atomics_int == 0
 
 
 class TestFunctionalEquivalence:

@@ -18,6 +18,17 @@ def instance():
     return uniform_instance(32, seed=3232)
 
 
+def _ring_trails(mmas, n: int) -> None:
+    """Converge the trails onto one ring tour: ``tau_max`` on its edges,
+    ``tau_min`` elsewhere."""
+    tau = mmas.state.pheromone
+    tau[:, :] = mmas.tau_min
+    ring = np.arange(n)
+    tau[ring, np.roll(ring, -1)] = mmas.tau_max
+    tau[np.roll(ring, -1), ring] = mmas.tau_max
+    np.fill_diagonal(tau, 0.0)
+
+
 class TestParams:
     def test_validation(self):
         MMASParams(use_best_so_far_every=0)
@@ -50,9 +61,14 @@ class TestLimits:
         assert np.all(off <= mmas.tau_max + 1e-15)
 
     def test_reinitialise(self, instance):
+        """A row whose branching factor is below the threshold has every
+        trail reset to ``tau_max`` and its reset counted."""
         mmas = MaxMinAntSystem(instance, ACOParams(seed=4, nn=10))
         mmas.run(3)
-        mmas.reinitialise_trails()
+        policy = mmas.engine.variant.update
+        policy.reinit_branching = 2.5
+        _ring_trails(mmas, instance.n)
+        policy._maybe_reinitialise(mmas.engine.state)
         off = mmas.state.pheromone[~np.eye(instance.n, dtype=bool)]
         assert np.allclose(off, mmas.tau_max)
         assert mmas.trail_reinitialisations == 1
@@ -126,17 +142,16 @@ class TestRuns:
 
 
 class TestBranchingFactor:
+    @staticmethod
+    def _branching(mmas) -> float:
+        return float(mmas.engine.variant.update.branching_factors(mmas.engine.state)[0])
+
     def test_uniform_trails_have_high_branching(self, instance):
         mmas = MaxMinAntSystem(instance, ACOParams(seed=13))
         # all trails equal tau_max -> every edge passes the threshold
-        assert mmas.branching_factor() == pytest.approx(instance.n - 1)
+        assert self._branching(mmas) == pytest.approx(instance.n - 1)
 
     def test_converged_trails_have_low_branching(self, instance):
         mmas = MaxMinAntSystem(instance, ACOParams(seed=14))
-        tau = mmas.state.pheromone
-        tau[:, :] = mmas.tau_min
-        ring = np.arange(instance.n)
-        tau[ring, np.roll(ring, -1)] = mmas.tau_max
-        tau[np.roll(ring, -1), ring] = mmas.tau_max
-        np.fill_diagonal(tau, 0.0)
-        assert mmas.branching_factor() <= 2.5
+        _ring_trails(mmas, instance.n)
+        assert self._branching(mmas) <= 2.5

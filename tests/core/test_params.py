@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.params import ACOParams
+from repro.core.params import MAX_ANTS, ACOParams
 from repro.errors import ACOConfigError
 
 
@@ -47,6 +47,13 @@ class TestValidation:
     def test_ants_positive(self):
         with pytest.raises(ACOConfigError):
             ACOParams(n_ants=0)
+
+    def test_ants_bounded(self):
+        assert ACOParams(n_ants=MAX_ANTS).n_ants == MAX_ANTS
+        with pytest.raises(ACOConfigError, match="n_ants"):
+            ACOParams(n_ants=MAX_ANTS + 1)
+        # The default m = n is not bounded: it follows the instance.
+        assert ACOParams().resolve_ants(MAX_ANTS + 1) == MAX_ANTS + 1
 
     def test_nn_positive(self):
         with pytest.raises(ACOConfigError):

@@ -49,20 +49,9 @@ class TestIterationReport:
     def test_best_length(self):
         assert self._report().best_length == 7
 
-    def test_construction_time_includes_choice(self):
-        rep = self._report()
-        p = CostParams()
-        with_choice = rep.construction_time(TESLA_C1060, p, include_choice=True)
-        without = rep.construction_time(TESLA_C1060, p, include_choice=False)
-        assert with_choice > without
-
     def test_total_is_sum_of_stages(self):
         rep = self._report()
         p = CostParams()
         total = rep.total_time(TESLA_C1060, p)
         parts = sum(s.modeled_time(TESLA_C1060, p) for s in rep.stages)
         assert total == pytest.approx(parts)
-
-    def test_pheromone_time(self):
-        rep = self._report()
-        assert rep.pheromone_time(TESLA_C1060, CostParams()) > 0

@@ -40,8 +40,3 @@ class TestCreate:
     def test_explicit_ants(self, small_instance):
         st = create(small_instance, ACOParams(n_ants=8))
         assert st.m == 8
-
-    def test_footprint_positive_and_scales(self, small_instance, medium_instance):
-        a = create(small_instance)
-        b = create(medium_instance)
-        assert 0 < a.gpu_footprint_bytes < b.gpu_footprint_bytes

@@ -7,52 +7,10 @@ tiny inputs and demand identical results.
 
 from __future__ import annotations
 
-
 import numpy as np
 import pytest
 
 from repro.simt.literal import run_block
-from repro.simt.reduction import block_argmax
-
-
-def literal_argmax_program(tid, shared, width):
-    """Tree argmax over shared['vals'], ties to the lower index —
-    the contract block_argmax promises."""
-    shared["v"][tid] = (shared["vals"][tid], tid)
-    yield
-    stride = 1
-    while stride < width:
-        # pairwise, power-of-two tree; lower index wins ties
-        if tid % (2 * stride) == 0 and tid + stride < width:
-            a, b = shared["v"][tid], shared["v"][tid + stride]
-            if b[0] > a[0]:
-                shared["v"][tid] = b
-        yield
-        stride *= 2
-    return shared["v"][0]
-
-
-class TestReductionDifferential:
-    @pytest.mark.parametrize("width", [2, 4, 8, 16, 32])
-    def test_argmax_matches_vectorised(self, width):
-        rng = np.random.default_rng(width)
-        vals = rng.normal(size=width)
-        literal = run_block(
-            literal_argmax_program, width, {"vals": vals, "v": [None] * width}, width
-        )
-        idx_vec, max_vec = block_argmax(vals[None, :])
-        assert literal[0][1] == idx_vec[0]
-        assert literal[0][0] == pytest.approx(max_vec[0])
-
-    @pytest.mark.parametrize("width", [4, 8, 16])
-    def test_argmax_with_ties(self, width):
-        vals = np.zeros(width)
-        vals[1] = vals[3] = 5.0  # tie between indices 1 and 3
-        literal = run_block(
-            literal_argmax_program, width, {"vals": vals, "v": [None] * width}, width
-        )
-        idx_vec, _ = block_argmax(vals[None, :])
-        assert literal[0][1] == idx_vec[0] == 1
 
 
 def literal_iroulette_program(tid, shared, choice_row, u_row, visited_row, width):
@@ -115,40 +73,3 @@ class TestBitwiseTabuDifferential:
         for tid in range(threads):
             expected = [t in marks[tid] for t in range(tiles)]
             assert literal[tid] == expected
-
-
-def literal_roulette_program(tid, shared, weights, dart, width):
-    """Sequential roulette walk executed by thread 0 — the C semantics."""
-    if tid == 0:
-        total = sum(weights)
-        r = dart * total
-        acc = 0.0
-        pick = width - 1
-        for j in range(width):
-            acc += weights[j]
-            if acc >= r and weights[j] > 0:
-                pick = j
-                break
-        shared["pick"] = pick
-    yield
-    return shared["pick"]
-
-
-class TestRouletteDifferential:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_cumsum_roulette_matches_walk(self, seed):
-        from repro.core.construction.taskbased import _roulette
-
-        rng = np.random.default_rng(seed)
-        n = 12
-        weights = rng.uniform(0.0, 1.0, n)
-        weights[rng.random(n) < 0.3] = 0.0
-        if weights.sum() == 0:
-            weights[0] = 1.0
-        dart = float(rng.uniform())
-
-        literal = run_block(
-            literal_roulette_program, 1, {"pick": None}, list(weights), dart, n
-        )[0]
-        vec = _roulette(weights[None, :], np.array([weights.sum()]), np.array([dart]))[0]
-        assert literal == vec

@@ -83,20 +83,34 @@ class TestQualityParity:
 
 class TestSelectionDistribution:
     def test_exact_roulette_matches_probabilities(self):
-        """The vectorised roulette follows eq. 1's proportional law."""
-        from repro.core.construction.taskbased import _roulette
+        """The task-based kernel's step follows eq. 1's proportional law:
+        grouped by start city, the second cities occur in the proportions
+        of that start city's ``choice`` row."""
+        from repro.backend import WorkBuffers
+        from repro.core.construction.taskbased import construct_exact_batch
         from repro.rng import ParkMillerLCG
 
-        weights = np.array([[1.0, 2.0, 3.0, 4.0]])
-        rng = ParkMillerLCG(n_streams=1, seed=5)
-        counts = np.zeros(4)
-        trials = 4000
-        for _ in range(trials):
-            darts = rng.uniform()[:1]
-            pick = _roulette(weights, weights.sum(axis=1), darts)
-            counts[pick[0]] += 1
-        freq = counts / trials
-        np.testing.assert_allclose(freq, [0.1, 0.2, 0.3, 0.4], atol=0.035)
+        n, m = 4, 8000
+        choice = np.array(
+            [
+                [0.0, 1.0, 2.0, 3.0],
+                [4.0, 0.0, 1.0, 1.0],
+                [1.0, 1.0, 0.0, 2.0],
+                [2.0, 5.0, 3.0, 0.0],
+            ]
+        )
+        tours, fallbacks = construct_exact_batch(
+            choice[None], None, ParkMillerLCG(n_streams=m, seed=5), 1, m, n,
+            work=WorkBuffers(),
+        )
+        assert fallbacks[0] == 0.0
+        starts, seconds = tours[0, :, 0], tours[0, :, 1]
+        for city in range(n):
+            group = seconds[starts == city]
+            assert group.size > 1500
+            freq = np.bincount(group, minlength=n) / group.size
+            want = choice[city] / choice[city].sum()
+            np.testing.assert_allclose(freq, want, atol=0.035)
 
     def test_iroulette_monotone_in_weight(self):
         """I-Roulette is not proportional, but higher choice values must

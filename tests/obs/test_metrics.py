@@ -264,7 +264,7 @@ class TestMetricsRegistry:
     def test_convenience_methods(self):
         reg = MetricsRegistry()
         reg.inc("hits", 2)
-        reg.set_gauge("depth", 7)
+        reg.gauge("depth").set(7)
         reg.observe("lat", 0.5)
         snap = reg.snapshot()
         assert snap["counters"] == {"hits": 2}
@@ -290,7 +290,7 @@ class TestNullRegistry:
     def test_stores_nothing(self):
         reg = NullRegistry()
         reg.inc("hits", 100)
-        reg.set_gauge("depth", 3)
+        reg.gauge("depth").set(3)
         reg.observe("lat", 1.0)
         reg.histogram("other").observe(2.0)
         snap = reg.snapshot()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -67,16 +66,3 @@ class TestBucketConservation:
         # broadcast can be cheaper than coalesced; exclude pure-broadcast mixes
         if stats.gmem_broadcast_bytes == 0:
             assert as_is >= flattened - 1e-12
-
-
-class TestGatherFunctional:
-    @given(
-        st.integers(1, 200),
-        st.lists(st.integers(0, 199), min_size=1, max_size=64),
-    )
-    def test_gather_values_correct(self, size, idx):
-        idx = [i % size for i in idx]
-        arr = np.arange(size, dtype=np.float32) * 2.0
-        gm = GlobalMemory(TESLA_C1060, KernelStats())
-        out = gm.gather(arr, np.array(idx))
-        np.testing.assert_array_equal(out, arr[np.array(idx)])

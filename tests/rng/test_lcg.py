@@ -68,13 +68,6 @@ class TestParkMillerLCG:
         block = rng.uniform_block(50)
         assert abs(block.mean() - 0.5) < 0.02
 
-    def test_uniform_scalar_advances_all_streams(self):
-        rng = ParkMillerLCG(n_streams=4, seed=3)
-        before = rng.state
-        rng.uniform_scalar()
-        after = rng.state
-        assert not np.array_equal(before, after)
-
     def test_invalid_stream_count(self):
         with pytest.raises(ValueError):
             ParkMillerLCG(n_streams=0, seed=1)

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CONSTRUCTION_VERSIONS, PHEROMONE_VERSIONS, ACOParams
+from repro.core.params import MAX_ANTS
 from repro.core.variant import LOCAL_SEARCH, LS_TARGETS, VARIANTS
 from repro.errors import ReproError
 from repro.serve import SolveRequest
@@ -125,7 +126,7 @@ def solve_requests(draw) -> SolveRequest:
         alpha=draw(finite(0.0, 1e6)),
         beta=draw(finite(0.0, 1e6)),
         rho=draw(finite(0.0, 1.0, exclude_min=True)),
-        n_ants=draw(st.none() | st.integers(1, 10**6)),
+        n_ants=draw(st.none() | st.integers(1, MAX_ANTS)),
         nn=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**63 - 1)),
         eta_shift=draw(finite(0.0, 1e6, exclude_min=True)),
@@ -178,6 +179,7 @@ def test_decode_inverts_encode(request, req_id):
 @example(field="params.alpha", value=math.nan)
 @example(field="params.beta", value=math.inf)
 @example(field="variant", value=["as"])
+@example(field="params.n_ants", value=1099511627776)
 def test_any_json_value_in_any_field_decodes_or_is_refused(field, value):
     line = json.dumps(place(base_line_obj("p"), field, value))
     try:
@@ -190,3 +192,15 @@ def test_any_json_value_in_any_field_decodes_or_is_refused(field, value):
     # What the router forwards to a worker decodes to the same request.
     _, again = decode_request(encode_request(request, req_id), default_id="d")
     assert dataclasses.replace(again, instance=request.instance) == request
+
+
+def test_n_ants_above_bound_is_refused():
+    """A colony size far above ``MAX_ANTS`` is one error naming the field,
+    not a request that fails its whole batch with a ``MemoryError``."""
+    line = json.dumps(place(base_line_obj("p"), "params.n_ants", 1099511627776))
+    try:
+        decode_request(line, default_id="d")
+    except ReproError as exc:
+        assert "n_ants" in str(exc)
+    else:
+        raise AssertionError("an n_ants above MAX_ANTS was admitted")

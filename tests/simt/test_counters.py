@@ -54,11 +54,6 @@ class TestInspection:
         assert d["rng_lcg"] == 2.0
         assert "atomic_hot_degree" in d
 
-    def test_totals(self):
-        s = KernelStats(atomics_fp=2, atomics_int=3, gmem_load_bytes=5, gmem_store_bytes=7)
-        assert s.total_atomics() == 5
-        assert s.total_gmem_bytes() == 12
-
     def test_approx_equal_and_diff(self):
         a = KernelStats(flops=1.0)
         b = KernelStats(flops=1.0 + 1e-12)

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import LaunchConfigError
 from repro.simt.counters import KernelStats
 from repro.simt.device import TESLA_C1060, TESLA_M2050
-from repro.simt.kernel import Kernel, KernelLaunch, LaunchConfig, grid_for
+from repro.simt.kernel import Kernel, LaunchConfig, grid_for
 
 
 class TestGridFor:
@@ -76,8 +76,3 @@ class TestKernelBookkeeping:
     def test_record_negative_raises(self):
         with pytest.raises(LaunchConfigError):
             Kernel.record_launch(KernelStats(), LaunchConfig(grid=1, block=32), count=-1)
-
-    def test_kernel_launch_record(self):
-        launch = KernelLaunch(name="demo", config=LaunchConfig(grid=8, block=128))
-        par = launch.effective_parallelism(TESLA_C1060)
-        assert 0.0 < par <= 1.0

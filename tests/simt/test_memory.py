@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import MemoryModelError
 from repro.simt.counters import KernelStats
-from repro.simt.device import TESLA_C1060, TESLA_M2050
-from repro.simt.memory import (
-    TRAFFIC_MULTIPLIER,
-    AccessPattern,
-    GlobalMemory,
-    SharedMemory,
-    TextureMemory,
-)
+from repro.simt.device import TESLA_C1060
+from repro.simt.memory import TRAFFIC_MULTIPLIER, AccessPattern, GlobalMemory
 
 
 class TestGlobalMemory:
@@ -34,34 +27,10 @@ class TestGlobalMemory:
         assert st.gmem_store_bytes == 32
         assert st.gmem_load_bytes == 0
 
-    def test_gather_functional_and_counted(self):
-        st = KernelStats()
-        gm = GlobalMemory(TESLA_C1060, st)
-        arr = np.arange(10, dtype=np.float32)
-        idx = np.array([1, 3, 5])
-        out = gm.gather(arr, idx)
-        np.testing.assert_array_equal(out, [1.0, 3.0, 5.0])
-        assert st.gmem_load_bytes == 12  # 3 x 4 bytes
-        assert st.gmem_random_bytes == 12
-
     def test_negative_count_raises(self):
         gm = GlobalMemory(TESLA_C1060, KernelStats())
         with pytest.raises(MemoryModelError):
             gm.load(-1)
-
-    def test_alloc_tracks_and_oom(self):
-        gm = GlobalMemory(TESLA_C1060, KernelStats())
-        gm.alloc(1024)
-        assert gm.allocated_bytes == 1024
-        with pytest.raises(MemoryModelError, match="OOM"):
-            gm.alloc(TESLA_C1060.global_mem_bytes)
-
-    def test_free_validates(self):
-        gm = GlobalMemory(TESLA_C1060, KernelStats())
-        gm.alloc(100)
-        gm.free(100)
-        with pytest.raises(MemoryModelError):
-            gm.free(1)
 
     def test_multiplier_ordering(self):
         # random moves more DRAM bytes than strided than coalesced
@@ -71,46 +40,3 @@ class TestGlobalMemory:
             > TRAFFIC_MULTIPLIER[AccessPattern.COALESCED]
             > TRAFFIC_MULTIPLIER[AccessPattern.BROADCAST]
         )
-
-
-class TestSharedMemory:
-    def test_capacity_check(self):
-        with pytest.raises(MemoryModelError):
-            SharedMemory(TESLA_C1060, KernelStats(), 17 * 1024)
-
-    def test_m2050_allows_larger(self):
-        sm = SharedMemory(TESLA_M2050, KernelStats(), 40 * 1024)
-        assert sm.nbytes == 40 * 1024
-
-    def test_access_counting(self):
-        st = KernelStats()
-        sm = SharedMemory(TESLA_C1060, st, 1024)
-        sm.access(50)
-        sm.access(25)
-        assert st.smem_accesses == 75
-
-    def test_negative_access_raises(self):
-        sm = SharedMemory(TESLA_C1060, KernelStats(), 64)
-        with pytest.raises(MemoryModelError):
-            sm.access(-5)
-
-
-class TestTextureMemory:
-    def test_fetch_counting(self):
-        st = KernelStats()
-        tex = TextureMemory(TESLA_C1060, st)
-        tex.load(100, 4)
-        assert st.tex_bytes == 400
-
-    def test_gather(self):
-        st = KernelStats()
-        tex = TextureMemory(TESLA_C1060, st)
-        arr = np.arange(6, dtype=np.float32)
-        out = tex.gather(arr, np.array([[0, 5], [2, 3]]))
-        assert out.shape == (2, 2)
-        assert st.tex_bytes == 16
-
-    def test_negative_raises(self):
-        tex = TextureMemory(TESLA_C1060, KernelStats())
-        with pytest.raises(MemoryModelError):
-            tex.load(-1)

@@ -1,15 +1,10 @@
-"""Tests for block reductions."""
+"""Tests for the tree-reduction depth of the data-parallel kernel."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.simt.counters import KernelStats
-from repro.simt.reduction import block_argmax, block_sum, reduction_stage_count
+from repro.core.construction.dataparallel import reduction_stage_count
 
 
 class TestStageCount:
@@ -22,57 +17,3 @@ class TestStageCount:
     def test_invalid(self):
         with pytest.raises(ValueError):
             reduction_stage_count(0)
-
-
-class TestBlockArgmax:
-    def test_basic(self):
-        vals = np.array([[1.0, 5.0, 2.0], [9.0, 0.0, 3.0]])
-        idx, mx = block_argmax(vals)
-        np.testing.assert_array_equal(idx, [1, 0])
-        np.testing.assert_array_equal(mx, [5.0, 9.0])
-
-    def test_tie_goes_to_lowest_index(self):
-        vals = np.array([[3.0, 3.0, 1.0]])
-        idx, _ = block_argmax(vals)
-        assert idx[0] == 0
-
-    def test_accounting(self):
-        st_ = KernelStats()
-        block_argmax(np.zeros((4, 8)), st_)
-        assert st_.reduction_steps == 4 * 3  # log2(8) = 3 stages x 4 blocks
-        assert st_.syncthreads == 4 * 3
-        assert st_.smem_accesses > 0
-        assert st_.flops > 0
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            block_argmax(np.zeros(5))
-
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(1, 6), st.integers(1, 64)),
-            elements=st.floats(-1e6, 1e6),
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_numpy_argmax(self, vals):
-        idx, mx = block_argmax(vals)
-        np.testing.assert_array_equal(idx, np.argmax(vals, axis=1))
-        np.testing.assert_array_equal(mx, vals.max(axis=1))
-
-
-class TestBlockSum:
-    def test_basic(self):
-        out = block_sum(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_allclose(out, [3.0, 7.0])
-
-    def test_accounting_scales_with_blocks(self):
-        a, b = KernelStats(), KernelStats()
-        block_sum(np.zeros((2, 16)), a)
-        block_sum(np.zeros((4, 16)), b)
-        assert b.smem_accesses == 2 * a.smem_accesses
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            block_sum(np.zeros(3))

@@ -6,7 +6,12 @@ import pytest
 
 from repro.simt.counters import KernelStats
 from repro.simt.device import TESLA_C1060, TESLA_M2050
-from repro.simt.timing import CostParams, estimate_time, throughput_throttle
+from repro.simt.timing import (
+    EMULATION_COST_FACTOR,
+    CostParams,
+    estimate_time,
+    throughput_throttle,
+)
 
 
 class TestThrottle:
@@ -70,6 +75,9 @@ class TestEstimateTime:
         t_c1060 = estimate_time(s, TESLA_C1060, p)
         t_m2050 = estimate_time(s, TESLA_M2050, p)
         assert t_c1060 == pytest.approx(4.0 * t_m2050, rel=1e-6)
+
+    def test_emulation_factor_positive(self):
+        assert EMULATION_COST_FACTOR > 1.0
 
     def test_int_atomics_not_emulated(self):
         p = CostParams()

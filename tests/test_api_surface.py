@@ -104,7 +104,6 @@ class TestErrorHierarchy:
         assert issubclass(errors.LaunchConfigError, errors.SimtError)
         assert issubclass(errors.OccupancyError, errors.SimtError)
         assert issubclass(errors.MemoryModelError, errors.SimtError)
-        assert issubclass(errors.DeviceFeatureError, errors.SimtError)
         assert issubclass(errors.CalibrationError, errors.ExperimentError)
 
     def test_format_error_carries_line_number(self):

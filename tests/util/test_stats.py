@@ -2,73 +2,19 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
     crossover_index,
-    geometric_mean,
     log_ratio,
-    mean_and_std,
     monotone_fraction,
-    relative_error,
     spearman_rank_correlation,
 )
 
 
-class TestGeometricMean:
-    def test_single_value(self):
-        assert geometric_mean([4.0]) == pytest.approx(4.0)
-
-    def test_two_values(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_non_positive_raises(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -2.0])
-
-    @given(st.lists(st.floats(0.01, 1e6), min_size=1, max_size=30))
-    def test_bounded_by_min_max(self, values):
-        g = geometric_mean(values)
-        assert min(values) * (1 - 1e-9) <= g <= max(values) * (1 + 1e-9)
-
-
-class TestMeanAndStd:
-    def test_constant_sequence(self):
-        mean, std = mean_and_std([3.0, 3.0, 3.0])
-        assert mean == pytest.approx(3.0)
-        assert std == pytest.approx(0.0)
-
-    def test_single_value_has_zero_std(self):
-        assert mean_and_std([5.0]) == (5.0, 0.0)
-
-    def test_known_values(self):
-        mean, std = mean_and_std([1.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert std == pytest.approx(math.sqrt(2.0))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_and_std([])
-
-
 class TestErrors:
-    def test_relative_error(self):
-        assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-
-    def test_relative_error_zero_reference(self):
-        with pytest.raises(ValueError):
-            relative_error(1.0, 0.0)
-
     def test_log_ratio_symmetry(self):
         assert log_ratio(2.0, 1.0) == pytest.approx(-log_ratio(1.0, 2.0))
 

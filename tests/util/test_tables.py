@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.tables import Table, format_float, format_ms, format_speedup
+from repro.util.tables import Table, format_ms
 
 
 class TestFormatters:
-    def test_format_float(self):
-        assert format_float(1.234, 2) == "1.23"
-
     def test_format_ms_small(self):
         assert format_ms(0.00123) == "1.23"
 
@@ -19,9 +16,6 @@ class TestFormatters:
 
     def test_format_ms_large(self):
         assert format_ms(1.5) == "1500"
-
-    def test_format_speedup(self):
-        assert format_speedup(2.654) == "2.65x"
 
 
 class TestTable:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.util.timer import Timer, WallClock
+from repro.util.timer import WallClock
 
 
 class TestWallClock:
@@ -12,81 +10,3 @@ class TestWallClock:
         with WallClock() as clock:
             sum(range(1000))
         assert clock.elapsed >= 0.0
-
-    def test_callback_invoked(self):
-        seen = []
-        with WallClock(on_exit=seen.append):
-            pass
-        assert len(seen) == 1
-        assert seen[0] >= 0.0
-
-
-class TestTimer:
-    def test_laps_accumulate(self):
-        t = Timer()
-        for _ in range(3):
-            with t.lap():
-                pass
-        assert t.count == 3
-        assert t.total >= 0.0
-        assert t.mean == pytest.approx(t.total / 3)
-
-    def test_add_external_lap(self):
-        t = Timer()
-        t.add(0.5)
-        t.add(1.5)
-        assert t.mean == pytest.approx(1.0)
-
-    def test_add_negative_raises(self):
-        with pytest.raises(ValueError):
-            Timer().add(-1.0)
-
-    def test_mean_empty_is_zero(self):
-        assert Timer().mean == 0.0
-
-    def test_reset(self):
-        t = Timer()
-        t.add(1.0)
-        t.reset()
-        assert t.count == 0
-        assert t.total == 0.0
-
-    def test_percentile_linear_interpolation(self):
-        t = Timer()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            t.add(v)
-        assert t.percentile(0) == 1.0
-        assert t.percentile(100) == 4.0
-        assert t.p50 == pytest.approx(2.5)
-        assert t.percentile(25) == pytest.approx(1.75)
-
-    def test_percentile_single_lap(self):
-        t = Timer()
-        t.add(7.0)
-        assert t.p50 == 7.0 and t.p99 == 7.0
-
-    def test_percentile_ignores_insertion_order(self):
-        t = Timer()
-        for v in (9.0, 1.0, 5.0):
-            t.add(v)
-        assert t.p50 == 5.0
-        assert t.laps == [9.0, 1.0, 5.0]  # sorting never mutates the laps
-
-    def test_percentile_empty_is_zero(self):
-        assert Timer().p95 == 0.0
-
-    def test_percentile_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            Timer().percentile(-1)
-        with pytest.raises(ValueError):
-            Timer().percentile(100.5)
-
-    def test_merge_folds_laps_and_chains(self):
-        a = Timer()
-        b = Timer()
-        a.add(1.0)
-        b.add(3.0)
-        assert a.merge(b) is a
-        assert a.count == 2
-        assert a.mean == pytest.approx(2.0)
-        assert b.count == 1  # other side untouched
