@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.batch import BatchColonyState
 from repro.core.params import ACOParams
 from repro.core.pheromone.atomic import AtomicPheromone, AtomicSharedPheromone
 from repro.simt.device import TESLA_C1060, TESLA_M2050
-from repro.tsp.tour import edge_indices, random_tour, tour_lengths
+from repro.tsp import uniform_instance
+from repro.tsp.tour import edge_indices, random_tour, tour_lengths, tour_lengths_batch
 from tests.helpers import one_row_state
 
 
@@ -70,6 +74,72 @@ class TestFunctional:
         for _ in range(5):
             update(AtomicSharedPheromone(), state, tours, lengths)
         assert np.all(state.pheromone >= 0)
+
+
+class TestDeposit:
+    """The deposit is an atomic sum: every crossing of a cell adds its
+    ant's ``1/C_k`` to both triangle cells, and nothing else moves."""
+
+    def test_repeated_edges_accumulate(self, state):
+        tour = random_tour(state.n, np.random.default_rng(2))
+        tours = np.repeat(tour[None], state.m, axis=0)
+        lengths = np.full(state.m, 500, dtype=np.int64)
+        before = state.pheromone[0].copy()
+        update(AtomicSharedPheromone(), state, tours, lengths)
+        a, b = tour[0], tour[1]
+        assert state.pheromone[0, a, b] == pytest.approx(
+            0.5 * before[a, b] + state.m / 500.0, rel=1e-12
+        )
+        assert state.pheromone[0, b, a] == state.pheromone[0, a, b]
+
+    def test_untouched_cells_only_evaporate(self, state, tours_and_lengths):
+        tours, lengths = tours_and_lengths
+        before = state.pheromone[0].copy()
+        update(AtomicPheromone(), state, tours, lengths)
+        fw = edge_indices(tours).ravel()
+        crossed = np.zeros(state.n * state.n, dtype=bool)
+        crossed[fw] = True
+        crossed |= crossed.reshape(state.n, state.n).T.ravel()
+        after = state.pheromone[0].ravel()
+        np.testing.assert_array_equal(after[~crossed], 0.5 * before.ravel()[~crossed])
+        assert np.all(after[crossed] > 0.5 * before.ravel()[crossed])
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.integers(1, 10_000), min_size=1, max_size=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_sum(self, seed, lengths):
+        n = 7
+        instance = uniform_instance(n, seed=77)
+        m = len(lengths)
+        state = colony(instance, n_ants=m, rho=0.25)
+        rng = np.random.default_rng(seed)
+        tours = np.stack([random_tour(n, rng) for _ in range(m)])
+        lengths = np.array(lengths, dtype=np.int64)
+        fw = edge_indices(tours).ravel()
+        dense = np.bincount(fw, weights=np.repeat(1.0 / lengths, n), minlength=n * n)
+        dense = dense.reshape(n, n)
+        expected = 0.75 * state.pheromone[0] + dense + dense.T
+        update(AtomicSharedPheromone(), state, tours, lengths)
+        np.testing.assert_allclose(state.pheromone[0], expected, rtol=1e-12)
+
+    def test_hot_degree_is_per_colony(self, small_instance):
+        """Each row's report carries its own colony's hottest cell."""
+        params = ACOParams(seed=3)
+        bstate = BatchColonyState.create(
+            [small_instance, small_instance], [params, params], TESLA_M2050
+        )
+        n, m = bstate.n, bstate.m
+        rng = np.random.default_rng(4)
+        shared = np.repeat(random_tour(n, rng)[None], m, axis=0)
+        spread = np.stack([random_tour(n, rng) for _ in range(m)])
+        tours = np.stack([shared, spread])
+        lengths, edges = tour_lengths_batch(tours, bstate.dist, work=bstate.work)
+        reps = AtomicSharedPheromone().update_batch(bstate, edges, lengths)
+        assert reps[0].stats.atomic_hot_degree == m
+        want = np.bincount(edge_indices(spread).ravel(), minlength=n * n).max()
+        assert reps[1].stats.atomic_hot_degree == want < m
 
 
 class TestLedgers:

@@ -67,3 +67,49 @@ class TestValidation:
         p = ACOParams()
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.alpha = 2.0  # type: ignore[misc]
+
+
+class TestBounds:
+    """Each field's admitted range, edge values included; a refusal names
+    the field it refuses."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rho", 1e-9),
+            ("rho", 1.0),
+            ("alpha", 0.0),
+            ("beta", 0.0),
+            ("n_ants", 1),
+            ("n_ants", MAX_ANTS),
+            ("nn", 1),
+            ("seed", 0),
+            ("seed", 2**63 - 1),
+            ("eta_shift", 1e-12),
+        ],
+    )
+    def test_edge_value_admitted(self, field, value):
+        assert getattr(ACOParams(**{field: value}), field) == value
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("rho", 0.0, "rho"),
+            ("rho", -0.5, "rho"),
+            ("rho", 1.0 + 1e-12, "rho"),
+            ("alpha", -1.0, "alpha"),
+            ("beta", -1e-9, "beta"),
+            ("n_ants", 0, "n_ants"),
+            ("n_ants", -3, "n_ants"),
+            ("n_ants", MAX_ANTS + 1, "n_ants"),
+            ("n_ants", 1 << 40, "n_ants"),
+            ("nn", 0, "nn"),
+            ("eta_shift", 0.0, "eta_shift"),
+            ("eta_shift", -1.0, "eta_shift"),
+            ("seed", -1, "seed"),
+            ("seed", 2**63, "seed"),
+        ],
+    )
+    def test_out_of_range_refused(self, field, value, named):
+        with pytest.raises(ACOConfigError, match=named):
+            ACOParams(**{field: value})

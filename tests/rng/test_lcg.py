@@ -76,3 +76,23 @@ class TestParkMillerLCG:
         rng = ParkMillerLCG(n_streams=2, seed=1)
         with pytest.raises(ValueError):
             rng.uniform_block(-1)
+
+    def test_uniform_advances_every_stream(self):
+        rng = ParkMillerLCG(n_streams=4, seed=3)
+        before = rng.state.copy()
+        rng.uniform()
+        assert np.all(rng.state != before)
+
+    @pytest.mark.parametrize("rounds", [1, 3, 7])
+    def test_block_equals_sequential_draws(self, rounds):
+        block = ParkMillerLCG(n_streams=5, seed=11).uniform_block(rounds)
+        rng = ParkMillerLCG(n_streams=5, seed=11)
+        np.testing.assert_array_equal(block, [rng.uniform() for _ in range(rounds)])
+
+    def test_block_fills_the_given_buffer(self):
+        out = np.full((4, 3), -1.0)
+        block = ParkMillerLCG(n_streams=3, seed=2).uniform_block(2, out=out)
+        assert np.shares_memory(block, out)
+        np.testing.assert_array_equal(out[2:], -1.0)
+        with pytest.raises(ValueError):
+            ParkMillerLCG(n_streams=3, seed=2).uniform_block(5, out=out)

@@ -25,6 +25,13 @@ class TestErrors:
         with pytest.raises(ValueError):
             log_ratio(-1.0, 2.0)
 
+    def test_log_ratio_known_value(self):
+        assert log_ratio(2.0, 1.0) == pytest.approx(0.6931471805599453)
+
+    def test_log_ratio_zero_reference_raises(self):
+        with pytest.raises(ValueError):
+            log_ratio(1.0, 0.0)
+
 
 class TestSpearman:
     def test_identical_order(self):
@@ -32,6 +39,13 @@ class TestSpearman:
 
     def test_reversed_order(self):
         assert spearman_rank_correlation([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+
+    def test_one_swap_of_four(self):
+        # 1 - 6 * sum(d^2) / (n (n^2 - 1)) = 1 - 6 * 2 / 60
+        assert spearman_rank_correlation([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+
+    def test_constant_sequences_agree(self):
+        assert spearman_rank_correlation([2, 2, 2], [5, 5, 5]) == pytest.approx(1.0)
 
     def test_ties_handled(self):
         rho = spearman_rank_correlation([1, 1, 2], [1, 1, 2])
@@ -74,6 +88,10 @@ class TestMonotoneFraction:
         with pytest.raises(ValueError):
             monotone_fraction([1.0])
 
+    def test_flat_steps_do_not_count(self):
+        assert monotone_fraction([1, 1, 2]) == pytest.approx(0.5)
+        assert monotone_fraction([2, 2, 1], increasing=False) == pytest.approx(0.5)
+
 
 class TestCrossoverIndex:
     def test_finds_first_above(self):
@@ -87,6 +105,9 @@ class TestCrossoverIndex:
 
     def test_custom_threshold(self):
         assert crossover_index([1.0, 2.0, 5.0], threshold=4.0) == 2
+
+    def test_empty_curve(self):
+        assert crossover_index([]) is None
 
     def test_exact_threshold_not_counted(self):
         # strictly above

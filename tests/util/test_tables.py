@@ -17,6 +17,13 @@ class TestFormatters:
     def test_format_ms_large(self):
         assert format_ms(1.5) == "1500"
 
+    @pytest.mark.parametrize(
+        "seconds,text",
+        [(0.0, "0.00"), (0.00999, "9.99"), (0.01, "10.0"), (0.9994, "999.4"), (1.0, "1000")],
+    )
+    def test_format_ms_boundaries(self, seconds, text):
+        assert format_ms(seconds) == text
+
 
 class TestTable:
     def test_render_contains_headers_and_cells(self):
@@ -48,6 +55,11 @@ class TestTable:
         assert "| h1 | h2 |" in md
         assert "|---|---|" in md
         assert "| a | b |" in md
+
+    def test_markdown_without_title_starts_with_header(self):
+        t = Table(["h"])
+        t.add_row([1])
+        assert t.render_markdown().splitlines() == ["| h |", "|---|", "| 1 |"]
 
     def test_str_equals_render(self):
         t = Table(["x"])
