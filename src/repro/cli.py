@@ -148,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--device", choices=sorted(DEVICES), default="m2050")
     solve.add_argument("--ants", type=int, default=None, help="colony size (default m = n)")
-    solve.add_argument("--nn", type=int, default=30, help="candidate-list width")
-    solve.add_argument("--seed", type=int, default=1)
+    solve.add_argument("--nn", type=int, default=ACOParams.nn, help="candidate-list width")
+    solve.add_argument("--seed", type=int, default=ACOParams.seed)
     solve.add_argument(
         "--replicas",
         type=int,
@@ -252,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--device", choices=sorted(DEVICES), default="m2050")
     sweep.add_argument("--ants", type=int, default=None)
-    sweep.add_argument("--nn", type=int, default=30)
-    sweep.add_argument("--seed", type=int, default=1)
+    sweep.add_argument("--nn", type=int, default=ACOParams.nn)
+    sweep.add_argument("--seed", type=int, default=ACOParams.seed)
     sweep.add_argument(
         "--backend",
         choices=sorted(BACKENDS),

@@ -86,9 +86,8 @@ def _instance_digest(instance) -> str:
     return digest
 
 
-#: Public name for the canonical per-instance content digest.  Checkpoint
-#: rows and the shard router's shared-memory instance cache key off the
-#: same value, so "equal instance" means the same thing in both systems.
+#: Public name for the canonical per-instance content digest that
+#: checkpoint rows key off.
 instance_digest = _instance_digest
 
 

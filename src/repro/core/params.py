@@ -7,6 +7,7 @@ study — ``m = n`` ants.  The candidate-list width is nn = 30.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ACOConfigError
@@ -74,6 +75,18 @@ class ACOParams:
             raise ACOConfigError(f"nn must be >= 1, got {self.nn}")
         if self.eta_shift <= 0.0:
             raise ACOConfigError(f"eta_shift must be > 0, got {self.eta_shift}")
+        # Every eta^beta is at most (1 / eta_shift)^beta, the diagonal's
+        # value: past float64's range the diagonal overflows (and turns
+        # the choice table into NaN); at 0 every entry underflows.
+        try:
+            eta_beta_max = (1.0 / self.eta_shift) ** self.beta
+        except OverflowError:
+            eta_beta_max = math.inf
+        if not 0.0 < eta_beta_max < math.inf:
+            raise ACOConfigError(
+                "(1 / eta_shift) ** beta must be a positive finite float64, "
+                f"got beta={self.beta}, eta_shift={self.eta_shift}"
+            )
         if not 0 <= self.seed < 2**63:
             # Seeds are hashed as unsigned 64-bit words (one generator also
             # derives seed + 5); outside this range stream setup overflows.

@@ -199,7 +199,9 @@ class PseudoProportionalChoice(ChoicePolicy):
     With probability ``q0`` an ant moves greedily to the best
     ``choice_info`` candidate; otherwise it applies the usual proportional
     roulette.  Immediately after crossing an edge the ant decays it toward
-    ``tau0``: ``tau <- (1 - xi) tau + xi tau0`` (both directions).  Local
+    ``tau0``: ``tau <- (1 - xi) tau + xi tau0`` (both directions); once its
+    tour is complete, it decays the closing edge back to its start city
+    the same way, as ACOTSP's ``construct_solutions`` does.  Local
     updates within one step decay each crossed directed edge once: ants
     sharing an edge write the same value, matching a GPU execution where
     colliding same-step writers are idempotent decays toward the same
@@ -296,6 +298,16 @@ class PseudoProportionalChoice(ChoicePolicy):
             min_off_diagonal(choice_rows.reshape(B, n, n), xp) > 0.0
         )
 
+        def local_update(frm, to):
+            # Colony offsets keep rows disjoint in the flat view.  The
+            # decayed values are gathered before any write, so ants sharing
+            # a directed edge write the same value and the edge decays
+            # once; the mirror gets the same values.
+            gk = col_of_ant * nn2 + frm * n + to
+            decayed = (1.0 - xi) * flat_tau[gk] + xi * self.tau0[col_of_ant]
+            flat_tau[gk] = decayed
+            flat_tau[col_of_ant * nn2 + to * n + frm] = decayed
+
         # One (B * S,) draw vector per step plus the placement draw — the
         # exact per-step lockstep of the solo loop.
         draws = BlockedDraws(rng, n, work=wb, key="acs.rng")
@@ -327,19 +339,13 @@ class PseudoProportionalChoice(ChoicePolicy):
                         choice_rows[rows_idx[dead]], visited[dead], xp
                     )
 
-            # Local pheromone update (colony offsets keep rows disjoint in
-            # the flat view).  The decayed values are gathered before any
-            # write, so ants sharing a directed edge write the same value
-            # and the edge decays once; the mirror gets the same values.
-            gk = col_of_ant * nn2 + cur * n + nxt
-            decayed = (1.0 - xi) * flat_tau[gk] + xi * self.tau0[col_of_ant]
-            flat_tau[gk] = decayed
-            flat_tau[col_of_ant * nn2 + nxt * n + cur] = decayed
-
+            local_update(cur, nxt)
             visited[ant_idx, nxt] = True
             tours[:, step] = nxt
             cur = nxt
 
+        if n > 1:
+            local_update(cur, start)  # the closing edge, as in ACOTSP
         tours[:, n] = tours[:, 0]
         tours = tours.reshape(B, m, n + 1)
         reports = []
@@ -366,8 +372,9 @@ class PseudoProportionalChoice(ChoicePolicy):
         stats.flops += steps * 3.0 * mn  # weighting + argmax scan
         stats.int_ops += steps * 2.0 * mn
         stats.smem_accesses += steps * mn
-        stats.atomics_fp += steps * 2.0 * m  # local updates, both directions
-        gmem.load(steps * 2.0 * m, 4, AccessPattern.RANDOM)
+        # Local updates, both directions, the closing edge included.
+        stats.atomics_fp += n * 2.0 * m
+        gmem.load(n * 2.0 * m, 4, AccessPattern.RANDOM)
         return stats, launch
 
 

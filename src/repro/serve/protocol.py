@@ -157,8 +157,8 @@ def _field_table(cls, skip: tuple[str, ...] = ()) -> tuple:
 _REQUEST_FIELDS = _field_table(SolveRequest, skip=("instance", "params"))
 _PARAMS_FIELDS = _field_table(ACOParams)
 
-#: an instance object's string fields (``coords`` and the shard tier's
-#: ``shm`` stub are read on their own paths); ``suite`` has no default
+#: an instance object's string fields (``coords`` is read on its own
+#: path); ``suite`` has no default
 _INSTANCE_FIELDS = tuple(
     (name, _WIRE_TYPES["str"], default)
     for name, default in (("suite", ""), ("name", "inline"), ("edge_weight_type", "EUC_2D"))
@@ -217,10 +217,9 @@ def instance_to_json(instance: TSPInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> TSPInstance:
-    """The instance a request names: a suite entry, inline coords, or a
-    shard-tier shared-memory stub.  Inline coords are checked by
-    :class:`~repro.tsp.instance.TSPInstance` itself (finite values, a
-    supported ``edge_weight_type``)."""
+    """The instance a request names: a suite entry or inline coords.
+    Inline coords are checked by :class:`~repro.tsp.instance.TSPInstance`
+    itself (finite values, a supported ``edge_weight_type``)."""
     if not isinstance(obj, dict):
         raise ServeError(f"instance must be an object, got {type(obj).__name__}")
     fields = {name: default for name, _, default in _INSTANCE_FIELDS}
@@ -229,15 +228,8 @@ def instance_from_json(obj: dict) -> TSPInstance:
         from repro.tsp.suite import load_instance
 
         return load_instance(fields["suite"])
-    if "shm" in obj:
-        # Shard-tier form: the router published the coords into a shared-
-        # memory block keyed by content digest; resolve (and cache) it in
-        # this worker process.
-        from repro.shard.shm import resolve_shared_instance
-
-        return resolve_shared_instance(obj)
     if "coords" not in obj:
-        raise ServeError("instance needs 'suite', 'coords' or 'shm'")
+        raise ServeError("instance needs 'suite' or 'coords'")
     return TSPInstance(
         name=fields["name"],
         coords=np.asarray(obj["coords"], dtype=np.float64),
@@ -252,8 +244,8 @@ def encode_request(
 
     Only fields that differ from their defaults are written.
     ``instance_obj`` overrides the instance's wire form — the shard
-    router forwards ``{"suite": ...}`` stubs and shared-memory stubs this
-    way instead of re-inlining coords per request.
+    router forwards ``{"suite": ...}`` stubs and the client's own inline
+    instance object this way instead of re-encoding coords per request.
     """
     if instance_obj is None:
         instance_obj = instance_to_json(request.instance)

@@ -418,9 +418,6 @@ class ServiceStats:
             self.colony_iterations += batch.B * batch.iterations_run
         self.batch_wall.observe(batch.wall_seconds)
 
-    # Retained name from the batch-sums-only era; same locked mutation.
-    record_batch = observe_batch
-
     def observe_resolution(self, outcome: str, latency: float) -> None:
         """One request reaching its terminal state; ``latency`` is seconds
         from submission.  Early outcomes (``target``/``deadline``) are

@@ -10,11 +10,6 @@ single serve process.
 
 Layers (one module each):
 
-* :mod:`repro.shard.shm` — shared-memory instance cache: inline
-  coordinate instances are serialized into ``multiprocessing.shared_memory``
-  once per distinct in-flight
-  :func:`~repro.core.checkpoint.instance_digest`, and workers attach by
-  name and verify the digest instead of parsing coords off the wire.
 * :mod:`repro.shard.worker` — the child-process entry point: build a
   ``SolveService`` from a picklable :class:`~repro.shard.worker.ShardConfig`,
   serve the standard wire on an ephemeral port, report the port through a
@@ -24,7 +19,9 @@ Layers (one module each):
 * :mod:`repro.shard.router` — :class:`~repro.shard.router.ShardRouter`:
   BatchKey-hash routing with health-scored spill to the least-loaded
   healthy shard, failover (dead shard → re-route + respawn), rolling
-  drain/restart and router-level shedding.  Clients reach it through
+  drain/restart and router-level shedding.  A coordinate instance rides
+  inline in the forwarded request line, so a worker decodes it exactly
+  as a single server does.  Clients reach it through
   :func:`~repro.serve.protocol.serve_tcp`, the same JSON-lines front a
   single ``SolveService`` runs behind.
 * :mod:`repro.shard.stats` — fold per-shard
@@ -39,19 +36,16 @@ process behind the same front.
 from __future__ import annotations
 
 from repro.shard.router import ShardRouter, shard_index
-from repro.shard.shm import InstanceShmCache, resolve_shared_instance
 from repro.shard.stats import fold_health, fold_stats
 from repro.shard.supervisor import WorkerShard
 from repro.shard.worker import ShardConfig, worker_main
 
 __all__ = [
-    "InstanceShmCache",
     "ShardConfig",
     "ShardRouter",
     "WorkerShard",
     "fold_health",
     "fold_stats",
-    "resolve_shared_instance",
     "shard_index",
     "worker_main",
 ]

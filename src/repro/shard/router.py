@@ -8,10 +8,7 @@ each line exactly like a single server (errors become ``error`` lines
 without a worker round-trip) and hands solve requests to
 :meth:`ShardRouter.submit_wire`, which:
 
-1. publishes inline coordinate instances into the shared-memory cache
-   (:mod:`repro.shard.shm`) so equal instances serialize once, not per
-   shard;
-2. routes by a **stable hash** of the request's
+1. routes by a **stable hash** of the request's
    :class:`~repro.serve.service.BatchKey` — equal-geometry requests land
    on the same shard, preserving the micro-batcher's packing density —
    unless the primary is dead or scoring past ``spill_threshold``, in
@@ -55,7 +52,6 @@ from repro.serve.protocol import (
     stats_over_tcp,
 )
 from repro.serve.service import BatchKey, SolveRequest
-from repro.shard.shm import InstanceShmCache, shared_instance_stub
 from repro.shard.stats import fold_health, fold_stats
 from repro.shard.supervisor import WorkerShard
 from repro.shard.worker import ShardConfig
@@ -79,9 +75,7 @@ def shard_index(key: BatchKey, nshards: int) -> int:
 class _Routed:
     """Router book-keeping for one in-flight forwarded request."""
 
-    __slots__ = (
-        "wid", "req_id", "key", "wire", "session", "digest", "shard_id", "reroutes",
-    )
+    __slots__ = ("wid", "req_id", "key", "wire", "session", "shard_id", "reroutes")
 
     def __init__(
         self,
@@ -90,15 +84,12 @@ class _Routed:
         key: BatchKey,
         wire: bytes,
         session: ClientSession,
-        digest: str | None,
     ) -> None:
         self.wid = wid
         self.req_id = req_id
         self.key = key
         self.wire = wire
         self.session = session
-        #: shared-memory block reference held while in flight (or None)
-        self.digest = digest
         self.shard_id = -1
         self.reroutes = 0
 
@@ -165,7 +156,6 @@ class ShardRouter:
         self._shards_respawned = self.metrics.counter("router.shards_respawned")
         self._spillovers = self.metrics.counter("router.spillovers")
         self._shed = self.metrics.counter("router.requests_shed")
-        self._shm = InstanceShmCache()
         self._outstanding: dict[str, _Routed] = {}  # guarded-by: loop
         self._wid_seq = itertools.count()
         self._route_ordinal = 0  # guarded-by: loop — FaultPlan addressing
@@ -209,9 +199,9 @@ class ShardRouter:
 
     async def stop(self) -> None:
         """Tear the fleet down: SIGTERM every worker (graceful drain in the
-        worker), escalate to SIGKILL on a hung exit, release shared memory.
-        Outstanding requests that can no longer complete are answered with
-        error lines.  Idempotent."""
+        worker), escalate to SIGKILL on a hung exit.  Outstanding requests
+        that can no longer complete are answered with error lines.
+        Idempotent."""
         if self._closing:
             return
         self._closing = True
@@ -238,7 +228,6 @@ class ShardRouter:
                     ServeError("router stopped before the request resolved"),
                 ),
             )
-        self._shm.close()
 
     @property
     def accepting(self) -> bool:
@@ -318,30 +307,21 @@ class ShardRouter:
             return
         raise ServiceOverloadedError("no shard accepted the request; retry")
 
-    def _instance_wire_form(self, raw_instance: object, request: SolveRequest):
-        """Suite stubs pass through; coordinate instances ride shared
-        memory (falling back to inline coords when they can't).  A shared
-        stub holds a block reference that :meth:`_resolve` drops."""
-        if isinstance(raw_instance, dict) and "suite" in raw_instance:
+    @staticmethod
+    def _instance_wire_form(raw_instance: dict) -> dict:
+        """Suite stubs pass through by name; a coordinate instance is
+        forwarded inline as the client sent it.  The front's decode has
+        already validated that object, and JSON floats round-trip
+        exactly, so the worker builds the same instance."""
+        if "suite" in raw_instance:
             return {"suite": raw_instance["suite"]}
-        return self._shm.wire_form(request.instance)
-
-    def _resolve(self, routed: _Routed) -> bool:
-        """Take a request out of ``_outstanding`` for good; False if it
-        already was.  Its last in-flight sibling over the same instance
-        unlinks the shared block (re-forwarded orphans stay outstanding
-        and keep it)."""
-        if self._outstanding.pop(routed.wid, None) is None:
-            return False
-        if routed.digest:
-            self._shm.release(routed.digest)
-        return True
+        return raw_instance
 
     async def _end(self, routed: _Routed, line: bytes) -> None:
         """Resolve an accepted request and send its last line.  Every path
         that finishes one — relay, failover give-up, respawn failure,
         :meth:`stop` — ends here, so its session counts it once."""
-        if self._resolve(routed):
+        if self._outstanding.pop(routed.wid, None) is not None:
             await routed.session.finish(line)
 
     async def submit_wire(
@@ -367,20 +347,15 @@ class ShardRouter:
                 f"router at max_routed={self.max_routed} outstanding requests"
             )
         wid = f"x{next(self._wid_seq)}"
-        instance_obj = self._instance_wire_form(raw_obj.get("instance"), request)
-        digest = instance_obj["digest"] if shared_instance_stub(instance_obj) else None
-        try:
-            wire = encode_request(request, wid, instance_obj=instance_obj)
-        except BaseException:
-            if digest:
-                self._shm.release(digest)
-            raise
-        routed = _Routed(wid, req_id, request.bucket_key, wire, session, digest)
+        wire = encode_request(
+            request, wid, instance_obj=self._instance_wire_form(raw_obj["instance"])
+        )
+        routed = _Routed(wid, req_id, request.bucket_key, wire, session)
         self._outstanding[wid] = routed
         try:
             await self._forward(routed)
         except BaseException:
-            self._resolve(routed)
+            self._outstanding.pop(wid, None)
             raise
         ordinal = self._route_ordinal
         self._route_ordinal += 1

@@ -117,34 +117,31 @@ class TestConstruction:
         assert np.all(acs.state.pheromone[changed] >= acs.tau0 - 1e-18)
 
     def test_local_update_touches_exactly_the_crossed_edges(self, instance):
-        """Every cell of an edge an ant stepped along, in either direction,
-        decays; every cell off the tours keeps its value bit for bit.  (The
-        closing edge back to the start city is not asserted either way.)"""
+        """Every cell of an edge an ant crossed, in either direction and
+        the closing edge back to its start city included, decays; every
+        cell off the tours keeps its value bit for bit."""
         acs = AntColonySystem(instance, ACOParams(seed=5), ACSParams(xi=0.3))
         acs.state.pheromone[:, :] = acs.tau0 * 100
         np.fill_diagonal(acs.state.pheromone, 0.0)
         before = acs.state.pheromone.copy()
         tours, _ = construct(acs)
-        stepped = np.zeros_like(before, dtype=bool)
-        stepped[tours[:, :-2], tours[:, 1:-1]] = True
-        stepped |= stepped.T
-        on_tour = stepped.copy()
-        on_tour[tours[:, -2], tours[:, -1]] = True
-        on_tour |= on_tour.T
+        crossed = np.zeros_like(before, dtype=bool)
+        crossed[tours[:, :-1], tours[:, 1:]] = True
+        crossed |= crossed.T
         after = acs.state.pheromone
-        np.testing.assert_array_equal(after[~on_tour], before[~on_tour])
-        assert np.all(after[stepped] < before[stepped])
+        np.testing.assert_array_equal(after[~crossed], before[~crossed])
+        assert np.all(after[crossed] < before[crossed])
 
     def test_local_update_one_ant_decays_each_edge_once(self, instance):
-        """A lone ant steps along each edge of its path once, so each
-        decays exactly once: ``(1 - xi) tau + xi tau0`` on both triangle
-        cells."""
+        """A lone ant crosses each edge of its tour once, the closing edge
+        included, so each decays exactly once: ``(1 - xi) tau + xi tau0``
+        on both triangle cells."""
         acs = AntColonySystem(instance, ACOParams(seed=6, n_ants=1), ACSParams(xi=0.25))
         high = acs.tau0 * 100
         acs.state.pheromone[:, :] = high
         np.fill_diagonal(acs.state.pheromone, 0.0)
         tours, _ = construct(acs)
-        a, b = tours[0, :-2], tours[0, 1:-1]
+        a, b = tours[0, :-1], tours[0, 1:]
         want = 0.75 * high + 0.25 * acs.tau0
         np.testing.assert_allclose(acs.state.pheromone[a, b], want, rtol=1e-12)
         np.testing.assert_allclose(acs.state.pheromone[b, a], want, rtol=1e-12)

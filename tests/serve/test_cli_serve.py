@@ -95,3 +95,60 @@ def test_serve_cli_roundtrip_and_graceful_sigint_drain():
     assert "drained" in out
     assert "drained. submitted=1 completed=1 failed=0 timed_out=0 shed=0" in out
     assert "Traceback" not in out
+
+
+def test_instance_naming_a_foreign_segment_is_refused_and_left_alone():
+    """An instance object naming a POSIX shared-memory segment the server
+    did not create gets one error line; the server neither attaches the
+    segment nor has it unlinked when it shuts down."""
+    import uuid
+    from multiprocessing import shared_memory
+
+    name = f"aco-foreign-{uuid.uuid4().hex[:12]}"
+    segment = shared_memory.SharedMemory(name=name, create=True, size=48)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("serving on "), banner
+        port = int(banner.split()[2].rsplit(":", 1)[1])
+        sock = _connect(port)
+        request = {
+            "id": "x",
+            "instance": {"shm": name, "digest": "0" * 64, "rows": 3},
+            "iterations": 1,
+        }
+        sock.sendall((json.dumps(request) + "\n").encode())
+        stream = sock.makefile()
+        reply = json.loads(stream.readline())
+        assert reply["type"] == "error" and reply["id"] == "x", reply
+        assert "instance needs 'suite' or 'coords'" in reply["message"], reply
+        sock.close()
+
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        out = proc.stdout.read()
+        # A resource tracker unlinks what it holds only after its server
+        # exits, so keep checking for a while.
+        end = time.monotonic() + 2.0
+        while time.monotonic() < end:
+            shared_memory.SharedMemory(name=name).close()
+            time.sleep(0.1)
+        assert "leaked shared_memory" not in out, out
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:
+            pass

@@ -22,6 +22,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -122,14 +123,18 @@ def solve_requests(draw) -> SolveRequest:
     local_search = draw(st.sampled_from(sorted(LOCAL_SEARCH)))
     with_ls = local_search != "none"
     seconds = st.none() | finite(0.0, 1e9, exclude_min=True)
+    # ACOParams refuses a (1 / eta_shift) ** beta outside float64's range:
+    # keep |beta * log10(eta_shift)| <= 300.
+    eta_shift = draw(finite(1e-300, 1e6))
+    beta_max = 300.0 / max(abs(math.log10(eta_shift)), 1e-300)
     params = ACOParams(
         alpha=draw(finite(0.0, 1e6)),
-        beta=draw(finite(0.0, 1e6)),
+        beta=draw(finite(0.0, min(1e6, beta_max))),
         rho=draw(finite(0.0, 1.0, exclude_min=True)),
         n_ants=draw(st.none() | st.integers(1, MAX_ANTS)),
         nn=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**63 - 1)),
-        eta_shift=draw(finite(0.0, 1e6, exclude_min=True)),
+        eta_shift=eta_shift,
     )
     return SolveRequest(
         instance=INSTANCE,
@@ -180,6 +185,10 @@ def test_decode_inverts_encode(request, req_id):
 @example(field="params.beta", value=math.inf)
 @example(field="variant", value=["as"])
 @example(field="params.n_ants", value=1099511627776)
+@example(field="instance", value={"shm": "aco-x", "digest": "0" * 64, "rows": 3})
+@example(field="params.beta", value=1e300)
+@example(field="params.beta", value=400)
+@example(field="params.eta_shift", value=1e300)
 def test_any_json_value_in_any_field_decodes_or_is_refused(field, value):
     line = json.dumps(place(base_line_obj("p"), field, value))
     try:
@@ -204,3 +213,16 @@ def test_n_ants_above_bound_is_refused():
         assert "n_ants" in str(exc)
     else:
         raise AssertionError("an n_ants above MAX_ANTS was admitted")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("params.beta", 1e300), ("params.beta", 400.0), ("params.eta_shift", 1e300)],
+)
+def test_heuristic_power_out_of_range_is_refused(field, value):
+    """A ``beta``/``eta_shift`` pair whose largest ``eta ** beta`` overflows
+    or underflows float64 is one error naming both fields, not a request
+    that returns the identity tour."""
+    line = json.dumps(place(base_line_obj("p"), field, value))
+    with pytest.raises(ReproError, match="beta=.*eta_shift="):
+        decode_request(line, default_id="d")

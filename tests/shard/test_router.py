@@ -214,12 +214,11 @@ def test_rolling_restart_keeps_serving():
     assert stats["submitted"] == 1
 
 
-def test_distinct_instance_stream_leaves_no_shared_blocks():
-    """Every request carries a new inline instance: each shared block is
-    unlinked once its last request resolves, so a long stream of distinct
-    instances does not pile up blocks (open fds and /dev/shm pages)."""
-    from multiprocessing import shared_memory
-
+def test_distinct_instance_stream_forwards_inline():
+    """Every request carries a new inline instance, forwarded to its
+    worker inside the request line: every result arrives, each equals a
+    solo run over the instance the client sent, and nothing stays
+    outstanding."""
     from repro.serve.protocol import encode_request
 
     count = 300
@@ -236,15 +235,6 @@ def test_distinct_instance_stream_leaves_no_shared_blocks():
 
     async def _go():
         async with ShardRouter(2, ShardConfig(max_batch=8)) as router:
-            names: list[str] = []
-            publish = router._shm.wire_form
-
-            def _recording_wire_form(instance):
-                stub = publish(instance)
-                names.append(stub["shm"])
-                return stub
-
-            router._shm.wire_form = _recording_wire_form
             server = await serve_tcp(router, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -262,28 +252,24 @@ def test_distinct_instance_stream_leaves_no_shared_blocks():
                         finals[obj["id"]] = obj
                 writer.close()
                 await writer.wait_closed()
-                # Before drain/stop (which would unlink everything anyway).
-                left = (len(router._shm), dict(router._shm._refs), router.outstanding)
+                # Before drain/stop, which would answer leftovers anyway.
+                left = router.outstanding
             finally:
                 server.close()
                 await server.wait_closed()
-            return finals, names, left
+            return finals, left
 
-    finals, names, left = asyncio.run(_go())
+    finals, left = asyncio.run(_go())
     assert len(finals) == count
-    assert left == (0, {}, 0)
-    assert len(set(names)) == count  # one block per distinct instance
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+    assert left == 0
     for i in (0, 1, count - 1):
         solo = AntSystem(reqs[i].instance, reqs[i].params).run(1)
         assert finals[f"r{i}"]["best_length"] == solo.best_length
 
 
-def test_failed_submit_releases_shared_block(monkeypatch):
-    """A submit that raises before or while forwarding drops the block
-    reference it took: nothing stays published until router close."""
+def test_failed_submit_leaves_nothing_outstanding(monkeypatch):
+    """A submit that raises before or while forwarding takes its request
+    back out of the router's books."""
     import repro.shard.router as router_mod
     from repro.errors import ServiceOverloadedError
 
@@ -302,16 +288,13 @@ def test_failed_submit_releases_shared_block(monkeypatch):
     async def _go():
         with pytest.raises(ServiceOverloadedError):  # no healthy shard
             await router.submit_wire(raw, "r0", request, None)
-        assert (len(router._shm), router.outstanding) == (0, 0)
+        assert router.outstanding == 0
         monkeypatch.setattr(router_mod, "encode_request", _encode_fails)
         with pytest.raises(ValueError, match="unencodable"):
             await router.submit_wire(raw, "r1", request, None)
-        assert (len(router._shm), router.outstanding) == (0, 0)
+        assert router.outstanding == 0
 
-    try:
-        asyncio.run(_go())
-    finally:
-        router._shm.close()
+    asyncio.run(_go())
 
 
 def test_relayed_and_orphaned_requests_each_finish_their_session_once():
@@ -343,7 +326,7 @@ def test_relayed_and_orphaned_requests_each_finish_their_session_once():
         session = ClientSession(writer)
         for wid, req_id in (("x0", "a"), ("x1", "b")):
             await session.accept(req_id)
-            router._outstanding[wid] = _Routed(wid, req_id, key, b"", session, None)
+            router._outstanding[wid] = _Routed(wid, req_id, key, b"", session)
         await router._relay(
             router.shards[0], b'{"type": "result", "id": "x0", "best_length": 1}\n'
         )
